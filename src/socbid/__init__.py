@@ -23,7 +23,6 @@ from .model import (
     PriceSeries,
     SoCGrid,
     StorageParams,
-    soc_to_index,
     validate_params,
 )
 from .oracle import OracleResult, enumerate_tiny, grid_dp_oracle
@@ -76,7 +75,6 @@ __all__ = [
     "make_soc_bids",
     "run_case",
     "run_schedule",
-    "soc_to_index",
     "step_power_bid",
     "step_soc_bid",
     "update_step",

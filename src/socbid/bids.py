@@ -1,10 +1,11 @@
 """Turning marginal-value surfaces into market bids.
 
-Two bid shapes are supported. A power bid is one discharge/charge price
-threshold pair per period, built from the SoC-average marginal value: the
-dispatcher needs no SoC information. An SoC bid is a piecewise-constant
+Two bid shapes are supported. An SoC bid is a piecewise-constant
 marginal-value curve over equal-width SoC segments, so dispatch depends on
-where the storage currently sits.
+where the storage currently sits. A power bid is the one-segment SoC bid
+over the whole SoC range, built from the SoC-average marginal value: one
+discharge/charge price threshold pair per period, so the dispatcher needs
+no SoC information.
 """
 
 from __future__ import annotations
@@ -13,13 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams, validate_params
+from .model import (
+    DataValidationError,
+    PriceSeries,
+    SoCGrid,
+    StorageParams,
+    check_soc_range,
+    validate_params,
+)
 from .valuation import (
     ValueCurve,
     ValueSurface,
-    _cumulative_integral,
-    _step_values,
-    segment_averages,
+    _backward_curves,
+    _cell_edges,
+    _integral_at,
+    _require_non_increasing,
+    _segment_means,
 )
 
 
@@ -29,6 +39,20 @@ class PowerBid:
 
     discharge_bid: float
     charge_bid: float
+
+
+def _check_segments(boundaries, values, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of J+1 increasing boundaries and non-increasing rows of J values."""
+    bounds = np.asarray(boundaries, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if bounds.ndim != 1 or vals.ndim != ndim or bounds.size != vals.shape[-1] + 1:
+        raise DataValidationError("need J+1 boundaries for J segment values")
+    if vals.shape[-1] < 1:
+        raise DataValidationError("an SoC bid needs at least one segment")
+    if np.any(np.diff(bounds) <= 0):
+        raise DataValidationError("segment boundaries must be strictly increasing")
+    _require_non_increasing(vals)
+    return bounds, vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +68,7 @@ class SoCBidCurve:
     segment_values: np.ndarray
 
     def __post_init__(self) -> None:
-        bounds = np.asarray(self.boundaries, dtype=float)
-        vals = np.asarray(self.segment_values, dtype=float)
-        if bounds.ndim != 1 or vals.ndim != 1 or bounds.size != vals.size + 1:
-            raise DataValidationError("need J+1 boundaries for J segment values")
-        if vals.size < 1:
-            raise DataValidationError("an SoC bid needs at least one segment")
-        if np.any(np.diff(bounds) <= 0):
-            raise DataValidationError("segment boundaries must be strictly increasing")
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(vals))))
-        if vals.size > 1 and float(np.max(np.diff(vals))) > tol:
-            raise DataValidationError("segment values must be non-increasing in SoC")
+        bounds, vals = _check_segments(self.boundaries, self.segment_values, 1)
         bounds = bounds.copy()
         vals = vals.copy()
         bounds.flags.writeable = False
@@ -66,84 +80,121 @@ class SoCBidCurve:
     def num_segments(self) -> int:
         return int(self.segment_values.size)
 
-    @property
-    def soc_min(self) -> float:
-        return float(self.boundaries[0])
 
-    @property
-    def soc_max(self) -> float:
-        return float(self.boundaries[-1])
+def bid_thresholds(values, params: StorageParams):
+    """Discharge and charge price thresholds of stored-energy values ($/MWh).
 
-
-@dataclass(frozen=True)
-class BidSchedule:
-    """One bid per valuation period, all of the same kind."""
-
-    period_hours: float
-    entries: tuple
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise DataValidationError("bid schedule is empty")
-        if self.period_hours <= 0:
-            raise DataValidationError(f"period_hours must be positive, got {self.period_hours}")
-        first = type(self.entries[0])
-        if first not in (PowerBid, SoCBidCurve):
-            raise DataValidationError(f"unsupported bid type {first.__name__}")
-        if any(type(e) is not first for e in self.entries):
-            raise DataValidationError("bid schedule mixes power and SoC bids")
-
-    @property
-    def kind(self) -> str:
-        return "power" if isinstance(self.entries[0], PowerBid) else "soc"
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, t: int):
-        return self.entries[t]
-
-
-def _check_grid_range(grid: SoCGrid, params: StorageParams) -> None:
-    tol = 1e-9 * (1.0 + abs(params.soc_max))
-    if abs(grid.soc_min - params.soc_min) > tol or abs(grid.soc_max - params.soc_max) > tol:
-        raise DataValidationError(
-            f"grid range [{grid.soc_min}, {grid.soc_max}] does not match the "
-            f"storage SoC range [{params.soc_min}, {params.soc_max}]"
-        )
+    Discharging one MWh to the grid drains 1/eta MWh of stored value and
+    costs c, so the break-even price is c + q/eta. Charging one MWh from the
+    grid stores eta MWh, worth q*eta. Works on floats and arrays alike.
+    """
+    eta = params.efficiency_one_way
+    return params.discharge_cost + values / eta, values * eta
 
 
 def power_bid_from_average(q_bar: float, params: StorageParams) -> PowerBid:
     """Bid pair for one period given the SoC-average marginal value q_bar.
 
-    Discharging one MWh to the grid drains 1/eta MWh of stored value and
-    costs c, so the break-even price is c + q_bar/eta. Charging one MWh from
-    the grid stores eta MWh, worth q_bar*eta. The pair always satisfies
-    charge_bid = eta^2 * (discharge_bid - c).
+    The pair always satisfies charge_bid = eta^2 * (discharge_bid - c).
     """
-    eta = params.efficiency_one_way
-    return PowerBid(
-        discharge_bid=params.discharge_cost + q_bar / eta,
-        charge_bid=q_bar * eta,
-    )
+    discharge, charge = bid_thresholds(q_bar, params)
+    return PowerBid(discharge_bid=discharge, charge_bid=charge)
 
 
-def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule:
-    """One power bid per period, from the curve at the period's end.
+def threshold_table(
+    bid: PowerBid | SoCBidCurve, params: StorageParams
+) -> tuple[list[float], list[float], list[float]]:
+    """Segment boundaries and per-segment (discharge, charge) price thresholds.
 
-    Period t's dispatch trades against the value of energy left after t, so
-    the bid for period t is built from curve t+1 of the surface (0-indexed
-    periods; curve 0 is the pre-horizon curve and sets no bid).
+    A power bid is one segment over the storage's SoC range carrying its
+    own pair, whatever that pair is; an SoC bid curve must span that range.
     """
-    validate_params(params)
-    grid = surface.grid
-    _check_grid_range(grid, params)
-    full_range = np.array([grid.soc_min, grid.soc_max])
-    bids = []
-    for t in range(1, surface.horizon + 1):
-        q_bar = float(segment_averages(ValueCurve(grid, surface.values[t]), full_range)[0])
-        bids.append(power_bid_from_average(q_bar, params))
-    return BidSchedule(period_hours=surface.step_hours, entries=tuple(bids))
+    if isinstance(bid, PowerBid):
+        return [params.soc_min, params.soc_max], [bid.discharge_bid], [bid.charge_bid]
+    boundaries = bid.boundaries.tolist()
+    check_soc_range(boundaries[0], boundaries[-1], params, "bid curve")
+    discharge, charge = bid_thresholds(bid.segment_values, params)
+    return boundaries, discharge.tolist(), charge.tolist()
+
+
+def booked_value(bid: PowerBid | SoCBidCurve, e_from: float, e_to: float) -> float:
+    """Opportunity value ($) an SoC bid books when SoC moves from e_from to e_to.
+
+    Power bids book none.
+    """
+    if isinstance(bid, PowerBid):
+        return 0.0
+    start, end = _integral_at(bid.boundaries, bid.segment_values, [e_from, e_to])
+    return float(end - start)
+
+
+@dataclass(frozen=True, eq=False)
+class BidSchedule:
+    """Every period's bid as one table over SoC segments shared by all periods.
+
+    ``values[t, j]`` is the stored-energy value ($/MWh) period t bids for
+    segment j, between ``boundaries[j]`` and ``boundaries[j + 1]``; prices
+    follow from ``params`` via :func:`bid_thresholds`. A power schedule
+    (``kind="power"``) has the single segment [soc_min, soc_max] and books
+    no opportunity value.
+    """
+
+    period_hours: float
+    params: StorageParams
+    boundaries: np.ndarray
+    values: np.ndarray
+    kind: str = "soc"
+
+    def __post_init__(self) -> None:
+        if self.period_hours <= 0:
+            raise DataValidationError(f"period_hours must be positive, got {self.period_hours}")
+        if self.kind not in ("power", "soc"):
+            raise DataValidationError(f"unknown bid kind {self.kind!r}")
+        bounds, vals = _check_segments(self.boundaries, self.values, 2)
+        if vals.shape[0] < 1:
+            raise DataValidationError("bid schedule is empty")
+        if self.kind == "power" and vals.shape[1] != 1:
+            raise DataValidationError("a power schedule has exactly one segment")
+        check_soc_range(float(bounds[0]), float(bounds[-1]), self.params, "bid curve")
+        bounds = bounds.copy()
+        vals = vals.view()  # read-only without copying a year-long table
+        bounds.flags.writeable = False
+        vals.flags.writeable = False
+        object.__setattr__(self, "boundaries", bounds)
+        object.__setattr__(self, "values", vals)
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, t: int) -> PowerBid | SoCBidCurve:
+        if self.kind == "power":
+            return power_bid_from_average(float(self.values[t, 0]), self.params)
+        return SoCBidCurve(self.boundaries, self.values[t])
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(self[t] for t in range(len(self)))
+
+    def thresholds(self):
+        """Yield each period's per-segment (discharge, charge) price thresholds as lists."""
+        for row in self.values:
+            discharge, charge = bid_thresholds(row, self.params)
+            yield discharge.tolist(), charge.tolist()
+
+    def value_deltas(self, soc: np.ndarray, per_bid: int) -> np.ndarray:
+        """Opportunity value booked in each interval of the SoC path ``soc``.
+
+        ``soc`` holds the initial SoC and the SoC after each interval; each
+        period covers ``per_bid`` intervals. All zero for power schedules.
+        """
+        out = np.zeros(soc.size - 1)
+        if self.kind == "power":
+            return out
+        for t, row in enumerate(self.values):
+            first = t * per_bid
+            path = soc[first : first + per_bid + 1]
+            out[first : first + per_bid] = np.diff(_integral_at(self.boundaries, row, path))
+        return out
 
 
 def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int = 20) -> np.ndarray:
@@ -154,6 +205,41 @@ def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int
         )
     num = max(1, int(round(segments_per_hour_of_duration * params.duration_hours)))
     return np.linspace(params.soc_min, params.soc_max, num + 1)
+
+
+def _bid_table(
+    curves, params: StorageParams, grid: SoCGrid, kind: str, segments_per_hour: int,
+    horizon: int, period_hours: float,
+) -> BidSchedule:
+    """Reduce end-of-period curves to a schedule; ``curves`` yields (t, curve after t).
+
+    Period t's dispatch trades against the value of energy left after it, so
+    the bid of 0-indexed period t comes from the curve after period t+1;
+    the pre-horizon curve (t = 0) sets no bid.
+    """
+    validate_params(params)
+    if kind == "power":
+        boundaries = np.array([params.soc_min, params.soc_max])
+    else:
+        boundaries = soc_bid_boundaries(params, segments_per_hour)
+    check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
+    edges = _cell_edges(grid)
+    values = np.empty((horizon, boundaries.size - 1))
+    for t, q in curves:
+        if t > 0:
+            values[t - 1] = _segment_means(edges, q, boundaries)
+    return BidSchedule(period_hours, params, boundaries, values, kind)
+
+
+def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule:
+    """One power bid per period: the one-segment SoC bid of the end-of-period curve.
+
+    Period t's bid comes from curve t+1 of the surface.
+    """
+    return _bid_table(
+        enumerate(surface.values), params, surface.grid, "power", 1,
+        surface.horizon, surface.step_hours,
+    )
 
 
 def make_soc_bids(
@@ -167,15 +253,10 @@ def make_soc_bids(
     usual cap on generator bid segments. Values inherit monotonicity from the
     underlying curves.
     """
-    validate_params(params)
-    boundaries = soc_bid_boundaries(params, segments_per_hour_of_duration)
-    grid = surface.grid
-    _check_grid_range(grid, params)
-    bids = []
-    for t in range(1, surface.horizon + 1):
-        vals = segment_averages(ValueCurve(grid, surface.values[t]), boundaries)
-        bids.append(SoCBidCurve(boundaries, vals))
-    return BidSchedule(period_hours=surface.step_hours, entries=tuple(bids))
+    return _bid_table(
+        enumerate(surface.values), params, surface.grid, "soc", segments_per_hour_of_duration,
+        surface.horizon, surface.step_hours,
+    )
 
 
 def bid_schedule_from_prices(
@@ -193,33 +274,9 @@ def bid_schedule_from_prices(
     curve in memory, which is what makes year-long 5-minute valuations
     practical for long-duration storage.
     """
-    validate_params(params)
-    _check_grid_range(grid, params)
     if bid_model not in ("power", "soc"):
         raise DataValidationError(f"unknown bid model {bid_model!r}")
-    if len(prediction) == 0:
-        raise DataValidationError("cannot build bids from an empty price series")
-    if terminal is None:
-        terminal = ValueCurve.flat(grid)
-    if terminal.grid != grid:
-        raise DataValidationError("terminal curve is tabulated on a different grid")
-    if bid_model == "soc":
-        boundaries = soc_bid_boundaries(params, segments_per_hour_of_duration)
-    else:
-        boundaries = np.array([grid.soc_min, grid.soc_max])
-    widths = np.diff(boundaries)
-    dt = prediction.resolution_hours
-    step = grid.step
-    horizon = len(prediction)
-    entries: list = [None] * horizon
-    q = terminal.values
-    for t in range(horizon, 0, -1):
-        # The bid for period t trades against the curve after period t.
-        edges, cum = _cumulative_integral(grid, q)
-        seg_vals = np.diff(np.interp(boundaries, edges, cum)) / widths
-        if bid_model == "power":
-            entries[t - 1] = power_bid_from_average(float(seg_vals[0]), params)
-        else:
-            entries[t - 1] = SoCBidCurve(boundaries, seg_vals)
-        q = _step_values(q, float(prediction.values[t - 1]), params, step, dt)
-    return BidSchedule(period_hours=dt, entries=tuple(entries))
+    return _bid_table(
+        _backward_curves(prediction, params, grid, terminal), params, grid, bid_model,
+        segments_per_hour_of_duration, len(prediction), prediction.resolution_hours,
+    )

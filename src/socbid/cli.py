@@ -12,6 +12,8 @@ import csv
 import json
 import os
 import sys
+import typing
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -91,40 +93,34 @@ class RunManifest:
             raise UsageError("workers must be at least 1")
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a RunManifest field annotation (ints count as floats)."""
+    options = typing.get_args(hint) or (hint,)  # "X | None" gives (X, NoneType)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, options[0]) for v in value)
+    if float in options:
+        options += (int,)
+    return isinstance(value, options) and (bool in options or not isinstance(value, bool))
+
+
 def _load_manifest(args: argparse.Namespace) -> RunManifest:
     manifest = RunManifest()
+    hints = typing.get_type_hints(RunManifest)
     if getattr(args, "manifest", None):
         with open(args.manifest) as fh:
             data = json.load(fh)
-        unknown = set(data) - set(manifest.__dataclass_fields__)
+        unknown = set(data) - set(hints)
         if unknown:
             raise UsageError(f"unknown manifest keys: {', '.join(sorted(unknown))}")
         for key, value in data.items():
+            if not _has_type(value, hints[key]):
+                raise UsageError(f"manifest field {key!r} must be {hints[key]}, got {value!r}")
             setattr(manifest, key, value)
-    overrides = {
-        "zones": args.zones,
-        "durations": args.durations,
-        "cases": getattr(args, "cases", None),
-        "power_rating": args.power_rating,
-        "efficiency_one_way": args.efficiency,
-        "discharge_cost": args.discharge_cost,
-        "grid_points": args.grid_points,
-        "segments_per_hour": args.segments_per_hour,
-        "initial_soc": getattr(args, "initial_soc", None),
-        "da_prices": args.da_prices,
-        "rt_prices": args.rt_prices,
-        "synthetic_days": args.synthetic_days,
-        "seed": args.seed,
-        "output_dir": args.output_dir,
-        "workers": getattr(args, "workers", None),
-        "fill_gaps": getattr(args, "fill_gaps", None),
-        "write_traces": getattr(args, "write_traces", None),
-    }
-    for key, value in overrides.items():
+    # Flags override the manifest; each flag's dest is the field it sets.
+    for key in hints:
+        value = getattr(args, key, None)
         if value is not None:
             setattr(manifest, key, value)
-    if manifest.output_dir is None:
-        manifest.output_dir = os.environ.get("SOCBID_OUTPUT_DIR", ".")
     return manifest
 
 
@@ -139,16 +135,30 @@ def _storage_params(manifest: RunManifest, duration_hours: float) -> StoragePara
     )
 
 
-def _zone_seed(manifest: RunManifest, zone: str) -> int:
-    # Stable per-zone offset so multi-zone synthetic runs differ but reproduce.
-    return manifest.seed + sum(ord(ch) for ch in zone)
+def _synthetic_tapes(
+    zone: str, days: float, low: float, high: float, period_hours: float, noise: float, seed: int
+) -> tuple[PriceSeries, PriceSeries]:
+    """Clean hourly day-ahead and noisy 5-minute real-time square-wave tapes for one zone.
+
+    The noise seed offsets ``seed`` by a checksum of the zone name, which
+    depends on character order: zones get different tapes ("AB" and "BA"
+    included), and reruns reproduce them.
+    """
+    start = datetime(2019, 1, 1, tzinfo=timezone.utc)
+    hours = int(round(days * 24))
+    wave = {"low": low, "high": high, "period_hours": period_hours}
+    da = data_io.synthetic_tape(zone, start, timedelta(hours=1), hours, noise_std=0.0, **wave)
+    rt = data_io.synthetic_tape(
+        zone, start, timedelta(minutes=5), hours * 12,
+        noise_std=noise, seed=seed + zlib.crc32(zone.encode()), **wave,
+    )
+    return da, rt
 
 
 def _zone_series(
     manifest: RunManifest, zone: str
 ) -> tuple[PriceSeries | None, PriceSeries | None]:
     """Load or synthesize the day-ahead and real-time tapes for one zone."""
-    start = datetime(2019, 1, 1, tzinfo=timezone.utc)
     fill = "previous" if manifest.fill_gaps else "error"
     da = rt = None
     if manifest.da_prices:
@@ -162,27 +172,9 @@ def _zone_series(
             print(f"warning: forward-filled {rt.gaps_filled} real-time interval(s) "
                   f"for zone {zone}", file=sys.stderr)
     if da is None and rt is None and manifest.synthetic_days:
-        hours = int(round(manifest.synthetic_days * 24))
-        da = data_io.synthetic_tape(
-            zone,
-            start,
-            timedelta(hours=1),
-            hours,
-            low=manifest.synthetic_low,
-            high=manifest.synthetic_high,
-            period_hours=manifest.synthetic_period_hours,
-            noise_std=0.0,
-        )
-        rt = data_io.synthetic_tape(
-            zone,
-            start,
-            timedelta(minutes=5),
-            hours * 12,
-            low=manifest.synthetic_low,
-            high=manifest.synthetic_high,
-            period_hours=manifest.synthetic_period_hours,
-            noise_std=manifest.synthetic_noise,
-            seed=_zone_seed(manifest, zone),
+        da, rt = _synthetic_tapes(
+            zone, manifest.synthetic_days, manifest.synthetic_low, manifest.synthetic_high,
+            manifest.synthetic_period_hours, manifest.synthetic_noise, manifest.seed,
         )
     return da, rt
 
@@ -282,10 +274,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return cmd_simulate(args)
 
 
-def cmd_value(args: argparse.Namespace) -> int:
+def _valuation_inputs(args: argparse.Namespace):
+    """Yield (manifest, zone, duration, price tape, params, grid) for ``value`` and ``bids``."""
     manifest = _load_manifest(args)
     manifest.validate()
-    out = Path(manifest.output_dir)
     for zone in manifest.zones:
         da, rt = _zone_series(manifest, zone)
         source = da if args.source == "day_ahead" else rt
@@ -294,52 +286,40 @@ def cmd_value(args: argparse.Namespace) -> int:
         for duration in manifest.durations:
             params = _storage_params(manifest, duration)
             grid = _grid_for(manifest, params, source.resolution_hours)
-            surface = backward_induct(source, params, grid)
-            path = out / f"surface_{zone}_{duration:g}h.csv"
-            data_io.write_surface(surface, path)
-            print(f"wrote {path} ({surface.horizon + 1} curves)")
+            yield manifest, zone, duration, source, params, grid
+
+
+def cmd_value(args: argparse.Namespace) -> int:
+    for manifest, zone, duration, source, params, grid in _valuation_inputs(args):
+        surface = backward_induct(source, params, grid)
+        path = Path(manifest.output_dir) / f"surface_{zone}_{duration:g}h.csv"
+        data_io.write_surface(surface, path)
+        print(f"wrote {path} ({surface.horizon + 1} curves)")
     return EXIT_OK
 
 
 def cmd_bids(args: argparse.Namespace) -> int:
-    manifest = _load_manifest(args)
-    manifest.validate()
-    out = Path(manifest.output_dir)
-    for zone in manifest.zones:
-        da, rt = _zone_series(manifest, zone)
-        source = da if args.source == "day_ahead" else rt
-        if source is None:
-            raise DataValidationError(f"no {args.source} prices available for zone {zone}")
-        for duration in manifest.durations:
-            params = _storage_params(manifest, duration)
-            grid = _grid_for(manifest, params, source.resolution_hours)
-            schedule = bid_schedule_from_prices(
-                source, params, grid, args.bid_model,
-                segments_per_hour_of_duration=manifest.segments_per_hour,
-            )
-            path = out / f"bids_{args.bid_model}_{zone}_{duration:g}h.csv"
-            data_io.write_bid_schedule(schedule, path)
-            print(f"wrote {path} ({len(schedule)} periods)")
-            if args.bid_model == "power":
-                dur_path = out / f"duration_{zone}_{duration:g}h.csv"
-                data_io.write_duration_curves(source, schedule, dur_path)
-                print(f"wrote {dur_path}")
+    for manifest, zone, duration, source, params, grid in _valuation_inputs(args):
+        schedule = bid_schedule_from_prices(
+            source, params, grid, args.bid_model,
+            segments_per_hour_of_duration=manifest.segments_per_hour,
+        )
+        out = Path(manifest.output_dir)
+        path = out / f"bids_{args.bid_model}_{zone}_{duration:g}h.csv"
+        data_io.write_bid_schedule(schedule, path)
+        print(f"wrote {path} ({len(schedule)} periods)")
+        if args.bid_model == "power":
+            dur_path = out / f"duration_{zone}_{duration:g}h.csv"
+            data_io.write_duration_curves(source, schedule, dur_path)
+            print(f"wrote {dur_path}")
     return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.output_dir or os.environ.get("SOCBID_OUTPUT_DIR", "."))
-    start = datetime(2019, 1, 1, tzinfo=timezone.utc)
-    hours = int(round(args.days * 24))
     for zone in args.zones:
-        da = data_io.synthetic_tape(
-            zone, start, timedelta(hours=1), hours,
-            low=args.low, high=args.high, period_hours=args.period_hours, noise_std=0.0,
-        )
-        rt = data_io.synthetic_tape(
-            zone, start, timedelta(minutes=5), hours * 12,
-            low=args.low, high=args.high, period_hours=args.period_hours,
-            noise_std=args.noise, seed=args.seed + sum(ord(ch) for ch in zone),
+        da, rt = _synthetic_tapes(
+            zone, args.days, args.low, args.high, args.period_hours, args.noise, args.seed
         )
         data_io.save_prices(da, out / f"{zone}_da.csv")
         data_io.save_prices(rt, out / f"{zone}_rt.csv")
@@ -435,7 +415,8 @@ def _add_common(parser: argparse.ArgumentParser, with_cases: bool = False) -> No
     parser.add_argument("--fill-gaps", dest="fill_gaps", action="store_const", const=True,
                         help="forward-fill missing price intervals instead of failing")
     parser.add_argument("--power-rating", dest="power_rating", type=float)
-    parser.add_argument("--efficiency", type=float, help="one-way efficiency in (0, 1]")
+    parser.add_argument("--efficiency", dest="efficiency_one_way", type=float, metavar="ETA",
+                        help="one-way efficiency in (0, 1]")
     parser.add_argument("--discharge-cost", dest="discharge_cost", type=float)
     parser.add_argument("--grid-points", dest="grid_points", type=int)
     parser.add_argument("--segments-per-hour", dest="segments_per_hour", type=int)

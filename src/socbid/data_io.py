@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bids import BidSchedule, PowerBid
+from .bids import BidSchedule, bid_thresholds
 from .model import DataValidationError, PriceSeries
 from .simulate import SimulationResult
 from .valuation import ValueSurface
@@ -46,10 +46,11 @@ def load_prices(
 ) -> PriceSeries:
     """Read one zone's prices from a CSV file into a validated series.
 
-    The resolution is inferred from the first two rows and checked against
-    ``expected_resolution`` when given. ``fill="previous"`` forward-fills
-    missing intervals instead of failing; the number of filled intervals is
-    reported on the returned series.
+    ``expected_resolution``, when given, is the lattice the timestamps must
+    sit on, and the file's finest step must equal it; otherwise the
+    resolution is inferred from the first two rows. ``fill="previous"``
+    forward-fills missing intervals instead of failing; the number of filled
+    intervals is reported on the returned series.
     """
     if fill not in ("error", "previous"):
         raise DataValidationError(f"unknown fill policy {fill!r}")
@@ -74,30 +75,30 @@ def load_prices(
             rows.append((ts, price))
     if not rows:
         raise DataValidationError(f"no rows for zone {zone!r} in {path}")
-    if len(rows) == 1:
-        if expected_resolution is None:
-            raise DataValidationError("cannot infer resolution from a single row")
-        return PriceSeries(zone, rows[0][0], expected_resolution, np.array([rows[0][1]]))
-
-    resolution = rows[1][0] - rows[0][0]
-    if resolution <= timedelta(0):
-        raise DataValidationError(
-            f"duplicate or out-of-order timestamp {rows[1][0].isoformat()}"
-        )
-    if expected_resolution is not None and resolution != expected_resolution:
-        raise DataValidationError(
-            f"resolution {resolution} does not match expected {expected_resolution}"
-        )
+    if expected_resolution is not None:
+        resolution = expected_resolution
+        # A first step off the lattice is a gap or another resolution; the
+        # finest step tells which. Non-positive steps are reported below.
+        if len(rows) > 1 and rows[1][0] - rows[0][0] != resolution:
+            finest = min(b[0] - a[0] for a, b in zip(rows, rows[1:]))
+            if finest > timedelta(0) and finest != resolution:
+                raise DataValidationError(
+                    f"resolution {finest} does not match expected {resolution}"
+                )
+    elif len(rows) == 1:
+        raise DataValidationError("cannot infer resolution from a single row")
+    else:
+        resolution = rows[1][0] - rows[0][0]
 
     values = [rows[0][1]]
     filled = 0
     prev_ts = rows[0][0]
     for ts, price in rows[1:]:
         gap = ts - prev_ts
-        if gap == resolution:
-            values.append(price)
-        elif gap <= timedelta(0):
+        if gap <= timedelta(0):
             raise DataValidationError(f"duplicate or out-of-order timestamp {ts.isoformat()}")
+        elif gap == resolution:
+            values.append(price)
         else:
             steps = gap / resolution
             if abs(steps - round(steps)) > 1e-9:
@@ -259,28 +260,21 @@ def write_bid_schedule(schedule: BidSchedule, path: str | Path) -> None:
         writer = csv.writer(fh)
         if schedule.kind == "power":
             writer.writerow(["period", "type", "discharge_bid", "charge_bid"])
-            for t, bid in enumerate(schedule.entries):
-                writer.writerow([t, "power", repr(bid.discharge_bid), repr(bid.charge_bid)])
+            for t, (discharge, charge) in enumerate(schedule.thresholds()):
+                writer.writerow([t, "power", repr(discharge[0]), repr(charge[0])])
         else:
             writer.writerow(["period", "segment_index", "soc_lo_mwh", "soc_hi_mwh", "value_usd_per_mwh"])
-            for t, curve in enumerate(schedule.entries):
-                for j in range(curve.num_segments):
-                    writer.writerow(
-                        [
-                            t,
-                            j,
-                            repr(float(curve.boundaries[j])),
-                            repr(float(curve.boundaries[j + 1])),
-                            repr(float(curve.segment_values[j])),
-                        ]
-                    )
+            bounds = [repr(b) for b in schedule.boundaries.tolist()]
+            for t, row in enumerate(schedule.values.tolist()):
+                for j, value in enumerate(row):
+                    writer.writerow([t, j, bounds[j], bounds[j + 1], repr(value)])
 
 
 def write_trace(
     result: SimulationResult, prices: PriceSeries, path: str | Path
 ) -> None:
     """Per-interval dispatch trace: timestamp, price, powers, SoC, profit."""
-    if len(result.decisions) != len(prices):
+    if len(result.profit) != len(prices):
         raise DataValidationError("trace length does not match the price series")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -289,17 +283,9 @@ def write_trace(
         writer.writerow(
             ["timestamp", "price_usd_per_mwh", "discharge_mw", "charge_mw", "soc_mwh", "profit_usd"]
         )
-        for i, d in enumerate(result.decisions):
-            writer.writerow(
-                [
-                    prices.timestamp(i).isoformat(),
-                    repr(float(prices.values[i])),
-                    repr(d.discharge_power),
-                    repr(d.charge_power),
-                    repr(d.soc_after),
-                    repr(d.realized_profit),
-                ]
-            )
+        columns = (prices.values, result.discharge, result.charge, result.soc, result.profit)
+        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+            writer.writerow([prices.timestamp(i).isoformat(), *map(repr, row)])
 
 
 def write_duration_curves(
@@ -316,8 +302,8 @@ def write_duration_curves(
     per_bid = round(len(prices) / len(schedule))
     if per_bid < 1 or len(schedule) * per_bid != len(prices):
         raise DataValidationError("bid schedule does not tile the price series")
-    discharge = np.repeat([b.discharge_bid for b in schedule.entries], per_bid)
-    charge = np.repeat([b.charge_bid for b in schedule.entries], per_bid)
+    thresholds = bid_thresholds(schedule.values[:, 0], schedule.params)
+    discharge, charge = (np.repeat(column, per_bid) for column in thresholds)
     curves = {
         "price": duration_curve(prices),
         "discharge_bid": duration_curve(discharge),

@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bids import PowerBid, SoCBidCurve
-from .model import DataValidationError, DispatchDecision, StorageParams, validate_params
-from .simulate import curve_integral
+from .bids import PowerBid, SoCBidCurve, booked_value, threshold_table
+from .model import (
+    DataValidationError,
+    DispatchDecision,
+    StorageParams,
+    validate_params,
+)
 
 
 class InfeasibleMarketError(RuntimeError):
@@ -72,15 +74,6 @@ class StorageUnit:
                 f"storage {self.name} has crossed power bids "
                 f"(charge {self.bid.charge_bid} > discharge {self.bid.discharge_bid})"
             )
-        if isinstance(self.bid, SoCBidCurve):
-            tol = 1e-9 * (1.0 + abs(self.params.soc_max))
-            if (
-                abs(self.bid.soc_min - self.params.soc_min) > tol
-                or abs(self.bid.soc_max - self.params.soc_max) > tol
-            ):
-                raise DataValidationError(
-                    f"storage {self.name} bid curve does not span its SoC range"
-                )
 
 
 @dataclass(frozen=True)
@@ -137,55 +130,27 @@ class _DemandRow:
     owner: str
 
 
-def _discharge_cap(params: StorageParams, soc: float, dt: float) -> float:
-    return max(0.0, min(params.power_rating, (soc - params.soc_min) * params.efficiency_one_way / dt))
-
-
-def _charge_cap(params: StorageParams, soc: float, dt: float) -> float:
-    return max(0.0, min(params.power_rating, (params.soc_max - soc) / (params.efficiency_one_way * dt)))
-
-
-def _power_bid_rows(
-    unit: StorageUnit, order: int, dt: float
-) -> tuple[list[_SupplyRow], list[_DemandRow]]:
-    bid = unit.bid
-    supply = []
-    demand = []
-    cap = _discharge_cap(unit.params, unit.soc, dt)
-    if cap > 0:
-        supply.append(_SupplyRow(bid.discharge_bid, cap, 1, order, unit.name, True))
-    cap = _charge_cap(unit.params, unit.soc, dt)
-    if cap > 0:
-        demand.append(_DemandRow(bid.charge_bid, cap, unit.name))
-    return supply, demand
-
-
-def _soc_bid_rows(
+def _bid_rows(
     unit: StorageUnit, order: int, dt: float
 ) -> tuple[list[_SupplyRow], list[_DemandRow]]:
     """One supply step per segment below the SoC, one demand block per segment above.
 
-    Segment capacities are the segment's energy overlap converted to grid
-    power; the unit-wide power rating is enforced during acceptance, not in
-    the rows, so deeper segments stay available when shallow ones are thin.
+    A power bid is one segment over the whole SoC range. Segment capacities
+    are the segment's energy overlap converted to grid power; the unit-wide
+    power rating is enforced during acceptance, not in the rows, so deeper
+    segments stay available when shallow ones are thin.
     """
-    curve = unit.bid
-    params = unit.params
-    eta = params.efficiency_one_way
-    c = params.discharge_cost
-    bounds = curve.boundaries
-    vals = curve.segment_values
+    bounds, discharge, charge = threshold_table(unit.bid, unit.params)
+    eta = unit.params.efficiency_one_way
     supply = []
     demand = []
-    for j in range(vals.size):
+    for j in range(len(discharge)):
         below = max(0.0, min(unit.soc, bounds[j + 1]) - bounds[j])
         if below > 0:
-            supply.append(
-                _SupplyRow(c + vals[j] / eta, below * eta / dt, 1, order, unit.name, True)
-            )
+            supply.append(_SupplyRow(discharge[j], below * eta / dt, 1, order, unit.name, True))
         above = max(0.0, bounds[j + 1] - max(unit.soc, bounds[j]))
         if above > 0:
-            demand.append(_DemandRow(vals[j] * eta, above / (eta * dt), unit.name))
+            demand.append(_DemandRow(charge[j], above / (eta * dt), unit.name))
     return supply, demand
 
 
@@ -276,7 +241,7 @@ def _clear(
     return price, supply_by_owner, demand_by_owner
 
 
-def _assemble_and_clear(instance: MarketInstance, soc_bids: bool) -> ClearingResult:
+def _assemble_and_clear(instance: MarketInstance, bid_type: type) -> ClearingResult:
     dt = instance.period_hours
     supply: list[_SupplyRow] = []
     demand_blocks: list[_DemandRow] = []
@@ -284,13 +249,12 @@ def _assemble_and_clear(instance: MarketInstance, soc_bids: bool) -> ClearingRes
         for cap, cost in offer.segments:
             supply.append(_SupplyRow(cost, cap, 0, order, offer.name, False))
     for order, unit in enumerate(instance.storages):
-        expected = SoCBidCurve if soc_bids else PowerBid
-        if not isinstance(unit.bid, expected):
+        if not isinstance(unit.bid, bid_type):
             raise DataValidationError(
                 f"storage {unit.name} carries a {type(unit.bid).__name__}, "
-                f"expected {expected.__name__}"
+                f"expected {bid_type.__name__}"
             )
-        rows = _soc_bid_rows(unit, order, dt) if soc_bids else _power_bid_rows(unit, order, dt)
+        rows = _bid_rows(unit, order, dt)
         supply.extend(rows[0])
         demand_blocks.extend(rows[1])
 
@@ -307,11 +271,7 @@ def _assemble_and_clear(instance: MarketInstance, soc_bids: bool) -> ClearingRes
         eta = unit.params.efficiency_one_way
         soc_after = unit.soc - p * dt / eta + b * eta * dt
         soc_after = min(max(soc_after, unit.params.soc_min), unit.params.soc_max)
-        if isinstance(unit.bid, SoCBidCurve):
-            delta = curve_integral(unit.bid, min(unit.soc, soc_after), max(unit.soc, soc_after))
-            value_delta = delta if b > 0 else (-delta if p > 0 else 0.0)
-        else:
-            value_delta = 0.0
+        value_delta = booked_value(unit.bid, unit.soc, soc_after)
         profit = price * (p - b) * dt - unit.params.discharge_cost * p * dt
         storage[unit.name] = DispatchDecision(p, b, soc_after, profit, value_delta)
     cleared_charge = sum(d.charge_power for d in storage.values())
@@ -324,7 +284,7 @@ def clear_power_bid_ed(instance: MarketInstance) -> ClearingResult:
     Storage discharge enters the stack at its discharge bid with SoC-limited
     capacity; charge enters as an elastic demand block at the charge bid.
     """
-    return _assemble_and_clear(instance, soc_bids=False)
+    return _assemble_and_clear(instance, PowerBid)
 
 
 def clear_soc_bid_ed(instance: MarketInstance) -> ClearingResult:
@@ -334,4 +294,4 @@ def clear_soc_bid_ed(instance: MarketInstance) -> ClearingResult:
     cost + value/eta, each segment above a demand block at value * eta, with
     capacities set by the segment's energy and the power rating.
     """
-    return _assemble_and_clear(instance, soc_bids=True)
+    return _assemble_and_clear(instance, SoCBidCurve)

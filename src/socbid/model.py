@@ -13,9 +13,6 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-HOUR = timedelta(hours=1)
-FIVE_MIN = timedelta(minutes=5)
-
 # Absolute slack for SoC feasibility comparisons (MWh). Keeps strict bound
 # checks from tripping on accumulated float noise in long simulations.
 SOC_EPS = 1e-9
@@ -83,6 +80,19 @@ def validate_params(params: StorageParams) -> StorageParams:
             f"soc_max {params.soc_max} exceeds energy_capacity {params.energy_capacity}"
         )
     return params
+
+
+def check_soc_range(lo: float, hi: float, params: StorageParams, what: str) -> None:
+    """Require that [lo, hi], the SoC range of ``what``, is the storage's SoC range.
+
+    ``what`` names the object in the error, e.g. "grid range" or "bid curve".
+    """
+    tol = 1e-9 * (1.0 + abs(params.soc_max))
+    if abs(lo - params.soc_min) > tol or abs(hi - params.soc_max) > tol:
+        raise DataValidationError(
+            f"{what} spans [{lo}, {hi}] but the storage SoC range is "
+            f"[{params.soc_min}, {params.soc_max}]"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,11 +213,6 @@ class SoCGrid:
         """Smallest point count satisfying the step limit for ``dt_hours``."""
         limit = params.power_rating * params.efficiency_one_way * dt_hours / 10.0
         return int(math.ceil(params.soc_span / limit)) + 1
-
-
-def soc_to_index(grid: SoCGrid, e: float) -> int:
-    """Module-level alias for :meth:`SoCGrid.soc_to_index`."""
-    return grid.soc_to_index(e)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ themselves).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .bids import (
     PowerBid,
     SoCBidCurve,
     bid_schedule_from_prices,
+    booked_value,
+    threshold_table,
 )
 from .model import (
     SOC_EPS,
@@ -28,6 +31,7 @@ from .model import (
     PriceSeries,
     SoCGrid,
     StorageParams,
+    check_soc_range,
     validate_params,
 )
 from .valuation import ValueCurve
@@ -70,44 +74,109 @@ class CaseConfig:
         return "day_ahead" if self.settlement_market == "DA" else "real_time"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Per-interval decisions and aggregates for one simulated case."""
+    """Per-interval arrays (MW, MWh after the interval, $) and aggregates for one case.
+
+    ``value_delta`` is the value-function change booked by SoC-bid dispatch
+    (zero under power bids).
+    """
 
     case_id: str
     initial_soc: float
     step_hours: float
-    decisions: tuple[DispatchDecision, ...]
+    discharge: np.ndarray
+    charge: np.ndarray
+    soc: np.ndarray
+    profit: np.ndarray
+    value_delta: np.ndarray
     total_profit: float
     discharged_energy: float
     cycles: float
 
+    @property
+    def decisions(self) -> tuple[DispatchDecision, ...]:
+        """The intervals as DispatchDecision records."""
+        columns = (self.discharge, self.charge, self.soc, self.profit, self.value_delta)
+        return tuple(DispatchDecision(*row) for row in zip(*(c.tolist() for c in columns)))
+
     def soc_trajectory(self) -> np.ndarray:
         """SoC after each interval, preceded by the initial SoC."""
-        out = np.empty(len(self.decisions) + 1)
-        out[0] = self.initial_soc
-        out[1:] = [d.soc_after for d in self.decisions]
-        return out
+        return np.concatenate(([self.initial_soc], self.soc))
 
 
 def _clamp_soc(e: float, params: StorageParams) -> float:
-    """Snap float overshoot back onto the SoC bounds; large violations are bugs."""
-    if e < params.soc_min:
-        if e < params.soc_min - 1e-6:
-            raise AssertionError(f"SoC {e} fell below {params.soc_min}")
-        return params.soc_min
-    if e > params.soc_max:
-        if e > params.soc_max + 1e-6:
-            raise AssertionError(f"SoC {e} rose above {params.soc_max}")
-        return params.soc_max
-    return e
+    """Snap float overshoot, which grows with the SoC magnitude, back onto the bounds."""
+    lo, hi = params.soc_min, params.soc_max
+    tol = 1e-6 + 1e-9 * max(abs(lo), abs(hi))
+    if lo - tol <= e <= hi + tol:
+        return min(max(e, lo), hi)
+    raise DataValidationError(f"SoC {e} left [{lo}, {hi}] by more than {tol:g} MWh")
 
 
 def _check_soc(e_prev: float, params: StorageParams) -> None:
     if e_prev < params.soc_min - SOC_EPS or e_prev > params.soc_max + SOC_EPS:
         raise DataValidationError(
-            f"SoC {e_prev} outside [{params.soc_min}, {params.soc_max}]"
+            f"initial SoC {e_prev} outside [{params.soc_min}, {params.soc_max}]"
         )
+
+
+def _settle(
+    prices: list, boundaries: list, thresholds, per_bid: int, params: StorageParams, dt: float,
+    e: float,
+) -> tuple[list, list, list, list]:
+    """Dispatch each interval in turn; returns discharge, charge, SoC-after and profit lists.
+
+    ``thresholds`` yields each period's (discharge, charge) price thresholds
+    for the segments between ``boundaries``; a period covers ``per_bid``
+    intervals. When a non-negative price beats the discharge threshold of
+    the segment just below the SoC (segment 0 at the bottom), the unit
+    discharges down through the segments whose threshold the price beats;
+    otherwise it charges up through those whose charge threshold is above
+    the price. The power rating and the SoC bounds cap the move.
+    """
+    _check_soc(e, params)
+    eta = params.efficiency_one_way
+    c = params.discharge_cost
+    big_p = params.power_rating
+    lo, hi = params.soc_min, params.soc_max
+    top = len(boundaries) - 1
+    n = len(prices)
+    discharge = [0.0] * n
+    charge = [0.0] * n
+    soc = [0.0] * n
+    profit = [0.0] * n
+    k = 0
+    for dis, chg in thresholds:
+        for price in prices[k : k + per_bid]:
+            p = b = 0.0
+            j = min(bisect_left(boundaries, e), top) - 1
+            if price >= 0.0 and price > dis[max(j, 0)]:
+                stop = e
+                # Past the power-limited reach, deeper segments change nothing.
+                while j >= 0 and price > dis[j] and (e - stop) * eta / dt < big_p:
+                    stop = boundaries[j]
+                    j -= 1
+                if stop < e:
+                    p = min(big_p, (e - stop) * eta / dt)
+            else:
+                j = max(bisect_right(boundaries, e) - 1, 0)
+                stop = e
+                while j < top and price < chg[j] and (stop - e) / (eta * dt) < big_p:
+                    j += 1
+                    stop = boundaries[j]
+                if stop > e:
+                    b = min(big_p, (stop - e) / (eta * dt))
+            after = e - p * dt / eta + b * eta * dt
+            if not lo <= after <= hi:
+                after = _clamp_soc(after, params)
+            discharge[k] = p
+            charge[k] = b
+            soc[k] = after
+            profit[k] = price * (p - b) * dt - c * p * dt
+            e = after
+            k += 1
+    return discharge, charge, soc, profit
 
 
 def step_power_bid(
@@ -124,38 +193,13 @@ def step_power_bid(
     equal to either bid resolves to idle, and discharge is never taken at a
     negative price. Available power is capped so the SoC stays in bounds.
     """
-    _check_soc(e_prev, params)
-    eta = params.efficiency_one_way
-    p = b = 0.0
-    if price >= 0.0 and price > bid.discharge_bid:
-        p = min(params.power_rating, (e_prev - params.soc_min) * eta / dt_hours)
-        p = max(p, 0.0)
-    elif price < bid.charge_bid:
-        b = min(params.power_rating, (params.soc_max - e_prev) / (eta * dt_hours))
-        b = max(b, 0.0)
-    soc_after = _clamp_soc(e_prev - p * dt_hours / eta + b * eta * dt_hours, params)
-    profit = price * (p - b) * dt_hours - params.discharge_cost * p * dt_hours
-    return DispatchDecision(p, b, soc_after, profit)
-
-
-def _curve_cumulative(curve: SoCBidCurve) -> np.ndarray:
-    cum = np.empty(curve.boundaries.size)
-    cum[0] = 0.0
-    np.cumsum(curve.segment_values * np.diff(curve.boundaries), out=cum[1:])
-    return cum
-
-
-def curve_integral(curve: SoCBidCurve, lo: float, hi: float) -> float:
-    """Integral of the piecewise-constant bid curve over [lo, hi], in $."""
-    cum = _curve_cumulative(curve)
-    a, b = np.interp([lo, hi], curve.boundaries, cum)
-    return float(b - a)
+    return step_soc_bid(e_prev, price, bid, params, dt_hours)
 
 
 def step_soc_bid(
     e_prev: float,
     price: float,
-    curve: SoCBidCurve,
+    curve: SoCBidCurve | PowerBid,
     params: StorageParams,
     dt_hours: float,
 ) -> DispatchDecision:
@@ -166,48 +210,13 @@ def step_soc_bid(
     while the stored value beats the price; movement stops at the first
     failing segment boundary, the power rating, or an SoC bound. With
     non-increasing segment values this greedy sweep solves the one-interval
-    problem exactly. Discharge is disabled at negative prices.
+    problem exactly. Discharge is disabled at negative prices. A power bid
+    settles as one segment carrying its own price pair.
     """
-    _check_soc(e_prev, params)
-    eta = params.efficiency_one_way
-    c = params.discharge_cost
-    tol = 1e-9 * (1.0 + abs(params.soc_max))
-    if abs(curve.soc_min - params.soc_min) > tol or abs(curve.soc_max - params.soc_max) > tol:
-        raise DataValidationError(
-            f"bid curve spans [{curve.soc_min}, {curve.soc_max}] but the storage "
-            f"SoC range is [{params.soc_min}, {params.soc_max}]"
-        )
-    bounds = curve.boundaries
-    vals = curve.segment_values
-    num = vals.size
-
-    p = b = 0.0
-    if price >= 0.0:
-        j = int(np.searchsorted(bounds, e_prev, side="left"))
-        stop = e_prev
-        while j >= 1 and price > c + vals[j - 1] / eta:
-            stop = float(bounds[j - 1])
-            j -= 1
-        if stop < e_prev:
-            p = float(min(params.power_rating, (e_prev - stop) * eta / dt_hours))
-    if p == 0.0:
-        j = int(np.searchsorted(bounds, e_prev, side="right"))
-        stop = e_prev
-        while j <= num and price < vals[j - 1] * eta:
-            stop = float(bounds[j])
-            j += 1
-        if stop > e_prev:
-            b = float(min(params.power_rating, (stop - e_prev) / (eta * dt_hours)))
-
-    soc_after = _clamp_soc(e_prev - p * dt_hours / eta + b * eta * dt_hours, params)
-    if p > 0.0:
-        value_delta = -curve_integral(curve, soc_after, e_prev)
-    elif b > 0.0:
-        value_delta = curve_integral(curve, e_prev, soc_after)
-    else:
-        value_delta = 0.0
-    profit = price * (p - b) * dt_hours - c * p * dt_hours
-    return DispatchDecision(p, b, soc_after, profit, value_delta)
+    boundaries, dis, chg = threshold_table(curve, params)
+    settled = _settle([price], boundaries, [(dis, chg)], 1, params, dt_hours, e_prev)
+    p, b, soc_after, profit = (column[0] for column in settled)
+    return DispatchDecision(p, b, soc_after, profit, booked_value(curve, e_prev, soc_after))
 
 
 def run_schedule(
@@ -236,21 +245,25 @@ def run_schedule(
             f"{len(prices)} settlement intervals do not match "
             f"{len(schedule)} bids x {per_bid} intervals each"
         )
-    step = step_power_bid if schedule.kind == "power" else step_soc_bid
-    e = initial_soc
-    decisions = []
-    for k in range(len(prices)):
-        decision = step(e, float(prices.values[k]), schedule[k // per_bid], params, dt)
-        decisions.append(decision)
-        e = decision.soc_after
-    total = math.fsum(d.realized_profit for d in decisions)
-    discharged = math.fsum(d.discharge_power * dt for d in decisions)
+    boundaries = schedule.boundaries.tolist()
+    check_soc_range(boundaries[0], boundaries[-1], params, "bid curve")
+    settled = _settle(
+        prices.values.tolist(), boundaries, schedule.thresholds(), per_bid, params, dt,
+        initial_soc,
+    )
+    discharge, charge, soc, profit = (np.array(column) for column in settled)
+    value_delta = schedule.value_deltas(np.concatenate(([initial_soc], soc)), per_bid)
+    discharged = math.fsum(p * dt for p in settled[0])
     return SimulationResult(
         case_id=case_id,
         initial_soc=initial_soc,
         step_hours=dt,
-        decisions=tuple(decisions),
-        total_profit=total,
+        discharge=discharge,
+        charge=charge,
+        soc=soc,
+        profit=profit,
+        value_delta=value_delta,
+        total_profit=math.fsum(settled[3]),
         discharged_energy=discharged,
         cycles=discharged / params.energy_capacity,
     )
@@ -277,21 +290,15 @@ def run_case(
     series = {"day_ahead": da_prices, "real_time": rt_prices}
     valuation_series = series[config.valuation_source]
     settlement_series = series[config.settlement_source]
-    if valuation_series is None:
-        raise DataValidationError(
-            f"case {config.case_id} needs {config.valuation_source} prices"
-        )
-    if settlement_series is None:
-        raise DataValidationError(
-            f"case {config.case_id} needs {config.settlement_source} prices"
-        )
+    for source in (config.valuation_source, config.settlement_source):
+        if series[source] is None:
+            raise DataValidationError(f"case {config.case_id} needs {source} prices")
     if da_prices is not None and rt_prices is not None:
         if abs((da_prices.span - rt_prices.span).total_seconds()) > 1e-6:
             raise DataValidationError(
                 f"day-ahead span {da_prices.span} != real-time span {rt_prices.span}"
             )
-    if not params.soc_min - SOC_EPS <= config.initial_soc <= params.soc_max + SOC_EPS:
-        raise DataValidationError(f"initial SoC {config.initial_soc} out of bounds")
+    _check_soc(config.initial_soc, params)
 
     schedule = bid_schedule_from_prices(
         valuation_series,
@@ -326,9 +333,9 @@ def windowed_profit(
     Useful to neutralize the flat-zero terminal condition, which depresses
     value over roughly the last duration-worth of periods.
     """
-    n = len(result.decisions)
+    n = len(result.profit)
     lo = int(math.ceil(skip_start_hours / result.step_hours))
     hi = n - int(math.ceil(skip_end_hours / result.step_hours))
     if lo >= hi:
         raise DataValidationError("exclusion windows cover the whole horizon")
-    return math.fsum(d.realized_profit for d in result.decisions[lo:hi])
+    return math.fsum(result.profit[lo:hi].tolist())

@@ -67,7 +67,8 @@ class ValueSurface:
     """Value curves at every period boundary t = 0..T of a valuation horizon.
 
     Row t of ``values`` is the curve after period t's dispatch; row T is the
-    terminal condition supplied to the backward pass.
+    terminal condition supplied to the backward pass. Every row must be
+    non-increasing in SoC, like a ValueCurve.
     """
 
     grid: SoCGrid
@@ -80,6 +81,7 @@ class ValueSurface:
             raise DataValidationError("surface must be (T+1, num_points)")
         if self.step_hours <= 0:
             raise DataValidationError(f"step_hours must be positive, got {self.step_hours}")
+        _require_non_increasing(arr)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -92,13 +94,20 @@ class ValueSurface:
 
 
 def _require_non_increasing(values: np.ndarray) -> None:
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(values))))
-    rises = np.diff(values)
-    if rises.size and float(np.max(rises)) > tol:
-        i = int(np.argmax(rises))
-        raise DataValidationError(
-            f"curve must be non-increasing in SoC; rises by {rises[i]:.3g} at index {i}"
-        )
+    """Raise unless each row (last axis) of ``values`` is non-increasing up to float noise.
+
+    Rows are checked in blocks, so no temporary spans a whole (T, J) table.
+    """
+    rows = values.reshape(-1, values.shape[-1])
+    for first in range(0, rows.shape[0], 256):
+        block = rows[first : first + 256]
+        tol = 1e-9 * (1.0 + np.max(np.abs(block), axis=1, keepdims=True))
+        bad_rows, bad_cols = np.nonzero(np.diff(block, axis=1) > tol)
+        if bad_rows.size:
+            raise DataValidationError(
+                f"values must be non-increasing in SoC; row {first + bad_rows[0]} "
+                f"rises at index {bad_cols[0]}"
+            )
 
 
 def _nearest_shift(delta: float, direction: int) -> int:
@@ -176,24 +185,8 @@ def _step_values(
     )
     if not cases:
         return out
-    labels = np.where(
-        below_full_charge,
-        StepCase.FULL_CHARGE,
-        np.where(
-            below_partial_charge,
-            StepCase.PARTIAL_CHARGE,
-            np.where(
-                below_hold,
-                StepCase.HOLD,
-                np.where(
-                    below_partial_discharge,
-                    StepCase.PARTIAL_DISCHARGE,
-                    StepCase.FULL_DISCHARGE,
-                ),
-            ),
-        ),
-    )
-    return out, labels
+    bands = [below_full_charge, below_partial_charge, below_hold, below_partial_discharge]
+    return out, np.select(bands, list(StepCase)[:4], StepCase.FULL_DISCHARGE)
 
 
 def update_step(
@@ -237,22 +230,34 @@ def backward_induct(
     Row t of the result is the curve after period t; row T equals the
     terminal condition.
     """
+    out = np.empty((len(prediction) + 1, grid.num_points))
+    for t, q in _backward_curves(prediction, params, grid, terminal):
+        out[t] = q
+    return ValueSurface(grid, prediction.resolution_hours, out)
+
+
+def _backward_curves(
+    prediction: PriceSeries,
+    params: StorageParams,
+    grid: SoCGrid,
+    terminal: ValueCurve | None = None,
+):
+    """Yield (t, curve values after period t) for t = T down to 0.
+
+    The backward recursion behind :func:`backward_induct`, holding one curve
+    at a time; the terminal curve is flat zero when omitted.
+    """
     validate_params(params)
-    if len(prediction) == 0:
-        raise DataValidationError("cannot value an empty price series")
     if terminal is None:
         terminal = ValueCurve.flat(grid)
     if terminal.grid != grid:
         raise DataValidationError("terminal curve is tabulated on a different grid")
     dt = prediction.resolution_hours
-    horizon = len(prediction)
-    step = grid.step
-    out = np.empty((horizon + 1, grid.num_points))
-    out[horizon] = terminal.values
-    prices = prediction.values
-    for t in range(horizon, 0, -1):
-        out[t - 1] = _step_values(out[t], float(prices[t - 1]), params, step, dt)
-    return ValueSurface(grid, dt, out)
+    q = terminal.values
+    for t in range(len(prediction), 0, -1):
+        yield t, q
+        q = _step_values(q, float(prediction.values[t - 1]), params, grid.step, dt)
+    yield 0, q
 
 
 def _cell_edges(grid: SoCGrid) -> np.ndarray:
@@ -265,20 +270,21 @@ def _cell_edges(grid: SoCGrid) -> np.ndarray:
     return edges
 
 
-def _cumulative_integral(grid: SoCGrid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running integral of the piecewise-constant curve, sampled at cell edges."""
-    edges = _cell_edges(grid)
+def _integral_at(edges: np.ndarray, values: np.ndarray, points) -> np.ndarray:
+    """Integral of a piecewise-constant function from ``edges[0]`` to each point.
+
+    ``values[i]`` holds between ``edges[i]`` and ``edges[i+1]``; points
+    outside the edges are clipped to them.
+    """
     cum = np.empty(edges.size)
     cum[0] = 0.0
     np.cumsum(values * np.diff(edges), out=cum[1:])
-    return edges, cum
+    return np.interp(points, edges, cum)
 
 
-def integrate_marginal(curve: ValueCurve, lo: float, hi: float) -> float:
-    """Exact integral of the tabulated curve over [lo, hi] (in $)."""
-    edges, cum = _cumulative_integral(curve.grid, curve.values)
-    a, b = np.interp([lo, hi], edges, cum)
-    return float(b - a)
+def _segment_means(edges: np.ndarray, values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+    """Mean of the piecewise-constant function over each pair of consecutive boundaries."""
+    return np.diff(_integral_at(edges, values, boundaries)) / np.diff(boundaries)
 
 
 def average_marginal(curve: ValueCurve, lo: float, hi: float) -> float:
@@ -295,11 +301,9 @@ def average_marginal(curve: ValueCurve, lo: float, hi: float) -> float:
         )
     if not lo < hi:
         raise DataValidationError(f"degenerate range: lo={lo} must be below hi={hi}")
-    return integrate_marginal(curve, lo, hi) / (hi - lo)
+    return float(segment_averages(curve, np.array([lo, hi]))[0])
 
 
 def segment_averages(curve: ValueCurve, boundaries: np.ndarray) -> np.ndarray:
     """Mean marginal value over each consecutive pair of boundaries."""
-    edges, cum = _cumulative_integral(curve.grid, curve.values)
-    at = np.interp(boundaries, edges, cum)
-    return np.diff(at) / np.diff(boundaries)
+    return _segment_means(_cell_edges(curve.grid), curve.values, boundaries)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import numpy as np
 
 from socbid.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
@@ -252,3 +255,53 @@ def test_dispatch_demo_soc_bids(tmp_path, capsys):
     assert run(["dispatch-demo", "--scenario", str(scenario)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "clearing price: 20.00" in out
+
+
+def test_manifest_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"zones": ["AA"], "durations": "4", "synthetic_days": 1}))
+    assert run(["simulate", "--manifest", str(path)]) == EXIT_USAGE
+    assert "durations" in capsys.readouterr().err
+
+
+def test_synthetic_tapes_depend_on_zone_character_order(tmp_path):
+    assert run(["synth", "--zones", "AB", "BA", "--days", "1", "--output-dir", str(tmp_path)]) == 0
+
+    def prices(zone):
+        lines = (tmp_path / f"{zone}_rt.csv").read_text().splitlines()[1:]
+        return [line.split(",")[2] for line in lines]
+
+    assert prices("AB") != prices("BA")
+
+
+def write_csv_tapes(da_path, rt_path, days=2):
+    """Two days of noisy square-wave prices for zone AA, from a fixed seed."""
+    rng = np.random.default_rng(20190101)
+    da = ["timestamp,zone,price_usd_per_mwh"]
+    rt = ["timestamp,zone,price_usd_per_mwh"]
+    for h in range(days * 24):
+        stamp = f"2019-01-{1 + h // 24:02d}T{h % 24:02d}"
+        level = 18.0 if h % 24 < 12 else 52.0
+        da.append(f"{stamp}:00:00Z,AA,{level + rng.normal(0.0, 3.0)!r}")
+        for m in range(0, 60, 5):
+            rt.append(f"{stamp}:{m:02d}:00Z,AA,{level + rng.normal(0.0, 8.0)!r}")
+    da_path.write_text("\n".join(da) + "\n")
+    rt_path.write_text("\n".join(rt) + "\n")
+
+
+def test_csv_sweep_summary_is_pinned(tmp_path):
+    write_csv_tapes(tmp_path / "da.csv", tmp_path / "rt.csv")
+    code = run(
+        [
+            "sweep",
+            "--zones", "AA",
+            "--durations", "1", "4",
+            "--da-prices", str(tmp_path / "da.csv"),
+            "--rt-prices", str(tmp_path / "rt.csv"),
+            "--grid-points", "301",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "out" / "summary.csv").read_bytes()).hexdigest()
+    assert digest == "d32797581b4e2837d15d0797f8796c8dd1129a8b4fac9dc03fe73dddb9720f0e"

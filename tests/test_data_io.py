@@ -83,6 +83,23 @@ def test_load_forward_fill_counts_gaps(tmp_path):
     np.testing.assert_allclose(series.values, [10.0, 11.0, 11.0, 13.0])
 
 
+def test_load_gap_at_second_row_uses_the_expected_lattice(tmp_path):
+    path = tmp_path / "gappy.csv"
+    write_rows(
+        path,
+        [
+            "2019-01-01T00:00:00Z,Z,10",
+            "2019-01-01T02:00:00Z,Z,12",
+            "2019-01-01T03:00:00Z,Z,13",
+        ],
+    )
+    series = load_prices(path, "Z", timedelta(hours=1), fill="previous")
+    assert series.gaps_filled == 1
+    np.testing.assert_allclose(series.values, [10.0, 10.0, 12.0, 13.0])
+    with pytest.raises(DataValidationError, match="missing interval"):
+        load_prices(path, "Z", timedelta(hours=1))
+
+
 def test_load_duplicate_timestamp_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     write_rows(
@@ -201,11 +218,15 @@ def test_duration_curve_quantile_markers():
 
 
 def test_write_duration_curves(tmp_path):
-    from socbid.bids import BidSchedule, PowerBid
+    from socbid import StorageParams
+    from socbid.bids import BidSchedule
     from socbid.data_io import write_duration_curves
 
     series = hourly_series([30.0, 10.0, 20.0, 40.0])
-    schedule = BidSchedule(1.0, tuple(PowerBid(15.0 + i, 5.0 - i) for i in range(4)))
+    # lossless and free, so each period's discharge bid is its value
+    params = StorageParams(1.0, 1.0, efficiency_one_way=1.0, discharge_cost=0.0)
+    values = np.array([[15.0 + i] for i in range(4)])
+    schedule = BidSchedule(1.0, params, np.array([0.0, 1.0]), values, "power")
     path = tmp_path / "duration.csv"
     write_duration_curves(series, schedule, path)
     lines = path.read_text().splitlines()
@@ -216,11 +237,7 @@ def test_write_duration_curves(tmp_path):
     assert discharges == [18.0, 17.0, 16.0, 15.0]
     assert lines[1].split(",")[1] == "q01"  # floor(0.01*4) = 0
     with pytest.raises(DataValidationError, match="power bids"):
-        from socbid.bids import SoCBidCurve
-
-        soc_schedule = BidSchedule(
-            1.0, (SoCBidCurve(np.array([0.0, 1.0]), np.array([5.0])),)
-        )
+        soc_schedule = BidSchedule(1.0, params, np.array([0.0, 1.0]), np.array([[5.0]]))
         write_duration_curves(hourly_series([1.0]), soc_schedule, path)
 
 

@@ -6,7 +6,6 @@ from socbid import (
     DispatchDecision,
     SoCGrid,
     StorageParams,
-    soc_to_index,
     validate_params,
 )
 
@@ -44,9 +43,9 @@ def test_invalid_params_name_the_field(kwargs, field):
 
 def test_soc_to_index_midpoint_and_boundaries():
     grid = SoCGrid(0.0, 1.0, 1001)
-    assert soc_to_index(grid, 0.5) == 500
-    assert soc_to_index(grid, 0.0) == 0
-    assert soc_to_index(grid, 1.0) == 1000
+    assert grid.soc_to_index(0.5) == 500
+    assert grid.soc_to_index(0.0) == 0
+    assert grid.soc_to_index(1.0) == 1000
 
 
 def test_soc_to_index_matches_linear_search():
@@ -58,8 +57,8 @@ def test_soc_to_index_matches_linear_search():
     for e in np.concatenate([rng.uniform(0, 1, 200), [0.50049, 0.0005, 0.99951]]):
         dist = np.abs(pts - e)
         expected = int(np.argmin(dist))  # argmin takes the first (lower) index on ties
-        assert soc_to_index(grid, float(e)) == expected
-    assert soc_to_index(grid, 0.50049) == 500
+        assert grid.soc_to_index(float(e)) == expected
+    assert grid.soc_to_index(0.50049) == 500
 
 
 def test_soc_to_index_round_trip_identity():

@@ -5,20 +5,25 @@ import pytest
 
 from socbid import (
     CASE_IDS,
+    BidSchedule,
     CaseConfig,
     DataValidationError,
     PowerBid,
     SoCBidCurve,
     SoCGrid,
     StorageParams,
+    backward_induct,
+    bid_schedule_from_prices,
+    make_soc_bids,
     run_case,
+    run_schedule,
     step_power_bid,
     step_soc_bid,
     utilization,
 )
 from socbid.bids import power_bid_from_average
 from socbid.data_io import expand_hourly_to_5min, synthetic_tape
-from socbid.simulate import windowed_profit
+from socbid.simulate import _clamp_soc, windowed_profit
 
 from conftest import START, five_min_series, hourly_series
 
@@ -264,3 +269,60 @@ def test_windowed_profit_excludes_edges(micro_params, unit_grid):
     )
     with pytest.raises(DataValidationError):
         windowed_profit(result, skip_start_hours=2.0, skip_end_hours=2.0)
+
+
+def test_power_step_crossed_pair_at_either_bound(micro_params):
+    crossed = PowerBid(7.0, 16.0)  # charge threshold above the discharge threshold
+    # a price above the discharge bid discharges, however crossed the pair
+    assert step_power_bid(0.5, 10.0, crossed, micro_params, 1.0).discharge_power > 0.0
+    assert step_power_bid(1.0, 10.0, crossed, micro_params, 1.0).discharge_power == 0.5
+    # empty: the discharge rule still wins, so no charge either
+    empty = step_power_bid(0.0, 10.0, crossed, micro_params, 1.0)
+    assert empty.net_power == 0.0 and empty.soc_after == 0.0
+    # below both bids: charge, except when full
+    assert step_power_bid(0.0, 5.0, crossed, micro_params, 1.0).charge_power == 0.5
+    full = step_power_bid(1.0, 5.0, crossed, micro_params, 1.0)
+    assert full.net_power == 0.0 and full.soc_after == 1.0
+
+
+def test_soc_clamp_tolerance_scales_with_soc_magnitude():
+    huge = StorageParams(1e11, 1e11, 0.9, 10.0)
+    # draining this state overshoots soc_min by ~2e-6 MWh of rounding
+    d = step_power_bid(9237717256.743671, 100.0, PowerBid(50.0, 5.0), huge, 1 / 12)
+    assert d.soc_after == huge.soc_min
+    with pytest.raises(DataValidationError, match="SoC"):
+        _clamp_soc(-1.0, StorageParams(1.0, 1.0))
+
+
+def week_tape(seed: int):
+    rng = np.random.default_rng(seed)
+    hours = np.arange(7 * 24 * 12) / 12.0
+    values = np.where(np.mod(hours, 24.0) < 12.0, 15.0, 45.0) + rng.normal(0.0, 6.0, hours.size)
+    return five_min_series(values)
+
+
+def test_power_schedule_settles_like_its_one_segment_soc_schedule(micro_params):
+    prices = week_tape(31)
+    grid = SoCGrid.for_storage(micro_params, 1 / 12, 301)
+    power = bid_schedule_from_prices(prices, micro_params, grid, "power")
+    one_segment = BidSchedule(power.period_hours, micro_params, power.boundaries, power.values)
+    a = run_schedule(prices, power, micro_params, 0.0)
+    b = run_schedule(prices, one_segment, micro_params, 0.0)
+    assert a.discharge.any() and a.charge.any()
+    for name in ("discharge", "charge", "soc", "profit"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert not a.value_delta.any() and b.value_delta.any()
+
+
+def test_run_schedule_books_the_value_deltas_of_single_steps(micro_params):
+    prices = week_tape(32)
+    da = hourly_series(prices.values.reshape(-1, 12).mean(axis=1))
+    grid = SoCGrid.for_storage(micro_params, 1.0, 301)
+    schedule = make_soc_bids(backward_induct(da, micro_params, grid), micro_params)
+    result = run_schedule(prices, schedule, micro_params, 0.3)
+    soc = result.soc_trajectory()
+    assert result.value_delta.any()
+    for k, price in enumerate(prices.values.tolist()):
+        d = step_soc_bid(soc[k], price, schedule[k // 12], micro_params, 1 / 12)
+        assert d.soc_after == result.soc[k]
+        assert d.opportunity_value_delta == result.value_delta[k]
