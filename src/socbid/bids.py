@@ -207,11 +207,14 @@ def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int
     return np.linspace(params.soc_min, params.soc_max, num + 1)
 
 
+_BLOCK_FLOATS = 2**16  # cap on each temporary of a block of curves reduced at once (512 KB)
+
+
 def _bid_table(
     curves, params: StorageParams, grid: SoCGrid, kind: str, segments_per_hour: int,
     horizon: int, period_hours: float,
 ) -> BidSchedule:
-    """Reduce end-of-period curves to a schedule; ``curves`` yields (t, curve after t).
+    """Reduce end-of-period curves, a (T+1, n) table or (t, curve after t) pairs, to a schedule.
 
     Period t's dispatch trades against the value of energy left after it, so
     the bid of 0-indexed period t comes from the curve after period t+1;
@@ -224,11 +227,28 @@ def _bid_table(
         boundaries = soc_bid_boundaries(params, segments_per_hour)
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     edges = _cell_edges(grid)
+    rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, boundaries.size) + 1))
+    if isinstance(curves, np.ndarray):
+        blocks = ((t, curves[t + 1 : t + 1 + rows]) for t in range(0, horizon, rows))
+    else:
+        blocks = _stream_blocks(curves, rows, grid.num_points, horizon)
     values = np.empty((horizon, boundaries.size - 1))
+    for first, block in blocks:
+        values[first : first + len(block)] = _segment_means(edges, block, boundaries)
+    return BidSchedule(period_hours, params, boundaries, values, kind)
+
+
+def _stream_blocks(curves, rows: int, n: int, horizon: int):
+    """Buffer a stream of (t, curve after t), t falling, into (first period, block) pairs.
+
+    The buffer is reused, so each block must be consumed before the next is asked for.
+    """
+    block = np.empty((rows, n))
     for t, q in curves:
         if t > 0:
-            values[t - 1] = _segment_means(edges, q, boundaries)
-    return BidSchedule(period_hours, params, boundaries, values, kind)
+            block[(t - 1) % rows] = q
+            if (t - 1) % rows == 0:
+                yield t - 1, block[: horizon - t + 1]
 
 
 def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule:
@@ -237,7 +257,7 @@ def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule
     Period t's bid comes from curve t+1 of the surface.
     """
     return _bid_table(
-        enumerate(surface.values), params, surface.grid, "power", 1,
+        surface.values, params, surface.grid, "power", 1,
         surface.horizon, surface.step_hours,
     )
 
@@ -254,7 +274,7 @@ def make_soc_bids(
     underlying curves.
     """
     return _bid_table(
-        enumerate(surface.values), params, surface.grid, "soc", segments_per_hour_of_duration,
+        surface.values, params, surface.grid, "soc", segments_per_hour_of_duration,
         surface.horizon, surface.step_hours,
     )
 
@@ -270,9 +290,9 @@ def bid_schedule_from_prices(
     """Valuation and bid reduction fused into one backward pass.
 
     Produces the same schedule as running the full backward induction and
-    then ``make_power_bids`` or ``make_soc_bids``, but keeps only a single
-    curve in memory, which is what makes year-long 5-minute valuations
-    practical for long-duration storage.
+    then ``make_power_bids`` or ``make_soc_bids``, but keeps only one curve
+    and one block of curves in memory, which is what makes year-long 5-minute
+    valuations practical for long-duration storage.
     """
     if bid_model not in ("power", "soc"):
         raise DataValidationError(f"unknown bid model {bid_model!r}")

@@ -6,6 +6,15 @@ linear interpolation of the value function, deliberately a different
 numerical route from the analytical marginal-value recursion it certifies.
 ``enumerate_tiny`` brute-forces the full action product space on horizons of
 a few periods and grounds the oracle itself.
+
+The backward pass stacks the whole-step moves: each gets a row of source
+indices, built once per call, so a period is one gather, one add and one
+max over the rows; moves off the grid read a -inf sentinel column. The
+full-power move, fractional in grid steps, and the bound-reaching moves are
+folded in after. The forward pass re-evaluates every candidate from the
+actual SoC rather than replaying argmax actions recorded on grid points:
+the fractional full-power move leaves the grid, so the SoC a schedule
+reaches is generally not a grid point.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .model import (
     PriceSeries,
     SoCGrid,
     StorageParams,
+    check_soc_range,
     validate_params,
 )
 
@@ -75,9 +85,11 @@ def grid_dp_oracle(
     whose SoC moves are whole grid steps (so value lookups are exact), plus
     the exact full-power move and the exact bound-reaching move. Discharge
     actions are dropped whenever the period price is negative. Memory is
-    (T+1) x num_points for the stored value functions.
+    (T+1) x num_points for the stored value functions. The grid must span
+    the storage's SoC range.
     """
     validate_params(params)
+    check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     if action_points < 3:
         raise DataValidationError(f"action_points must be at least 3, got {action_points}")
     if not params.soc_min - SOC_EPS <= initial_soc <= params.soc_max + SOC_EPS:
@@ -86,6 +98,7 @@ def grid_dp_oracle(
     eta = params.efficiency_one_way
     c = params.discharge_cost
     big_p = params.power_rating
+    lo, hi = params.soc_min, params.soc_max
     dt = prices.resolution_hours
     n = grid.num_points
     step = grid.step
@@ -100,6 +113,8 @@ def grid_dp_oracle(
     b_of_k = step / (eta * dt)
     down_full = big_p * dt / (eta * step)  # full-power discharge, in grid steps
     up_full = big_p * eta * dt / step
+    p_down = ks_down * p_of_k
+    b_up = ks_up * b_of_k
 
     idx = np.arange(n)
     # Bound-reaching moves (exact SoC to the bound, power-feasible region only).
@@ -108,30 +123,47 @@ def grid_dp_oracle(
     ceil_reach = idx[(n - 1 - idx) * b_of_k <= big_p + 1e-12]
     ceil_power = (n - 1 - ceil_reach) * b_of_k
 
-    values = np.empty((horizon + 1, n))
-    values[horizon] = 0.0
+    # Stacked whole-step moves: idle, the charges, then the discharges, which
+    # a negative price cuts off. Move r takes level i to level src[r, i];
+    # column n of the value table is a -inf sentinel for moves off the grid.
+    src = idx + np.concatenate(([0], ks_up, -ks_down))[:, None]
+    src[(src < 0) | (src >= n)] = n
+    no_discharge = 1 + ks_up.size
+    cash = np.zeros((horizon, src.shape[0]))  # cash of each move in each period
+    cash[:, 1:no_discharge] = -prices.values[:, None] * b_up * dt
+    cash[:, no_discharge:] = (prices.values - c)[:, None] * p_down * dt
+
+    values = np.empty((horizon + 1, n + 1))
+    values[:, n] = -np.inf
+    values[horizon, :n] = 0.0
     for t in range(horizon, 0, -1):
         price = float(prices.values[t - 1])
-        nxt = values[t]
-        best = nxt.copy()  # idle
+        nxt = values[t, :n]
+        best = values[t - 1, :n]
+        rows = src.shape[0] if price >= 0.0 else no_discharge
+        moved = values[t].take(src[:rows])
+        moved += cash[t - 1, :rows, None]
+        np.maximum.reduce(moved, axis=0, out=best)
         if price >= 0.0:
-            for k in ks_down:
-                cash = (price - c) * (k * p_of_k) * dt
-                np.maximum(best[k:], cash + nxt[: n - k], out=best[k:])
             _apply_fractional(best, nxt, down_full, (price - c) * big_p * dt, -1)
             cand = (price - c) * dt * floor_power + nxt[0]
             np.maximum(best[floor_reach], cand, out=best[floor_reach])
-        for k in ks_up:
-            cash = -price * (k * b_of_k) * dt
-            np.maximum(best[: n - k], cash + nxt[k:], out=best[: n - k])
         _apply_fractional(best, nxt, up_full, -price * big_p * dt, +1)
         cand = -price * dt * ceil_power + nxt[n - 1]
         np.maximum(best[ceil_reach], cand, out=best[ceil_reach])
-        values[t - 1] = best
 
-    # Forward extraction of the schedule from the stored value functions.
-    e = float(initial_soc)
-    e = min(max(e, params.soc_min), params.soc_max)
+    # Forward re-evaluation from the actual SoC. The first maximum is taken over
+    # idle; strided discharges, full-power discharge, floor-reach; strided charges,
+    # full-power charge, ceiling-reach. Only the two bound-reaching powers vary.
+    floor_slot = 2 + ks_down.size
+    ceil_slot = floor_slot + ks_up.size + 2
+    act_p = np.zeros(ceil_slot + 1)
+    act_b = np.zeros(ceil_slot + 1)
+    act_p[1:floor_slot] = np.append(p_down, big_p)
+    act_b[floor_slot + 1 : ceil_slot] = np.append(b_up, big_p)
+    split = floor_slot + 1  # candidates before it discharge (or idle), the rest charge
+
+    e = min(max(float(initial_soc), lo), hi)
     discharge = np.zeros(horizon)
     charge = np.zeros(horizon)
     soc = np.empty(horizon + 1)
@@ -139,41 +171,18 @@ def grid_dp_oracle(
     profits = []
     for t in range(horizon):
         price = float(prices.values[t])
-        p_cands = [0.0]
-        b_cands = [0.0]
-        if price >= 0.0:
-            for k in ks_down:
-                p_cands.append(k * p_of_k)
-            p_cands.append(big_p)
-            p_cands.append(min(big_p, (e - params.soc_min) * eta / dt))
-        for k in ks_up:
-            b_cands.append(k * b_of_k)
-        b_cands.append(big_p)
-        b_cands.append(min(big_p, (params.soc_max - e) / (eta * dt)))
-
-        acts_p = []
-        acts_b = []
-        e_next = []
-        for p in p_cands:
-            e2 = e - p * dt / eta
-            if e2 >= params.soc_min - SOC_EPS:
-                acts_p.append(p)
-                acts_b.append(0.0)
-                e_next.append(e2)
-        for b in b_cands[1:]:
-            e2 = e + b * eta * dt
-            if e2 <= params.soc_max + SOC_EPS:
-                acts_p.append(0.0)
-                acts_b.append(b)
-                e_next.append(e2)
-        e_arr = np.clip(np.asarray(e_next), params.soc_min, params.soc_max)
-        cash = (
-            price * (np.asarray(acts_p) - np.asarray(acts_b)) * dt
-            - c * np.asarray(acts_p) * dt
-        )
-        totals = cash + np.interp(e_arr, pts, values[t + 1])
+        act_p[floor_slot] = min(big_p, (e - lo) * eta / dt)
+        act_b[ceil_slot] = min(big_p, (hi - e) / (eta * dt))
+        e_next = np.concatenate((e - act_p[:split] * dt / eta, e + act_b[split:] * eta * dt))
+        infeasible = (e_next < lo - SOC_EPS) | (e_next > hi + SOC_EPS)
+        if price < 0.0:
+            infeasible[1:split] = True
+        e_arr = np.clip(e_next, lo, hi)
+        totals = price * (act_p - act_b) * dt - c * act_p * dt
+        totals += np.interp(e_arr, pts, values[t + 1, :n])
+        totals[infeasible] = -np.inf
         best_i = int(np.argmax(totals))
-        p, b, e = acts_p[best_i], acts_b[best_i], float(e_arr[best_i])
+        p, b, e = float(act_p[best_i]), float(act_b[best_i]), float(e_arr[best_i])
         discharge[t] = p
         charge[t] = b
         soc[t + 1] = e

@@ -125,43 +125,42 @@ def _nearest_shift(delta: float, direction: int) -> int:
     return int(np.floor(delta + 0.5))
 
 
-def _shifted_lookups(
-    q: np.ndarray, params: StorageParams, step: float, dt_hours: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Curve values after a full-power charge (up) and discharge (down) shift.
+def _shift_tables(
+    n: int, params: StorageParams, step: float, dt_hours: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where a full-power charge (up) and discharge (down) shift lands on an n-point grid.
 
-    Levels whose shifted SoC leaves the grid get sentinel values: -inf above
-    the top of the grid (no room to charge), +inf below the bottom (no energy
-    to discharge). The sentinels make the infeasible regimes unselectable.
+    Returns the target index of each level and whether the shifted SoC stays
+    on the grid, for the up shift and then the down shift. These depend on
+    the grid and the step length only, so a backward pass builds them once.
     """
-    n = q.size
     eta = params.efficiency_one_way
     up = params.power_rating * eta * dt_hours / step
     down = params.power_rating * dt_hours / (eta * step)
     idx = np.arange(n)
-
-    di_up = _nearest_shift(up, +1)
-    feasible_up = idx + up <= (n - 1) + _IDX_EPS
-    q_up = np.where(feasible_up, q[np.minimum(idx + di_up, n - 1)], -np.inf)
-
-    di_down = _nearest_shift(down, -1)
-    feasible_down = idx - down >= -_IDX_EPS
-    q_down = np.where(feasible_down, q[np.maximum(idx - di_down, 0)], np.inf)
-    return q_up, q_down
+    up_index = np.minimum(idx + _nearest_shift(up, +1), n - 1)
+    down_index = np.maximum(idx - _nearest_shift(down, -1), 0)
+    return up_index, idx + up <= (n - 1) + _IDX_EPS, down_index, idx - down >= -_IDX_EPS
 
 
 def _step_values(
     q: np.ndarray,
     price: float,
     params: StorageParams,
-    step: float,
-    dt_hours: float,
+    shifts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     cases: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """One backward step of the five-regime recursion on raw arrays."""
+    """One backward step of the five-regime recursion, with ``shifts`` from :func:`_shift_tables`.
+
+    Levels whose full-power shift leaves the grid read -inf above the top
+    (no room to charge) and +inf below the bottom (no energy to discharge),
+    which make the infeasible regimes unselectable.
+    """
     eta = params.efficiency_one_way
     c = params.discharge_cost
-    q_up, q_down = _shifted_lookups(q, params, step, dt_hours)
+    up_index, up_feasible, down_index, down_feasible = shifts
+    q_up = np.where(up_feasible, q[up_index], -np.inf)
+    q_down = np.where(down_feasible, q[down_index], np.inf)
 
     # Price bands, lowest to highest. The discharge thresholds are clipped
     # at zero so no discharge regime can fire at a negative price.
@@ -203,7 +202,8 @@ def update_step(
         raise DataValidationError(f"dt_hours must be positive, got {dt_hours}")
     if not np.isfinite(price):
         raise DataValidationError(f"price must be finite, got {price}")
-    out = _step_values(q_next.values, float(price), params, q_next.grid.step, dt_hours)
+    shifts = _shift_tables(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
+    out = _step_values(q_next.values, float(price), params, shifts)
     return ValueCurve(q_next.grid, out)
 
 
@@ -211,9 +211,8 @@ def step_case_breakdown(
     q_next: ValueCurve, price: float, params: StorageParams, dt_hours: float
 ) -> np.ndarray:
     """Regime label (StepCase) selected at each grid level for one step."""
-    _, labels = _step_values(
-        q_next.values, float(price), params, q_next.grid.step, dt_hours, cases=True
-    )
+    shifts = _shift_tables(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
+    _, labels = _step_values(q_next.values, float(price), params, shifts, cases=True)
     return labels
 
 
@@ -252,11 +251,11 @@ def _backward_curves(
         terminal = ValueCurve.flat(grid)
     if terminal.grid != grid:
         raise DataValidationError("terminal curve is tabulated on a different grid")
-    dt = prediction.resolution_hours
+    shifts = _shift_tables(grid.num_points, params, grid.step, prediction.resolution_hours)
     q = terminal.values
     for t in range(len(prediction), 0, -1):
         yield t, q
-        q = _step_values(q, float(prediction.values[t - 1]), params, grid.step, dt)
+        q = _step_values(q, float(prediction.values[t - 1]), params, shifts)
     yield 0, q
 
 
@@ -270,21 +269,37 @@ def _cell_edges(grid: SoCGrid) -> np.ndarray:
     return edges
 
 
+def _cumulative(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Integral from ``edges[0]`` to each edge of every piecewise-constant row of ``values``."""
+    cum = np.zeros(values.shape[:-1] + edges.shape)
+    np.cumsum(values * np.diff(edges), axis=-1, out=cum[..., 1:])
+    return cum
+
+
 def _integral_at(edges: np.ndarray, values: np.ndarray, points) -> np.ndarray:
     """Integral of a piecewise-constant function from ``edges[0]`` to each point.
 
     ``values[i]`` holds between ``edges[i]`` and ``edges[i+1]``; points
     outside the edges are clipped to them.
     """
-    cum = np.empty(edges.size)
-    cum[0] = 0.0
-    np.cumsum(values * np.diff(edges), out=cum[1:])
-    return np.interp(points, edges, cum)
+    return np.interp(points, edges, _cumulative(edges, values))
 
 
 def _segment_means(edges: np.ndarray, values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Mean of the piecewise-constant function over each pair of consecutive boundaries."""
-    return np.diff(_integral_at(edges, values, boundaries)) / np.diff(boundaries)
+    """Mean of each row's piecewise-constant function between consecutive boundaries.
+
+    Repeats np.interp's arithmetic on the row-wise integrals, so a block of
+    rows gives the bits one ``_integral_at`` call per row gives: the integral
+    at an edge or past an end as it is, else ``slope * (x - edges[j]) + cum[j]``
+    inside cell j.
+    """
+    cum = _cumulative(edges, values)
+    j = np.clip(np.searchsorted(edges, boundaries, side="right") - 1, 0, edges.size - 1)
+    as_is = (edges[j] == boundaries) | (j == edges.size - 1) | (boundaries < edges[0])
+    k = np.minimum(j, edges.size - 2)
+    slope = (cum[..., k + 1] - cum[..., k]) / (edges[k + 1] - edges[k])
+    integral = np.where(as_is, cum[..., j], slope * (boundaries - edges[k]) + cum[..., k])
+    return np.diff(integral, axis=-1) / np.diff(boundaries)
 
 
 def average_marginal(curve: ValueCurve, lo: float, hi: float) -> float:

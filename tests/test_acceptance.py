@@ -65,7 +65,7 @@ def synthetic_pair(seed: int, hours: int, low=15.0, high=45.0, noise=5.0, period
 def test_criterion_01_oracle_certification():
     """Perfect-foresight SoC-bid runs reproduce the DP optimum; the DP oracle
     itself agrees with brute-force enumeration on tiny horizons."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_rel = 0.0
     grid = SoCGrid.for_storage(MICRO, 1.0 / 12.0, 301)
     for seed in range(50):
@@ -87,7 +87,7 @@ def test_criterion_01_oracle_certification():
             brute = enumerate_tiny(prices, MICRO, action_grid=11)
             budget = quantum * float(np.sum(np.abs(tape) + MICRO.discharge_cost))
             worst_tiny = max(worst_tiny, abs(dp - brute) / max(budget, 1e-12))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(
         1,
         worst_rel <= 0.005 and worst_tiny <= 1.0 and elapsed < 30.0,
@@ -283,10 +283,7 @@ def test_criterion_08_price_taker_equivalence():
     reason="needs NYISO 2019 zonal price CSVs (set SOCBID_NYISO_DA and SOCBID_NYISO_RT)",
 )
 def test_criterion_09_historical_utilization():
-    """Data-dependent reproduction of the headline utilization findings.
-
-    Expect multi-hour runtimes at full year scale for the 72 h duration.
-    """
+    """Data-dependent reproduction of the headline utilization findings."""
     zones = ("WEST", "NORTH", "NYC", "LONGIL")
     params_by_duration = {
         d: StorageParams(1.0, d, 0.9, 10.0) for d in (1.0, 12.0, 24.0, 72.0)

@@ -1,9 +1,13 @@
+import hashlib
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
 from socbid import (
     DataValidationError,
     PowerBid,
+    PriceSeries,
     SoCBidCurve,
     SoCGrid,
     StorageParams,
@@ -16,9 +20,9 @@ from socbid import (
     make_soc_bids,
     update_step,
 )
-from socbid.bids import power_bid_from_average, soc_bid_boundaries
+from socbid.bids import _BLOCK_FLOATS, power_bid_from_average, soc_bid_boundaries
 
-from conftest import hourly_series, random_monotone_values
+from conftest import START, hourly_series, random_monotone_values
 
 
 def random_surface(rng, grid, horizon) -> ValueSurface:
@@ -168,3 +172,32 @@ def test_streaming_builder_matches_surface_route(micro_params, unit_grid):
             else:
                 np.testing.assert_array_equal(a.boundaries, b.boundaries)
                 np.testing.assert_array_equal(a.segment_values, b.segment_values)
+
+
+def test_bid_tables_are_pinned_across_block_edges():
+    # Both routes reduce curves a block of rows at a time; on this grid a
+    # block holds a few rows, 50 periods end in a partial block, and some
+    # segment boundaries fall exactly on cell edges. The second tape's -0.0
+    # prices at zero discharge cost put signed zeros into the curves.
+    grid = SoCGrid(0.0, 4.0, 9641)
+    rows = _BLOCK_FLOATS // (grid.num_points + 1)
+    assert 1 < rows < 10 and 50 % rows != 0
+    cases = (
+        (StorageParams(1.0, 4.0, 0.9, 10.0),
+         np.random.default_rng(45).uniform(-10.0, 70.0, size=50),
+         "89cceb4b6c24751017fcdd71f06696470fb76dee6c02aef6140665ac5036957a",
+         "1736afd680e700b0e6fb96a037723bdd379fc10e1b4845f5f28106d720bb262b"),
+        (StorageParams(1.0, 4.0, 0.9, 0.0),
+         np.random.default_rng(46).choice([-10.0, -0.0, 30.0, 70.0], size=50),
+         "7874a73479dea8a2de4c927c4a9b2f1cffeb98b18269daa7e23a6b03a891a248",
+         "8cf2cf1588038f82ea3ccd5a357127fc4029ff6a5ac24c47d400feafa47d5b74"),
+    )
+    for params, values, soc, power in cases:
+        prices = PriceSeries("Z", START, timedelta(hours=1), values)
+        surface = backward_induct(prices, params, grid)
+        for schedule, expected in (
+            (make_soc_bids(surface, params), soc),
+            (bid_schedule_from_prices(prices, params, grid, "soc"), soc),
+            (bid_schedule_from_prices(prices, params, grid, "power"), power),
+        ):
+            assert hashlib.sha256(schedule.values.tobytes()).hexdigest() == expected

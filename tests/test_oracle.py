@@ -1,15 +1,20 @@
+import hashlib
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
 from socbid import (
     DataValidationError,
+    PriceSeries,
     SoCGrid,
     StorageParams,
     enumerate_tiny,
     grid_dp_oracle,
 )
+from socbid.oracle import _shift_counts
 
-from conftest import hourly_series
+from conftest import START, hourly_series
 
 
 def test_enumerate_two_period_spread(micro_params):
@@ -125,3 +130,57 @@ def test_oracle_profit_monotone_in_capability(unit_grid):
 def test_oracle_rejects_bad_action_points(micro_params, unit_grid):
     with pytest.raises(DataValidationError, match="action_points"):
         grid_dp_oracle(hourly_series([5.0]), micro_params, unit_grid, action_points=2)
+
+
+def test_oracle_rejects_a_grid_off_the_storage_soc_range(micro_params):
+    prices = hourly_series([5.0] * 4 + [60.0] * 4)
+    full = grid_dp_oracle(prices, micro_params, SoCGrid(0.0, 1.0, 101))
+    assert full.optimal_profit == pytest.approx(39.44, abs=0.01)
+    # A grid over [0.2, 1] would value only part of the storage's SoC range.
+    with pytest.raises(DataValidationError, match="grid range"):
+        grid_dp_oracle(prices, micro_params, SoCGrid(0.2, 1.0, 81))
+
+
+def _seeded_tape(seed, size, minutes, lo, hi):
+    values = np.random.default_rng(seed).uniform(lo, hi, size=size)
+    return PriceSeries("Z", START, timedelta(minutes=minutes), values)
+
+
+def test_oracle_outputs_are_pinned(micro_params, unit_grid):
+    """sha256 of discharge, charge and soc bytes plus repr(optimal_profit).
+
+    The cases cover negative prices (two where discharging into one would
+    pay), full-power moves that are not whole grid steps, a grid too coarse
+    for any whole-step move, off-grid interior initial SoCs, a raised SoC
+    floor and 3, 15 and 201 action points.
+    """
+    grid_5min = SoCGrid.for_storage(micro_params, 1 / 12, 301)
+    tape_5min = _seeded_tape(42, 600, 5, -20.0, 80.0)
+    band = StorageParams(2.0, 7.0, 0.85, 3.0, soc_min=1.0, soc_max=6.5)
+    coarse = SoCGrid(0.0, 1.0, 3)
+    assert _shift_counts(micro_params, coarse, 1 / 12) == (0, 0)
+    paid_to_charge = np.tile([-5.0, -100.0, -100.0, 60.0, -2.0, -90.0, 55.0, 70.0], 4)
+    drawn = np.random.default_rng(0).choice([-100.0, -5.0, 1.0, 60.0], size=24)
+    cases = [
+        ((_seeded_tape(41, 48, 60, -30.0, 90.0), micro_params, unit_grid, 15, 0.4321),
+         "8bf0d4a76a6c5dfaf89807f44f40c4177f1e8aef23ba97b3b39a013810542b3f"),
+        ((tape_5min, micro_params, grid_5min, 3, 0.0),
+         "da6bf2663b5c5c0fd6604b5b54ed2519837e49126e358853ce4f2b0b7014decd"),
+        ((tape_5min, micro_params, grid_5min, 201, 0.61803),
+         "7e503bb4035b18e030a52326027296ce5126c3caf3e50ab0f5ed10fb967467e7"),
+        ((_seeded_tape(43, 200, 5, -20.0, 80.0), micro_params, coarse, 15, 0.25),
+         "4e8041d3418d953d0ce8cc6c7690e4da64914af5f0f147e4f198d9769b38c401"),
+        ((_seeded_tape(44, 300, 15, -40.0, 120.0), band, SoCGrid(1.0, 6.5, 457), 15, 3.14159),
+         "262cae9cb324dba6403442e2a9a0e95b9b55ce4299c95e6349a028f2218023e1"),
+        ((hourly_series(paid_to_charge), micro_params, unit_grid, 15, 1.0),
+         "2512332c91dbc2307f9ada9454cf98738e475978246f786eb4526c94ce0bb5d9"),
+        ((hourly_series(drawn), micro_params, unit_grid, 15, 1.0),
+         "d1445599a9cb57cc3b8895940d5bbee500954f287d1695631a9bd532feb65325"),
+    ]
+    for (prices, params, grid, action_points, e0), expected in cases:
+        result = grid_dp_oracle(prices, params, grid, action_points=action_points, initial_soc=e0)
+        digest = hashlib.sha256()
+        for arr in (result.discharge, result.charge, result.soc):
+            digest.update(arr.tobytes())
+        digest.update(repr(result.optimal_profit).encode())
+        assert digest.hexdigest() == expected, (len(prices), grid.num_points, action_points, e0)

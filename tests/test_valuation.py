@@ -5,6 +5,9 @@ from socbid import DataValidationError, SoCGrid, StorageParams
 from socbid.valuation import (
     StepCase,
     ValueCurve,
+    _cell_edges,
+    _integral_at,
+    _segment_means,
     average_marginal,
     backward_induct,
     segment_averages,
@@ -253,3 +256,19 @@ def test_segment_averages_partition_exactly(unit_grid):
     segs = segment_averages(curve, bounds)
     whole = average_marginal(curve, 0.0, 1.0)
     assert float(np.sum(segs * np.diff(bounds))) == pytest.approx(whole, abs=1e-12)
+
+
+def test_block_segment_means_repeat_interp_bit_for_bit():
+    # Reference: one np.interp call per row. Boundaries on cell edges, on
+    # grid points and just past both ends; rows opening with negative zeros.
+    rng = np.random.default_rng(21)
+    grid = SoCGrid(0.0, 4.0, 41)
+    edges = _cell_edges(grid)
+    boundaries = np.concatenate(([-1e-12], np.linspace(0.0, 4.0, 81)[1:-1], [4.0 + 1e-12]))
+    assert np.isin(boundaries, edges).sum() > 10
+    rows = np.stack([random_monotone_values(rng, grid.num_points) for _ in range(30)])
+    rows[:10, :20] = -0.0
+    expected = np.stack(
+        [np.diff(_integral_at(edges, row, boundaries)) / np.diff(boundaries) for row in rows]
+    )
+    assert _segment_means(edges, rows, boundaries).tobytes() == expected.tobytes()
