@@ -31,6 +31,7 @@ from .simulate import (
     CaseConfig,
     SimulationResult,
     run_case,
+    run_cases,
     run_schedule,
     step_power_bid,
     step_soc_bid,
@@ -74,6 +75,7 @@ __all__ = [
     "make_power_bids",
     "make_soc_bids",
     "run_case",
+    "run_cases",
     "run_schedule",
     "step_power_bid",
     "step_soc_bid",

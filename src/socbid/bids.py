@@ -27,6 +27,7 @@ from .valuation import (
     ValueSurface,
     _backward_curves,
     _cell_edges,
+    _cumulative,
     _integral_at,
     _require_non_increasing,
     _segment_means,
@@ -211,31 +212,39 @@ _BLOCK_FLOATS = 2**16  # cap on each temporary of a block of curves reduced at o
 
 
 def _bid_table(
-    curves, params: StorageParams, grid: SoCGrid, kind: str, segments_per_hour: int,
-    horizon: int, period_hours: float,
-) -> BidSchedule:
-    """Reduce end-of-period curves, a (T+1, n) table or (t, curve after t) pairs, to a schedule.
+    curves, params: StorageParams, grid: SoCGrid, kinds: tuple[str, ...],
+    segments_per_hour: int, horizon: int, period_hours: float,
+) -> tuple[BidSchedule, ...]:
+    """Reduce end-of-period curves, a (T+1, n) table or (t, curve after t) pairs, to one
+    schedule per bid kind in ``kinds``.
 
     Period t's dispatch trades against the value of energy left after it, so
     the bid of 0-indexed period t comes from the curve after period t+1;
-    the pre-horizon curve (t = 0) sets no bid.
+    the pre-horizon curve (t = 0) sets no bid. Each block of curves is
+    integrated once, and every kind reads its segment means from that integral.
     """
     validate_params(params)
-    if kind == "power":
-        boundaries = np.array([params.soc_min, params.soc_max])
-    else:
-        boundaries = soc_bid_boundaries(params, segments_per_hour)
+    bounds = [
+        np.array([params.soc_min, params.soc_max]) if kind == "power"
+        else soc_bid_boundaries(params, segments_per_hour)
+        for kind in kinds
+    ]
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     edges = _cell_edges(grid)
-    rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, boundaries.size) + 1))
+    rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, *(b.size for b in bounds)) + 1))
     if isinstance(curves, np.ndarray):
         blocks = ((t, curves[t + 1 : t + 1 + rows]) for t in range(0, horizon, rows))
     else:
         blocks = _stream_blocks(curves, rows, grid.num_points, horizon)
-    values = np.empty((horizon, boundaries.size - 1))
+    tables = [np.empty((horizon, b.size - 1)) for b in bounds]
     for first, block in blocks:
-        values[first : first + len(block)] = _segment_means(edges, block, boundaries)
-    return BidSchedule(period_hours, params, boundaries, values, kind)
+        cum = _cumulative(edges, block)
+        for table, boundaries in zip(tables, bounds):
+            table[first : first + len(block)] = _segment_means(edges, cum, boundaries)
+    return tuple(
+        BidSchedule(period_hours, params, boundaries, table, kind)
+        for kind, boundaries, table in zip(kinds, bounds, tables)
+    )
 
 
 def _stream_blocks(curves, rows: int, n: int, horizon: int):
@@ -256,10 +265,11 @@ def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule
 
     Period t's bid comes from curve t+1 of the surface.
     """
-    return _bid_table(
-        surface.values, params, surface.grid, "power", 1,
+    (schedule,) = _bid_table(
+        surface.values, params, surface.grid, ("power",), 1,
         surface.horizon, surface.step_hours,
     )
+    return schedule
 
 
 def make_soc_bids(
@@ -273,30 +283,34 @@ def make_soc_bids(
     usual cap on generator bid segments. Values inherit monotonicity from the
     underlying curves.
     """
-    return _bid_table(
-        surface.values, params, surface.grid, "soc", segments_per_hour_of_duration,
+    (schedule,) = _bid_table(
+        surface.values, params, surface.grid, ("soc",), segments_per_hour_of_duration,
         surface.horizon, surface.step_hours,
     )
+    return schedule
 
 
 def bid_schedule_from_prices(
     prediction: PriceSeries,
     params: StorageParams,
     grid: SoCGrid,
-    bid_model: str,
+    bid_model: str | tuple[str, ...],
     segments_per_hour_of_duration: int = 20,
     terminal: ValueCurve | None = None,
-) -> BidSchedule:
+) -> BidSchedule | tuple[BidSchedule, ...]:
     """Valuation and bid reduction fused into one backward pass.
 
     Produces the same schedule as running the full backward induction and
     then ``make_power_bids`` or ``make_soc_bids``, but keeps only one curve
     and one block of curves in memory, which is what makes year-long 5-minute
-    valuations practical for long-duration storage.
+    valuations practical for long-duration storage. Given a tuple of bid
+    models, returns one schedule per model, in that order, from the one pass.
     """
-    if bid_model not in ("power", "soc"):
+    kinds = (bid_model,) if isinstance(bid_model, str) else tuple(bid_model)
+    if not kinds or any(kind not in ("power", "soc") for kind in kinds):
         raise DataValidationError(f"unknown bid model {bid_model!r}")
-    return _bid_table(
-        _backward_curves(prediction, params, grid, terminal), params, grid, bid_model,
+    schedules = _bid_table(
+        _backward_curves(prediction, params, grid, terminal), params, grid, kinds,
         segments_per_hour_of_duration, len(prediction), prediction.resolution_hours,
     )
+    return schedules[0] if isinstance(bid_model, str) else schedules

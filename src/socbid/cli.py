@@ -32,7 +32,8 @@ from .dispatch import (
     clear_soc_bid_ed,
 )
 from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams, validate_params
-from .simulate import CASE_IDS, CaseConfig, run_case, utilization
+from .simulate import CASE_IDS, CaseConfig, run_cases, utilization
+from .simulate import run_case  # noqa: F401 - unused here; bench/spans.py wraps cli.run_case
 from .valuation import backward_induct
 
 EXIT_OK = 0
@@ -192,23 +193,21 @@ def _run_zone_duration(job: dict) -> list[dict]:
     da, rt = _zone_series(manifest, zone)
     params = _storage_params(manifest, duration)
 
-    def one_case(case_id: str):
-        config = CaseConfig(case_id, initial_soc=manifest.initial_soc)
-        source = da if config.valuation_source == "day_ahead" else rt
-        if source is None:
-            raise DataValidationError(
-                f"case {case_id} needs {config.valuation_source} prices for zone {zone}"
-            )
-        grid = _grid_for(manifest, params, source.resolution_hours)
-        return run_case(
-            config, da, rt, params, grid,
-            segments_per_hour_of_duration=manifest.segments_per_hour,
-        )
-
-    reference = one_case(REFERENCE_CASE)
+    grids = {
+        source: _grid_for(manifest, params, series.resolution_hours)
+        for source, series in (("day_ahead", da), ("real_time", rt))
+        if series is not None
+    }
+    case_ids = list(dict.fromkeys((REFERENCE_CASE, *manifest.cases)))
+    configs = [CaseConfig(case_id, initial_soc=manifest.initial_soc) for case_id in case_ids]
+    results = dict(zip(case_ids, run_cases(
+        configs, da, rt, params, grids,
+        segments_per_hour_of_duration=manifest.segments_per_hour,
+    )))
+    reference = results[REFERENCE_CASE]
     rows = []
     for case_id in manifest.cases:
-        result = reference if case_id == REFERENCE_CASE else one_case(case_id)
+        result = results[case_id]
         rows.append(
             {
                 "zone": zone,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +270,61 @@ def run_schedule(
     )
 
 
+def run_cases(
+    configs: Sequence[CaseConfig],
+    da_prices: PriceSeries | None,
+    rt_prices: PriceSeries | None,
+    params: StorageParams,
+    grids: Mapping[str, SoCGrid],
+    segments_per_hour_of_duration: int = 20,
+    terminal: ValueCurve | None = None,
+) -> list[SimulationResult]:
+    """Run experiment cases end to end: valuation, bid design, settlement.
+
+    Valuation runs at the native resolution of the forecast series (hourly
+    day-ahead prices for DF cases, the settlement tape itself for PF cases)
+    on ``grids[source]``, bids are built per valuation period, and settlement
+    runs at the settlement series' native resolution. Each forecast tape is
+    valued once and reduced to every bid shape its cases use. Results follow
+    the order of ``configs``. With perfect foresight and SoC bids this
+    reproduces the multi-period optimum up to discretization.
+    """
+    validate_params(params)
+    series = {"day_ahead": da_prices, "real_time": rt_prices}
+    for config in configs:
+        for source in (config.valuation_source, config.settlement_source):
+            if series[source] is None:
+                raise DataValidationError(f"case {config.case_id} needs {source} prices")
+    if da_prices is not None and rt_prices is not None:
+        if abs((da_prices.span - rt_prices.span).total_seconds()) > 1e-6:
+            raise DataValidationError(
+                f"day-ahead span {da_prices.span} != real-time span {rt_prices.span}"
+            )
+    for config in configs:
+        _check_soc(config.initial_soc, params)
+
+    results: list[SimulationResult] = [None] * len(configs)
+    for source in dict.fromkeys(config.valuation_source for config in configs):
+        group = [i for i, config in enumerate(configs) if config.valuation_source == source]
+        models = tuple(dict.fromkeys(configs[i].bid_model for i in group))
+        schedules = dict(zip(models, bid_schedule_from_prices(
+            series[source],
+            params,
+            grids[source],
+            models,
+            segments_per_hour_of_duration=segments_per_hour_of_duration,
+            terminal=terminal,
+        )))
+        for i in group:
+            config = configs[i]
+            results[i] = run_schedule(
+                series[config.settlement_source], schedules[config.bid_model], params,
+                config.initial_soc, case_id=config.case_id,
+            )
+        del schedules  # free this tape's schedules before the next tape is valued
+    return results
+
+
 def run_case(
     config: CaseConfig,
     da_prices: PriceSeries | None,
@@ -278,39 +334,15 @@ def run_case(
     segments_per_hour_of_duration: int = 20,
     terminal: ValueCurve | None = None,
 ) -> SimulationResult:
-    """Run one experiment case end to end: valuation, bid design, settlement.
+    """Run one experiment case end to end, valuing its forecast tape on ``grid``.
 
-    Valuation runs at the native resolution of the forecast series (hourly
-    day-ahead prices for DF cases, the settlement tape itself for PF cases),
-    bids are built per valuation period, and settlement runs at the
-    settlement series' native resolution. With perfect foresight and SoC
-    bids this reproduces the multi-period optimum up to discretization.
+    The one-case form of :func:`run_cases`.
     """
-    validate_params(params)
-    series = {"day_ahead": da_prices, "real_time": rt_prices}
-    valuation_series = series[config.valuation_source]
-    settlement_series = series[config.settlement_source]
-    for source in (config.valuation_source, config.settlement_source):
-        if series[source] is None:
-            raise DataValidationError(f"case {config.case_id} needs {source} prices")
-    if da_prices is not None and rt_prices is not None:
-        if abs((da_prices.span - rt_prices.span).total_seconds()) > 1e-6:
-            raise DataValidationError(
-                f"day-ahead span {da_prices.span} != real-time span {rt_prices.span}"
-            )
-    _check_soc(config.initial_soc, params)
-
-    schedule = bid_schedule_from_prices(
-        valuation_series,
-        params,
-        grid,
-        config.bid_model,
-        segments_per_hour_of_duration=segments_per_hour_of_duration,
-        terminal=terminal,
+    (result,) = run_cases(
+        (config,), da_prices, rt_prices, params, {config.valuation_source: grid},
+        segments_per_hour_of_duration=segments_per_hour_of_duration, terminal=terminal,
     )
-    return run_schedule(
-        settlement_series, schedule, params, config.initial_soc, case_id=config.case_id
-    )
+    return result
 
 
 def utilization(result: SimulationResult, reference: SimulationResult) -> float:

@@ -285,15 +285,15 @@ def _integral_at(edges: np.ndarray, values: np.ndarray, points) -> np.ndarray:
     return np.interp(points, edges, _cumulative(edges, values))
 
 
-def _segment_means(edges: np.ndarray, values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
+def _segment_means(edges: np.ndarray, cum: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Mean of each row's piecewise-constant function between consecutive boundaries.
 
-    Repeats np.interp's arithmetic on the row-wise integrals, so a block of
-    rows gives the bits one ``_integral_at`` call per row gives: the integral
-    at an edge or past an end as it is, else ``slope * (x - edges[j]) + cum[j]``
-    inside cell j.
+    ``cum`` holds the row-wise integrals at ``edges`` from :func:`_cumulative`,
+    so one cumulative serves every set of boundaries. Repeats np.interp's
+    arithmetic on them, so a block of rows gives the bits one ``_integral_at``
+    call per row gives: the integral at an edge or past an end as it is, else
+    ``slope * (x - edges[j]) + cum[j]`` inside cell j.
     """
-    cum = _cumulative(edges, values)
     j = np.clip(np.searchsorted(edges, boundaries, side="right") - 1, 0, edges.size - 1)
     as_is = (edges[j] == boundaries) | (j == edges.size - 1) | (boundaries < edges[0])
     k = np.minimum(j, edges.size - 2)
@@ -308,17 +308,24 @@ def average_marginal(curve: ValueCurve, lo: float, hi: float) -> float:
     The curve is read as piecewise constant over grid cells (nearest-point
     semantics), so the integral is exact for that step function.
     """
-    grid = curve.grid
-    tol = 1e-9 * (1.0 + abs(grid.soc_max))
-    if lo < grid.soc_min - tol or hi > grid.soc_max + tol:
-        raise DataValidationError(
-            f"range [{lo}, {hi}] leaves the grid [{grid.soc_min}, {grid.soc_max}]"
-        )
-    if not lo < hi:
-        raise DataValidationError(f"degenerate range: lo={lo} must be below hi={hi}")
     return float(segment_averages(curve, np.array([lo, hi]))[0])
 
 
 def segment_averages(curve: ValueCurve, boundaries: np.ndarray) -> np.ndarray:
-    """Mean marginal value over each consecutive pair of boundaries."""
-    return _segment_means(_cell_edges(curve.grid), curve.values, boundaries)
+    """Mean marginal value over each consecutive pair of boundaries.
+
+    The boundaries must be at least two, strictly increasing and on the grid.
+    """
+    grid = curve.grid
+    bounds = np.asarray(boundaries, dtype=float)
+    if bounds.ndim != 1 or bounds.size < 2:
+        raise DataValidationError(f"need a 1-D array of at least two boundaries, not {bounds}")
+    if not np.all(np.diff(bounds) > 0):
+        raise DataValidationError(f"degenerate range: boundaries {bounds} must strictly increase")
+    tol = 1e-9 * (1.0 + abs(grid.soc_max))
+    if bounds[0] < grid.soc_min - tol or bounds[-1] > grid.soc_max + tol:
+        raise DataValidationError(
+            f"range [{bounds[0]}, {bounds[-1]}] leaves the grid [{grid.soc_min}, {grid.soc_max}]"
+        )
+    edges = _cell_edges(grid)
+    return _segment_means(edges, _cumulative(edges, curve.values), bounds)

@@ -195,9 +195,12 @@ def test_bid_tables_are_pinned_across_block_edges():
     for params, values, soc, power in cases:
         prices = PriceSeries("Z", START, timedelta(hours=1), values)
         surface = backward_induct(prices, params, grid)
+        shared_power, shared_soc = bid_schedule_from_prices(prices, params, grid, ("power", "soc"))
         for schedule, expected in (
             (make_soc_bids(surface, params), soc),
             (bid_schedule_from_prices(prices, params, grid, "soc"), soc),
             (bid_schedule_from_prices(prices, params, grid, "power"), power),
+            (shared_soc, soc),
+            (shared_power, power),
         ):
             assert hashlib.sha256(schedule.values.tobytes()).hexdigest() == expected

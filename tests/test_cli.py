@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 
+from socbid import simulate
 from socbid.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 SCENARIO = """\
@@ -305,3 +306,30 @@ def test_csv_sweep_summary_is_pinned(tmp_path):
     assert code == EXIT_OK
     digest = hashlib.sha256((tmp_path / "out" / "summary.csv").read_bytes()).hexdigest()
     assert digest == "d32797581b4e2837d15d0797f8796c8dd1129a8b4fac9dc03fe73dddb9720f0e"
+
+
+def test_sweep_values_each_forecast_tape_once(tmp_path, monkeypatch):
+    # Six cases per (zone, duration) value two tapes: day-ahead for the four
+    # DF cases and real-time for the two PF cases.
+    calls = []
+    fused = simulate.bid_schedule_from_prices
+
+    def counted(prediction, *args, **kwargs):
+        calls.append(prediction.resolution_hours)
+        return fused(prediction, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "bid_schedule_from_prices", counted)
+    write_csv_tapes(tmp_path / "da.csv", tmp_path / "rt.csv")
+    code = run(
+        [
+            "sweep",
+            "--zones", "AA",
+            "--durations", "1", "4",
+            "--da-prices", str(tmp_path / "da.csv"),
+            "--rt-prices", str(tmp_path / "rt.csv"),
+            "--grid-points", "301",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == EXIT_OK
+    assert sorted(calls) == [1 / 12, 1 / 12, 1.0, 1.0]

@@ -6,6 +6,7 @@ from socbid.valuation import (
     StepCase,
     ValueCurve,
     _cell_edges,
+    _cumulative,
     _integral_at,
     _segment_means,
     average_marginal,
@@ -248,6 +249,18 @@ def test_average_marginal_degenerate_range(unit_grid):
         average_marginal(curve, -0.2, 0.5)
 
 
+def test_segment_averages_reject_boundaries_off_the_grid_or_out_of_order():
+    curve = ValueCurve.flat(SoCGrid(0.0, 1.0, 101), 10.0)
+    with pytest.raises(DataValidationError, match="leaves the grid"):
+        segment_averages(curve, np.array([-1.0, 0.5]))
+    with pytest.raises(DataValidationError, match="degenerate"):
+        segment_averages(curve, np.array([0.5, 0.2]))
+    with pytest.raises(DataValidationError, match="at least two"):
+        segment_averages(curve, np.array([0.5]))
+    edge = 1.0 + 1e-10  # within the float tolerance at the top of the grid
+    assert segment_averages(curve, np.array([0.0, edge])) == pytest.approx([10.0])
+
+
 def test_segment_averages_partition_exactly(unit_grid):
     rng = np.random.default_rng(45)
     vals = random_monotone_values(rng, unit_grid.num_points)
@@ -271,4 +284,5 @@ def test_block_segment_means_repeat_interp_bit_for_bit():
     expected = np.stack(
         [np.diff(_integral_at(edges, row, boundaries)) / np.diff(boundaries) for row in rows]
     )
-    assert _segment_means(edges, rows, boundaries).tobytes() == expected.tobytes()
+    means = _segment_means(edges, _cumulative(edges, rows), boundaries)
+    assert means.tobytes() == expected.tobytes()
