@@ -7,6 +7,14 @@ power, charge capped by remaining headroom, hold, discharge capped by stored
 energy, discharge at full power) and assigns the corresponding marginal
 value in closed form. Integration of the curve recovers the opportunity
 value function used for bid design.
+
+A step is a handful of whole-array passes. A full-power charge fits on the
+grid for a prefix of the levels and a full-power discharge for a suffix, so
+the curve and the price tests at the shifted levels are slices of the
+unshifted ones, with no gather. The regimes are then written lowest
+priority first (full discharge, capped discharge, hold, capped charge, full
+charge), each a masked copy over the one before, so every level keeps the
+first band its price falls in.
 """
 
 from __future__ import annotations
@@ -125,67 +133,101 @@ def _nearest_shift(delta: float, direction: int) -> int:
     return int(np.floor(delta + 0.5))
 
 
-def _shift_tables(
+def _shift_plan(
     n: int, params: StorageParams, step: float, dt_hours: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where a full-power charge (up) and discharge (down) shift lands on an n-point grid.
+) -> tuple[int, int, int, int]:
+    """How far full-power shifts move on an n-point grid, and which levels they fit.
 
-    Returns the target index of each level and whether the shifted SoC stays
-    on the grid, for the up shift and then the down shift. These depend on
-    the grid and the step length only, so a backward pass builds them once.
+    Returns ``(up, up_levels, down, down_from)``: a full-power charge moves a
+    level up ``up`` levels and fits on the grid for the first ``up_levels``
+    levels; a full-power discharge moves it down ``down`` levels and fits
+    from level ``down_from`` on. A level fits when the exact shift stays on
+    the grid, up to ``_IDX_EPS``; rounding to whole levels moves the target
+    at most half a level, so a fitting level's rounded target is on the
+    grid too. The plan depends on the grid and the step length only, so a
+    backward pass builds it once.
     """
     eta = params.efficiency_one_way
     up = params.power_rating * eta * dt_hours / step
     down = params.power_rating * dt_hours / (eta * step)
     idx = np.arange(n)
-    up_index = np.minimum(idx + _nearest_shift(up, +1), n - 1)
-    down_index = np.maximum(idx - _nearest_shift(down, -1), 0)
-    return up_index, idx + up <= (n - 1) + _IDX_EPS, down_index, idx - down >= -_IDX_EPS
+    return (
+        _nearest_shift(up, +1),
+        int(np.count_nonzero(idx + up <= (n - 1) + _IDX_EPS)),
+        _nearest_shift(down, -1),
+        n - int(np.count_nonzero(idx - down >= -_IDX_EPS)),
+    )
 
 
 def _step_values(
     q: np.ndarray,
     price: float,
     params: StorageParams,
-    shifts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    plan: tuple[int, int, int, int],
     cases: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """One backward step of the five-regime recursion, with ``shifts`` from :func:`_shift_tables`.
+    """One backward step of the five-regime recursion, with ``plan`` from :func:`_shift_plan`.
 
-    Levels whose full-power shift leaves the grid read -inf above the top
-    (no room to charge) and +inf below the bottom (no energy to discharge),
-    which make the infeasible regimes unselectable.
+    Two masks decide every band: ``price <= q*eta`` (charge) and ``price <=
+    max(q/eta + c, 0)`` (hold; clipped at zero so no discharge regime fires
+    at a negative price). The full-power bands test the same thresholds at
+    the shifted level, so they are slices of the two masks, as the shifted
+    curves are slices of ``q``. A level with no room for a full-power
+    charge never charges fully; a level with too little energy for a
+    full-power discharge discharges at least capped, since a finite price
+    is always below its missing threshold. ``cases=True`` also returns the
+    StepCase labels, written from the same masks.
     """
     eta = params.efficiency_one_way
     c = params.discharge_cost
-    up_index, up_feasible, down_index, down_feasible = shifts
-    q_up = np.where(up_feasible, q[up_index], -np.inf)
-    q_down = np.where(down_feasible, q[down_index], np.inf)
-
-    # Price bands, lowest to highest. The discharge thresholds are clipped
-    # at zero so no discharge regime can fire at a negative price.
-    below_full_charge = price <= q_up * eta
-    below_partial_charge = price <= q * eta
-    below_hold = price <= np.maximum(q / eta + c, 0.0)
-    below_partial_discharge = price <= np.maximum(q_down / eta + c, 0.0)
-
-    out = np.where(
-        below_full_charge,
-        q_up,
-        np.where(
-            below_partial_charge,
-            price / eta,
-            np.where(
-                below_hold,
-                q,
-                np.where(below_partial_discharge, (price - c) * eta, q_down),
-            ),
-        ),
-    )
+    up, up_levels, down, down_from = plan
+    # Level i < up_levels reads level i + up, level i >= down_from reads
+    # level i - down; with no level fitting, the bounds are equal and the
+    # slice is empty.
+    above = slice(up, up + up_levels)
+    below = slice(down_from - down, q.size - down)
+    charge = price <= q * eta
+    ceiling = q / eta
+    ceiling += c
+    discharge = price <= np.maximum(ceiling, 0.0, out=ceiling)
+    masks = (charge, discharge, charge[above], discharge[below])
+    capped = (price - c) * eta
+    out = _write_regimes(np.empty(q.size), plan, masks, q[below], capped, q, price / eta, q[above])
     if not cases:
         return out
-    bands = [below_full_charge, below_partial_charge, below_hold, below_partial_discharge]
-    return out, np.select(bands, list(StepCase)[:4], StepCase.FULL_DISCHARGE)
+    labels = _write_regimes(
+        np.empty(q.size, dtype=np.int64), plan, masks, StepCase.FULL_DISCHARGE,
+        StepCase.PARTIAL_DISCHARGE, StepCase.HOLD, StepCase.PARTIAL_CHARGE, StepCase.FULL_CHARGE,
+    )
+    return out, labels
+
+
+def _write_regimes(out, plan, masks, full_discharge, partial_discharge, hold, partial_charge,
+                   full_charge):
+    """Fill ``out`` with each level's regime entry, lowest-priority regime first.
+
+    Each masked write overrides the ones before it, so a level keeps the
+    entry of the first band its price falls in: the pick of a nested
+    ``where`` over the bands, full charge first.
+    """
+    _, up_levels, _, down_from = plan
+    charge, discharge, full_charge_band, partial_discharge_band = masks
+    out[:down_from] = partial_discharge
+    out[down_from:] = full_discharge
+    np.copyto(out[down_from:], partial_discharge, where=partial_discharge_band)
+    np.copyto(out, hold, where=discharge)
+    np.copyto(out, partial_charge, where=charge)
+    np.copyto(out[:up_levels], full_charge, where=full_charge_band)
+    return out
+
+
+def _check_step(params: StorageParams, price: float, dt_hours: float) -> None:
+    """Raise DataValidationError unless one step's storage, price and length are usable."""
+    validate_params(params)
+    if not (dt_hours > 0 and np.isfinite(dt_hours)):
+        raise DataValidationError(f"dt_hours must be positive and finite, got {dt_hours}")
+    if not np.isfinite(price):
+        raise DataValidationError(f"price must be finite, got {price}")
 
 
 def update_step(
@@ -197,22 +239,18 @@ def update_step(
     at its end and the period's (predicted) price. Monotonicity of the input
     is enforced by the ValueCurve type; the output is monotone as well.
     """
-    validate_params(params)
-    if dt_hours <= 0:
-        raise DataValidationError(f"dt_hours must be positive, got {dt_hours}")
-    if not np.isfinite(price):
-        raise DataValidationError(f"price must be finite, got {price}")
-    shifts = _shift_tables(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
-    out = _step_values(q_next.values, float(price), params, shifts)
-    return ValueCurve(q_next.grid, out)
+    _check_step(params, price, dt_hours)
+    plan = _shift_plan(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
+    return ValueCurve(q_next.grid, _step_values(q_next.values, float(price), params, plan))
 
 
 def step_case_breakdown(
     q_next: ValueCurve, price: float, params: StorageParams, dt_hours: float
 ) -> np.ndarray:
     """Regime label (StepCase) selected at each grid level for one step."""
-    shifts = _shift_tables(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
-    _, labels = _step_values(q_next.values, float(price), params, shifts, cases=True)
+    _check_step(params, price, dt_hours)
+    plan = _shift_plan(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
+    _, labels = _step_values(q_next.values, float(price), params, plan, cases=True)
     return labels
 
 
@@ -251,11 +289,11 @@ def _backward_curves(
         terminal = ValueCurve.flat(grid)
     if terminal.grid != grid:
         raise DataValidationError("terminal curve is tabulated on a different grid")
-    shifts = _shift_tables(grid.num_points, params, grid.step, prediction.resolution_hours)
+    plan = _shift_plan(grid.num_points, params, grid.step, prediction.resolution_hours)
     q = terminal.values
     for t in range(len(prediction), 0, -1):
         yield t, q
-        q = _step_values(q, float(prediction.values[t - 1]), params, shifts)
+        q = _step_values(q, float(prediction.values[t - 1]), params, plan)
     yield 0, q
 
 

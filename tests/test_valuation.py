@@ -1,7 +1,10 @@
+import hashlib
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
-from socbid import DataValidationError, SoCGrid, StorageParams
+from socbid import DataValidationError, PriceSeries, SoCGrid, StorageParams
 from socbid.valuation import (
     StepCase,
     ValueCurve,
@@ -9,6 +12,8 @@ from socbid.valuation import (
     _cumulative,
     _integral_at,
     _segment_means,
+    _shift_plan,
+    _step_values,
     average_marginal,
     backward_induct,
     segment_averages,
@@ -16,7 +21,7 @@ from socbid.valuation import (
     update_step,
 )
 
-from conftest import hourly_series, random_monotone_values
+from conftest import START, hourly_series, random_monotone_values
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +116,19 @@ def test_update_step_rejects_non_monotone_input(unit_grid, micro_params):
     values[10] = -5.0  # dip then rise back to 0
     with pytest.raises(DataValidationError, match="non-increasing"):
         update_step(ValueCurve(unit_grid, values), 20.0, micro_params, 1.0)
+
+
+@pytest.mark.parametrize(
+    "price, dt, power",
+    [(np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (20.0, 0.0, 1.0), (20.0, -1.0, 1.0),
+     (20.0, np.inf, 1.0), (20.0, 1.0, -1.0)],
+)
+def test_step_functions_share_their_input_checks(price, dt, power):
+    curve = ValueCurve.flat(SoCGrid(0.0, 4.0, 41), 20.0)
+    params = StorageParams(power, 4.0, 0.9, 10.0)
+    for step in (update_step, step_case_breakdown):
+        with pytest.raises(DataValidationError):
+            step(curve, price, params, dt)
 
 
 def test_update_step_case_boundaries_prefer_charging(micro_params, unit_grid):
@@ -286,3 +304,139 @@ def test_block_segment_means_repeat_interp_bit_for_bit():
     )
     means = _segment_means(edges, _cumulative(edges, rows), boundaries)
     assert means.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Pinned bits on the recursion's edge cases
+# ---------------------------------------------------------------------------
+
+def _runs(*pairs):
+    """A terminal curve made of flat runs: (value, length) pairs, values falling."""
+    return np.concatenate([np.full(length, float(v)) for v, length in pairs])
+
+
+HOUR, FIVE_MINUTES = timedelta(hours=1), timedelta(minutes=5)
+
+EDGE_CASES = {
+    # 1 h storage on an hourly tape: the down shift (1111 levels) is wider
+    # than the grid and the up shift (900) leaves a 101-level prefix.
+    "wide-down-short-up": (
+        StorageParams(1.0, 1.0, 0.9, 10.0), SoCGrid(0.0, 1.0, 1001), HOUR,
+        _runs((40, 300), (25, 301), (0, 200), (-20, 200)),
+        "ad2be6ec3dedd0d519e20e71847af1f8a089228a2130fb440674ef0c96ba2b10",
+    ),
+    "two-points": (
+        StorageParams(0.5, 1.0, 0.9, 10.0), SoCGrid(0.0, 1.0, 2), HOUR,
+        _runs((30, 1), (-5, 1)),
+        "30fc056a70a99df9edd8a5d17b19f3813d24e29921330da4b61f13821b11d325",
+    ),
+    "three-points": (
+        StorageParams(0.5, 1.0, 0.9, 10.0), SoCGrid(0.0, 1.0, 3), HOUR,
+        _runs((25, 2), (0, 1)),
+        "3bc3109ab18ad94a94ca1fb929064ede11ec7cf7e4146de8c1e0772223ed9e98",
+    ),
+    # A full-power charge overshoots the whole 3-point grid.
+    "three-points-up-off-grid": (
+        StorageParams(5.0, 1.0, 0.9, 0.0), SoCGrid(0.0, 1.0, 3), HOUR,
+        _runs((25, 1), (-0.0, 2)),
+        "5d7a16b5d030b2a238e4d4528a3999331a90950915521f23c38c3b37b04aae6a",
+    ),
+    "five-minutes-301-points": (
+        StorageParams(1.0, 4.0, 0.85, 5.0), SoCGrid(0.0, 4.0, 301), FIVE_MINUTES,
+        _runs((60, 50), (35, 100), (-0.0, 51), (-30, 100)),
+        "8db8c7750036d467853c58d198233ea81eb0200a64632f7a7d0328cbe7e493d2",
+    ),
+}
+
+
+def _edge_tape(params, terminal, rng):
+    """Prices tying the step thresholds of ``terminal``, zeros of both signs, negatives."""
+    eta, c = params.efficiency_one_way, params.discharge_cost
+    ties = [price for q in np.unique(terminal) for price in (q * eta, max(q / eta + c, 0.0))]
+    noise = rng.choice([-12.5, -0.0, 0.0, 9.0, 31.0, 58.0], size=24)
+    return np.concatenate((noise, [0.0, -0.0, -7.5, 500.0], ties))
+
+
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_recursion_bits_are_pinned_on_edge_cases(name):
+    # Digests recorded with the gather-and-nested-where step the slice
+    # kernel replaced: surfaces, then labels at every tie of three curves.
+    params, grid, resolution, terminal, expected = EDGE_CASES[name]
+    rng = np.random.default_rng(7)
+    series = PriceSeries("Z", START, resolution, _edge_tape(params, terminal, rng))
+    end = ValueCurve(grid, terminal)
+    surface = backward_induct(series, params, grid, terminal=end)
+    digest = hashlib.sha256(surface.values.tobytes())
+    for curve in (end, surface.curve(len(series) - 1), surface.curve(0)):
+        for price in _edge_tape(params, curve.values, rng)[24:]:
+            labels = step_case_breakdown(curve, price, params, series.resolution_hours)
+            digest.update(labels.tobytes())
+    assert digest.hexdigest() == expected
+
+
+# ---------------------------------------------------------------------------
+# Reference step: the gather-and-nested-where kernel the slice kernel
+# replaced, kept here only to check the kernel against it byte for byte.
+# ---------------------------------------------------------------------------
+
+def reference_nearest_shift(delta, direction):
+    snapped = round(delta)
+    if abs(delta - snapped) <= 1e-9:
+        return int(snapped)
+    if direction > 0:
+        return int(np.ceil(delta - 0.5))
+    return int(np.floor(delta + 0.5))
+
+
+def reference_step(q, price, params, step, dt):
+    """Values and labels of one step: gathered shifted curves, ±inf off the grid, nested where."""
+    eta = params.efficiency_one_way
+    c = params.discharge_cost
+    n = q.size
+    up = params.power_rating * eta * dt / step
+    down = params.power_rating * dt / (eta * step)
+    idx = np.arange(n)
+    up_index = np.minimum(idx + reference_nearest_shift(up, +1), n - 1)
+    down_index = np.maximum(idx - reference_nearest_shift(down, -1), 0)
+    q_up = np.where(idx + up <= (n - 1) + 1e-9, q[up_index], -np.inf)
+    q_down = np.where(idx - down >= -1e-9, q[down_index], np.inf)
+    bands = [
+        price <= q_up * eta,
+        price <= q * eta,
+        price <= np.maximum(q / eta + c, 0.0),
+        price <= np.maximum(q_down / eta + c, 0.0),
+    ]
+    out = np.where(
+        bands[0], q_up,
+        np.where(bands[1], price / eta,
+                 np.where(bands[2], q, np.where(bands[3], (price - c) * eta, q_down))),
+    )
+    return out, np.select(bands, list(StepCase)[:4], StepCase.FULL_DISCHARGE)
+
+
+def test_slice_step_repeats_the_gather_step_byte_for_byte():
+    rng = np.random.default_rng(2028)
+    wide = 0
+    for _ in range(300):
+        n = int(np.exp(rng.uniform(np.log(2.0), np.log(10_000.0))))
+        grid = SoCGrid(0.0, float(rng.choice([1.0, 4.0, 7.3])), n)
+        eta = float(rng.choice([1.0, 0.9, rng.uniform(0.6, 1.0)]))
+        dt = float(rng.choice([1.0, 1.0 / 12.0, rng.uniform(0.01, 3.0)]))
+        # the charge shift in levels: none, a midpoint tie, anything up to past the grid
+        levels = rng.choice([0.2, rng.integers(1, 4) + 0.5, rng.uniform(0.0, 1.6 * n)])
+        power = max(float(levels), 0.05) * grid.step / (eta * dt)
+        params = StorageParams(power, grid.soc_max, eta, float(rng.choice([0.0, 10.0, 3.7])))
+        wide += power * dt / (eta * grid.step) > n
+        q = random_monotone_values(rng, n)
+        q[q == 0.0] = rng.choice([0.0, -0.0])
+        c = params.discharge_cost
+        ties = [q[rng.integers(n)] * eta, max(q[rng.integers(n)] / eta + c, 0.0)]
+        plan = _shift_plan(n, params, grid.step, dt)
+        for price in ties + [0.0, -0.0, rng.uniform(-60.0, 150.0)]:
+            want_values, want_labels = reference_step(q, float(price), params, grid.step, dt)
+            values, labels = _step_values(q, float(price), params, plan, cases=True)
+            assert values.tobytes() == want_values.tobytes()
+            assert labels.dtype == want_labels.dtype
+            assert labels.tobytes() == want_labels.tobytes()
+            assert _step_values(q, float(price), params, plan).tobytes() == values.tobytes()
+    assert wide > 10
