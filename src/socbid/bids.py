@@ -176,27 +176,6 @@ class BidSchedule:
     def entries(self) -> tuple:
         return tuple(self[t] for t in range(len(self)))
 
-    def thresholds(self):
-        """Yield each period's per-segment (discharge, charge) price thresholds as lists."""
-        for row in self.values:
-            discharge, charge = bid_thresholds(row, self.params)
-            yield discharge.tolist(), charge.tolist()
-
-    def value_deltas(self, soc: np.ndarray, per_bid: int) -> np.ndarray:
-        """Opportunity value booked in each interval of the SoC path ``soc``.
-
-        ``soc`` holds the initial SoC and the SoC after each interval; each
-        period covers ``per_bid`` intervals. All zero for power schedules.
-        """
-        out = np.zeros(soc.size - 1)
-        if self.kind == "power":
-            return out
-        for t, row in enumerate(self.values):
-            first = t * per_bid
-            path = soc[first : first + per_bid + 1]
-            out[first : first + per_bid] = np.diff(_integral_at(self.boundaries, row, path))
-        return out
-
 
 def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int = 20) -> np.ndarray:
     """Equal-width segment boundaries covering the storage's SoC range."""
@@ -208,20 +187,31 @@ def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int
     return np.linspace(params.soc_min, params.soc_max, num + 1)
 
 
-_BLOCK_FLOATS = 2**16  # cap on each temporary of a block of curves reduced at once (512 KB)
+_BLOCK_FLOATS = 2**16  # cap on the entries of each temporary of a block of curves or counts
 
 
-def _bid_table(
-    curves, params: StorageParams, grid: SoCGrid, kinds: tuple[str, ...],
-    segments_per_hour: int, horizon: int, period_hours: float,
-) -> tuple[BidSchedule, ...]:
-    """Reduce end-of-period curves, a (T+1, n) table or (t, curve after t) pairs, to one
-    schedule per bid kind in ``kinds``.
+def _periods(source: ValueSurface | PriceSeries) -> tuple[int, float]:
+    """Number of bid periods and their length in hours."""
+    if isinstance(source, ValueSurface):
+        return source.horizon, source.step_hours
+    return len(source), source.resolution_hours
 
-    Period t's dispatch trades against the value of energy left after it, so
-    the bid of 0-indexed period t comes from the curve after period t+1;
-    the pre-horizon curve (t = 0) sets no bid. Each block of curves is
-    integrated once, and every kind reads its segment means from that integral.
+
+def _bid_blocks(
+    source: ValueSurface | PriceSeries, params: StorageParams, grid: SoCGrid,
+    kinds: tuple[str, ...], segments_per_hour: int, terminal: ValueCurve | None = None,
+):
+    """Each kind's segment boundaries, and a generator of (first period, means) blocks.
+
+    ``source`` is a value surface, read a block of rows at a time, or a
+    forecast tape, valued by one backward pass that holds one curve at a
+    time. Period t's dispatch trades against the value of energy left after
+    it, so the bid of 0-indexed period t comes from the curve after period
+    t+1; the pre-horizon curve (t = 0) sets no bid. Each block of curves is
+    integrated once, and ``means[i]`` holds kind i's segment means for the
+    block's periods. A running minimum makes every row exactly
+    non-increasing: cumulative differences leave +-1-ulp bumps on flat runs
+    of a curve, and a bump must not decide which segments a price beats.
     """
     validate_params(params)
     bounds = [
@@ -232,15 +222,34 @@ def _bid_table(
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     edges = _cell_edges(grid)
     rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, *(b.size for b in bounds)) + 1))
-    if isinstance(curves, np.ndarray):
-        blocks = ((t, curves[t + 1 : t + 1 + rows]) for t in range(0, horizon, rows))
+    horizon, _ = _periods(source)
+    if isinstance(source, ValueSurface):
+        blocks = ((t, source.values[t + 1 : t + 1 + rows]) for t in range(0, horizon, rows))
     else:
+        curves = _backward_curves(source, params, grid, terminal)
         blocks = _stream_blocks(curves, rows, grid.num_points, horizon)
+
+    def reduced():
+        for first, block in blocks:
+            cum = _cumulative(edges, block)
+            yield first, [
+                np.minimum.accumulate(_segment_means(edges, cum, b), axis=1) for b in bounds
+            ]
+
+    return bounds, reduced()
+
+
+def _bid_table(
+    source: ValueSurface | PriceSeries, params: StorageParams, grid: SoCGrid,
+    kinds: tuple[str, ...], segments_per_hour: int, terminal: ValueCurve | None = None,
+) -> tuple[BidSchedule, ...]:
+    """One schedule per bid kind in ``kinds``, filled from :func:`_bid_blocks`."""
+    horizon, period_hours = _periods(source)
+    bounds, blocks = _bid_blocks(source, params, grid, kinds, segments_per_hour, terminal)
     tables = [np.empty((horizon, b.size - 1)) for b in bounds]
-    for first, block in blocks:
-        cum = _cumulative(edges, block)
-        for table, boundaries in zip(tables, bounds):
-            table[first : first + len(block)] = _segment_means(edges, cum, boundaries)
+    for first, means in blocks:
+        for table, block in zip(tables, means):
+            table[first : first + len(block)] = block
     return tuple(
         BidSchedule(period_hours, params, boundaries, table, kind)
         for kind, boundaries, table in zip(kinds, bounds, tables)
@@ -265,10 +274,7 @@ def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule
 
     Period t's bid comes from curve t+1 of the surface.
     """
-    (schedule,) = _bid_table(
-        surface.values, params, surface.grid, ("power",), 1,
-        surface.horizon, surface.step_hours,
-    )
+    (schedule,) = _bid_table(surface, params, surface.grid, ("power",), 1)
     return schedule
 
 
@@ -280,12 +286,10 @@ def make_soc_bids(
     """One SoC bid curve per period: segment-wise averages of the end-of-period curve.
 
     Twenty segments per hour of storage duration by default, mirroring the
-    usual cap on generator bid segments. Values inherit monotonicity from the
-    underlying curves.
+    usual cap on generator bid segments. Every row is exactly non-increasing.
     """
     (schedule,) = _bid_table(
-        surface.values, params, surface.grid, ("soc",), segments_per_hour_of_duration,
-        surface.horizon, surface.step_hours,
+        surface, params, surface.grid, ("soc",), segments_per_hour_of_duration
     )
     return schedule
 
@@ -310,7 +314,6 @@ def bid_schedule_from_prices(
     if not kinds or any(kind not in ("power", "soc") for kind in kinds):
         raise DataValidationError(f"unknown bid model {bid_model!r}")
     schedules = _bid_table(
-        _backward_curves(prediction, params, grid, terminal), params, grid, kinds,
-        segments_per_hour_of_duration, len(prediction), prediction.resolution_hours,
+        prediction, params, grid, kinds, segments_per_hour_of_duration, terminal
     )
     return schedules[0] if isinstance(bid_model, str) else schedules

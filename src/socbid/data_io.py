@@ -260,8 +260,9 @@ def write_bid_schedule(schedule: BidSchedule, path: str | Path) -> None:
         writer = csv.writer(fh)
         if schedule.kind == "power":
             writer.writerow(["period", "type", "discharge_bid", "charge_bid"])
-            for t, (discharge, charge) in enumerate(schedule.thresholds()):
-                writer.writerow([t, "power", repr(discharge[0]), repr(charge[0])])
+            discharge, charge = bid_thresholds(schedule.values[:, 0], schedule.params)
+            for t, pair in enumerate(zip(discharge.tolist(), charge.tolist())):
+                writer.writerow([t, "power", *map(repr, pair)])
         else:
             writer.writerow(["period", "segment_index", "soc_lo_mwh", "soc_hi_mwh", "value_usd_per_mwh"])
             bounds = [repr(b) for b in schedule.boundaries.tolist()]

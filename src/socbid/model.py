@@ -221,7 +221,8 @@ class DispatchDecision:
 
     ``realized_profit`` is cash at the settlement price minus the true
     discharge cost; ``opportunity_value_delta`` is the value-function change
-    booked by SoC-bid dispatch (zero under power bids).
+    booked by single-step SoC-bid dispatch (zero under power bids, and in the
+    records of a settled tape).
     """
 
     discharge_power: float

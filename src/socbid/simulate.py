@@ -11,17 +11,19 @@ themselves).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bids import (
+    _BLOCK_FLOATS,
     BidSchedule,
     PowerBid,
     SoCBidCurve,
-    bid_schedule_from_prices,
+    _bid_blocks,
+    bid_schedule_from_prices,  # noqa: F401 - unused here; bench/spans.py wraps it by this name
+    bid_thresholds,
     booked_value,
     threshold_table,
 )
@@ -77,11 +79,7 @@ class CaseConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Per-interval arrays (MW, MWh after the interval, $) and aggregates for one case.
-
-    ``value_delta`` is the value-function change booked by SoC-bid dispatch
-    (zero under power bids).
-    """
+    """Per-interval arrays (MW, MWh after the interval, $) and aggregates for one case."""
 
     case_id: str
     initial_soc: float
@@ -90,15 +88,19 @@ class SimulationResult:
     charge: np.ndarray
     soc: np.ndarray
     profit: np.ndarray
-    value_delta: np.ndarray
     total_profit: float
     discharged_energy: float
     cycles: float
 
     @property
     def decisions(self) -> tuple[DispatchDecision, ...]:
-        """The intervals as DispatchDecision records."""
-        columns = (self.discharge, self.charge, self.soc, self.profit, self.value_delta)
+        """The intervals as DispatchDecision records.
+
+        They book no opportunity value delta (0.0): settlement keeps only the
+        crossing counts of each interval, not its bid. :func:`step_soc_bid`
+        books it for a single interval.
+        """
+        columns = (self.discharge, self.charge, self.soc, self.profit)
         return tuple(DispatchDecision(*row) for row in zip(*(c.tolist() for c in columns)))
 
     def soc_trajectory(self) -> np.ndarray:
@@ -122,61 +124,74 @@ def _check_soc(e_prev: float, params: StorageParams) -> None:
         )
 
 
+def _crossings(
+    values: np.ndarray, prices: np.ndarray, params: StorageParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Crossing counts of each settlement price against its period's bid row.
+
+    ``values`` holds one row of J stored-energy values per period and
+    ``prices`` one row of settlement prices per period. Returns
+    ``kd = count(price <= discharge thresholds)`` and
+    ``kc = count(price < charge thresholds)``, shaped like ``prices``,
+    counted a block of periods at a time so no temporary exceeds
+    ``_BLOCK_FLOATS`` entries.
+    """
+    periods, per_bid = prices.shape
+    rows = max(1, _BLOCK_FLOATS // (per_bid * values.shape[1]))
+    kd = np.empty(prices.shape, dtype=np.intp)
+    kc = np.empty(prices.shape, dtype=np.intp)
+    for first in range(0, periods, rows):
+        block = slice(first, first + rows)
+        discharge, charge = bid_thresholds(values[block, None, :], params)
+        price = prices[block, :, None]
+        kd[block] = np.count_nonzero(price <= discharge, axis=2)
+        kc[block] = np.count_nonzero(price < charge, axis=2)
+    return kd, kc
+
+
 def _settle(
-    prices: list, boundaries: list, thresholds, per_bid: int, params: StorageParams, dt: float,
+    prices: list, boundaries: list, kd: list, kc: list, params: StorageParams, dt: float,
     e: float,
 ) -> tuple[list, list, list, list]:
     """Dispatch each interval in turn; returns discharge, charge, SoC-after and profit lists.
 
-    ``thresholds`` yields each period's (discharge, charge) price thresholds
-    for the segments between ``boundaries``; a period covers ``per_bid``
-    intervals. When a non-negative price beats the discharge threshold of
-    the segment just below the SoC (segment 0 at the bottom), the unit
-    discharges down through the segments whose threshold the price beats;
-    otherwise it charges up through those whose charge threshold is above
-    the price. The power rating and the SoC bounds cap the move.
+    ``kd`` and ``kc`` are each interval's crossing counts against its bid
+    (see :func:`_crossings`). With non-increasing rows, a price beats the
+    discharge thresholds of the segments from ``kd`` up and the charge
+    thresholds of the segments below ``kc``. So a non-negative price
+    discharges the unit down to ``boundaries[kd]`` when the SoC is above it;
+    otherwise the unit charges up to ``boundaries[kc]`` when the SoC is below
+    it. A non-negative price that beats every discharge threshold
+    (``kd == 0``) never charges, even at ``soc_min``. The power rating and
+    the SoC bounds cap the move.
     """
     _check_soc(e, params)
     eta = params.efficiency_one_way
     c = params.discharge_cost
     big_p = params.power_rating
     lo, hi = params.soc_min, params.soc_max
-    top = len(boundaries) - 1
+    # kd == J beats no segment and kc == 0 none, wherever the SoC sits
+    floors = boundaries[:-1] + [math.inf]
+    ceilings = [-math.inf] + boundaries[1:]
     n = len(prices)
     discharge = [0.0] * n
     charge = [0.0] * n
     soc = [0.0] * n
     profit = [0.0] * n
-    k = 0
-    for dis, chg in thresholds:
-        for price in prices[k : k + per_bid]:
-            p = b = 0.0
-            j = min(bisect_left(boundaries, e), top) - 1
-            if price >= 0.0 and price > dis[max(j, 0)]:
-                stop = e
-                # Past the power-limited reach, deeper segments change nothing.
-                while j >= 0 and price > dis[j] and (e - stop) * eta / dt < big_p:
-                    stop = boundaries[j]
-                    j -= 1
-                if stop < e:
-                    p = min(big_p, (e - stop) * eta / dt)
-            else:
-                j = max(bisect_right(boundaries, e) - 1, 0)
-                stop = e
-                while j < top and price < chg[j] and (stop - e) / (eta * dt) < big_p:
-                    j += 1
-                    stop = boundaries[j]
-                if stop > e:
-                    b = min(big_p, (stop - e) / (eta * dt))
-            after = e - p * dt / eta + b * eta * dt
-            if not lo <= after <= hi:
-                after = _clamp_soc(after, params)
-            discharge[k] = p
-            charge[k] = b
-            soc[k] = after
-            profit[k] = price * (p - b) * dt - c * p * dt
-            e = after
-            k += 1
+    for k, (price, down, up) in enumerate(zip(prices, kd, kc)):
+        p = b = 0.0
+        if price >= 0.0 and e > floors[down]:
+            p = min(big_p, (e - floors[down]) * eta / dt)
+        elif (down or price < 0.0) and e < ceilings[up]:
+            b = min(big_p, (ceilings[up] - e) / (eta * dt))
+        after = e - p * dt / eta + b * eta * dt
+        if not lo <= after <= hi:
+            after = _clamp_soc(after, params)
+        discharge[k] = p
+        charge[k] = b
+        soc[k] = after
+        profit[k] = price * (p - b) * dt - c * p * dt
+        e = after
     return discharge, charge, soc, profit
 
 
@@ -215,9 +230,55 @@ def step_soc_bid(
     settles as one segment carrying its own price pair.
     """
     boundaries, dis, chg = threshold_table(curve, params)
-    settled = _settle([price], boundaries, [(dis, chg)], 1, params, dt_hours, e_prev)
+    kd = sum(price <= d for d in dis)
+    kc = sum(price < c for c in chg)
+    settled = _settle([price], boundaries, [kd], [kc], params, dt_hours, e_prev)
     p, b, soc_after, profit = (column[0] for column in settled)
     return DispatchDecision(p, b, soc_after, profit, booked_value(curve, e_prev, soc_after))
+
+
+def _intervals_per_bid(period_hours: float, periods: int, prices: PriceSeries) -> int:
+    """Settlement intervals each of ``periods`` bid periods covers on ``prices``."""
+    dt = prices.resolution_hours
+    ratio = period_hours / dt
+    per_bid = round(ratio)
+    if abs(ratio - per_bid) > 1e-9 or per_bid < 1:
+        raise DataValidationError(
+            f"bid period {period_hours} h is not a whole number of "
+            f"{dt} h settlement intervals"
+        )
+    if len(prices) != periods * per_bid:
+        raise DataValidationError(
+            f"{len(prices)} settlement intervals do not match "
+            f"{periods} bids x {per_bid} intervals each"
+        )
+    return per_bid
+
+
+def _settled(
+    case_id: str, prices: PriceSeries, boundaries: np.ndarray, kd: np.ndarray, kc: np.ndarray,
+    params: StorageParams, initial_soc: float,
+) -> SimulationResult:
+    """Settle ``prices`` from their crossing counts and collect the result."""
+    dt = prices.resolution_hours
+    settled = _settle(
+        prices.values.tolist(), boundaries.tolist(), kd.ravel().tolist(), kc.ravel().tolist(),
+        params, dt, initial_soc,
+    )
+    discharge, charge, soc, profit = (np.array(column) for column in settled)
+    discharged = math.fsum(p * dt for p in settled[0])
+    return SimulationResult(
+        case_id=case_id,
+        initial_soc=initial_soc,
+        step_hours=dt,
+        discharge=discharge,
+        charge=charge,
+        soc=soc,
+        profit=profit,
+        total_profit=math.fsum(settled[3]),
+        discharged_energy=discharged,
+        cycles=discharged / params.energy_capacity,
+    )
 
 
 def run_schedule(
@@ -233,41 +294,14 @@ def run_schedule(
     hourly schedule against 5-minute prices applies each bid to its twelve
     subintervals, with power limits per interval.
     """
-    dt = prices.resolution_hours
-    ratio = schedule.period_hours / dt
-    per_bid = round(ratio)
-    if abs(ratio - per_bid) > 1e-9 or per_bid < 1:
-        raise DataValidationError(
-            f"bid period {schedule.period_hours} h is not a whole number of "
-            f"{dt} h settlement intervals"
-        )
-    if len(prices) != len(schedule) * per_bid:
-        raise DataValidationError(
-            f"{len(prices)} settlement intervals do not match "
-            f"{len(schedule)} bids x {per_bid} intervals each"
-        )
-    boundaries = schedule.boundaries.tolist()
-    check_soc_range(boundaries[0], boundaries[-1], params, "bid curve")
-    settled = _settle(
-        prices.values.tolist(), boundaries, schedule.thresholds(), per_bid, params, dt,
-        initial_soc,
+    per_bid = _intervals_per_bid(schedule.period_hours, len(schedule), prices)
+    check_soc_range(
+        float(schedule.boundaries[0]), float(schedule.boundaries[-1]), params, "bid curve"
     )
-    discharge, charge, soc, profit = (np.array(column) for column in settled)
-    value_delta = schedule.value_deltas(np.concatenate(([initial_soc], soc)), per_bid)
-    discharged = math.fsum(p * dt for p in settled[0])
-    return SimulationResult(
-        case_id=case_id,
-        initial_soc=initial_soc,
-        step_hours=dt,
-        discharge=discharge,
-        charge=charge,
-        soc=soc,
-        profit=profit,
-        value_delta=value_delta,
-        total_profit=math.fsum(settled[3]),
-        discharged_energy=discharged,
-        cycles=discharged / params.energy_capacity,
+    kd, kc = _crossings(
+        schedule.values, prices.values.reshape(len(schedule), per_bid), schedule.params
     )
+    return _settled(case_id, prices, schedule.boundaries, kd, kc, params, initial_soc)
 
 
 def run_cases(
@@ -305,23 +339,31 @@ def run_cases(
 
     results: list[SimulationResult] = [None] * len(configs)
     for source in dict.fromkeys(config.valuation_source for config in configs):
-        group = [i for i, config in enumerate(configs) if config.valuation_source == source]
-        models = tuple(dict.fromkeys(configs[i].bid_model for i in group))
-        schedules = dict(zip(models, bid_schedule_from_prices(
-            series[source],
-            params,
-            grids[source],
-            models,
-            segments_per_hour_of_duration=segments_per_hour_of_duration,
-            terminal=terminal,
-        )))
-        for i in group:
-            config = configs[i]
-            results[i] = run_schedule(
-                series[config.settlement_source], schedules[config.bid_model], params,
-                config.initial_soc, case_id=config.case_id,
-            )
-        del schedules  # free this tape's schedules before the next tape is valued
+        group = [config for config in configs if config.valuation_source == source]
+        forecast = series[source]
+        models = tuple(dict.fromkeys(config.bid_model for config in group))
+        # One pair of crossing-count arrays per (bid model, settlement tape) the group
+        # settles, filled a block of bid periods at a time; no bid table is kept.
+        counts = {}
+        for model, market in dict.fromkeys((c.bid_model, c.settlement_source) for c in group):
+            per_bid = _intervals_per_bid(forecast.resolution_hours, len(forecast), series[market])
+            prices = series[market].values.reshape(len(forecast), per_bid)
+            counts[model, market] = (prices, *np.empty((2, *prices.shape), np.intp))
+        bounds, blocks = _bid_blocks(
+            forecast, params, grids[source], models, segments_per_hour_of_duration, terminal
+        )
+        for first, means in blocks:
+            for (model, _), (prices, kd, kc) in counts.items():
+                block = means[models.index(model)]
+                rows = slice(first, first + len(block))
+                kd[rows], kc[rows] = _crossings(block, prices[rows], params)
+        for i, config in enumerate(configs):
+            if config.valuation_source == source:
+                _, kd, kc = counts[config.bid_model, config.settlement_source]
+                results[i] = _settled(
+                    config.case_id, series[config.settlement_source],
+                    bounds[models.index(config.bid_model)], kd, kc, params, config.initial_soc,
+                )
     return results
 
 

@@ -21,6 +21,7 @@ from socbid import (
     update_step,
 )
 from socbid.bids import _BLOCK_FLOATS, power_bid_from_average, soc_bid_boundaries
+from socbid.cli import _synthetic_tapes
 
 from conftest import START, hourly_series, random_monotone_values
 
@@ -185,11 +186,11 @@ def test_bid_tables_are_pinned_across_block_edges():
     cases = (
         (StorageParams(1.0, 4.0, 0.9, 10.0),
          np.random.default_rng(45).uniform(-10.0, 70.0, size=50),
-         "89cceb4b6c24751017fcdd71f06696470fb76dee6c02aef6140665ac5036957a",
+         "eb0add8487424b96f8a7279cfc8d4db599b334bf73a5de5d694239bc425700cb",
          "1736afd680e700b0e6fb96a037723bdd379fc10e1b4845f5f28106d720bb262b"),
         (StorageParams(1.0, 4.0, 0.9, 0.0),
          np.random.default_rng(46).choice([-10.0, -0.0, 30.0, 70.0], size=50),
-         "7874a73479dea8a2de4c927c4a9b2f1cffeb98b18269daa7e23a6b03a891a248",
+         "d0e655f651fc4cdd828a865904d7f1ac65b07fa7b47fa8027e1b943d181ef68b",
          "8cf2cf1588038f82ea3ccd5a357127fc4029ff6a5ac24c47d400feafa47d5b74"),
     )
     for params, values, soc, power in cases:
@@ -204,3 +205,17 @@ def test_bid_tables_are_pinned_across_block_edges():
             (shared_power, power),
         ):
             assert hashlib.sha256(schedule.values.tobytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("duration", [1, 12, 72])
+def test_clean_tape_bid_rows_are_exactly_non_increasing(duration):
+    # Flat runs of the curves on a noise-free tape came back from the
+    # cumulative differences with +-1-ulp rises; no row may keep one.
+    da, _ = _synthetic_tapes("AA", 7, 15, 45, 24, 5, 1)
+    params = StorageParams(1.0, float(duration), 0.9, 10.0)
+    grid = SoCGrid.for_storage(params, 1.0, max(1001, SoCGrid.min_points(params, 1.0)))
+    for schedule in (
+        bid_schedule_from_prices(da, params, grid, "soc"),
+        make_soc_bids(backward_induct(da, params, grid), params),
+    ):
+        assert np.all(np.diff(schedule.values, axis=1) <= 0)

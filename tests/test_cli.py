@@ -1,9 +1,11 @@
+import csv
 import hashlib
 import json
 
 import numpy as np
+import pytest
 
-from socbid import simulate
+from socbid import bids
 from socbid.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 SCENARIO = """\
@@ -312,13 +314,13 @@ def test_sweep_values_each_forecast_tape_once(tmp_path, monkeypatch):
     # Six cases per (zone, duration) value two tapes: day-ahead for the four
     # DF cases and real-time for the two PF cases.
     calls = []
-    fused = simulate.bid_schedule_from_prices
+    passes = bids._backward_curves
 
     def counted(prediction, *args, **kwargs):
         calls.append(prediction.resolution_hours)
-        return fused(prediction, *args, **kwargs)
+        return passes(prediction, *args, **kwargs)
 
-    monkeypatch.setattr(simulate, "bid_schedule_from_prices", counted)
+    monkeypatch.setattr(bids, "_backward_curves", counted)
     write_csv_tapes(tmp_path / "da.csv", tmp_path / "rt.csv")
     code = run(
         [
@@ -333,3 +335,25 @@ def test_sweep_values_each_forecast_tape_once(tmp_path, monkeypatch):
     )
     assert code == EXIT_OK
     assert sorted(calls) == [1 / 12, 1 / 12, 1.0, 1.0]
+
+
+def test_clean_week_soc_bids_reach_the_monotone_utilization(tmp_path):
+    # The noise-free day-ahead tape puts flat runs into the value curves. With
+    # every bid row exactly non-increasing, 12 h SoC bids on it earn what power
+    # bids earn; while +-1-ulp bumps in the rows stopped the segment walk,
+    # DA-SB-DF reached 0.926288.
+    code = run(
+        [
+            "sweep",
+            "--zones", "AA",
+            "--durations", "12",
+            "--synthetic-days", "7",
+            "--seed", "1",
+            "--output-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+    with (tmp_path / "summary.csv").open() as fh:
+        rows = {row["case_id"]: row for row in csv.DictReader(fh)}
+    assert float(rows["DA-SB-DF"]["utilization"]) == pytest.approx(0.930656, abs=1e-6)
+    assert rows["DA-SB-DF"]["total_profit_usd"] == rows["DA-PB-DF"]["total_profit_usd"]

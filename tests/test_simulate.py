@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -21,9 +22,17 @@ from socbid import (
     step_soc_bid,
     utilization,
 )
-from socbid.bids import power_bid_from_average
+from socbid.bids import bid_thresholds, power_bid_from_average
+from socbid.cli import _synthetic_tapes
 from socbid.data_io import expand_hourly_to_5min, synthetic_tape
-from socbid.simulate import _clamp_soc, windowed_profit
+from socbid.simulate import (
+    _check_soc,
+    _clamp_soc,
+    _crossings,
+    _settle,
+    run_cases,
+    windowed_profit,
+)
 
 from conftest import START, five_min_series, hourly_series
 
@@ -311,18 +320,155 @@ def test_power_schedule_settles_like_its_one_segment_soc_schedule(micro_params):
     assert a.discharge.any() and a.charge.any()
     for name in ("discharge", "charge", "soc", "profit"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert not a.value_delta.any() and b.value_delta.any()
 
 
-def test_run_schedule_books_the_value_deltas_of_single_steps(micro_params):
+def test_run_schedule_settles_like_single_steps(micro_params):
     prices = week_tape(32)
     da = hourly_series(prices.values.reshape(-1, 12).mean(axis=1))
     grid = SoCGrid.for_storage(micro_params, 1.0, 301)
     schedule = make_soc_bids(backward_induct(da, micro_params, grid), micro_params)
     result = run_schedule(prices, schedule, micro_params, 0.3)
     soc = result.soc_trajectory()
-    assert result.value_delta.any()
+    assert result.discharge.any() and result.charge.any()
     for k, price in enumerate(prices.values.tolist()):
         d = step_soc_bid(soc[k], price, schedule[k // 12], micro_params, 1 / 12)
+        assert d.discharge_power == result.discharge[k]
+        assert d.charge_power == result.charge[k]
         assert d.soc_after == result.soc[k]
-        assert d.opportunity_value_delta == result.value_delta[k]
+        assert d.realized_profit == result.profit[k]
+
+
+def reference_settle(
+    prices: list, boundaries: list, thresholds, per_bid: int, params: StorageParams, dt: float,
+    e: float,
+) -> tuple[list, list, list, list]:
+    """Dispatch each interval in turn; returns discharge, charge, SoC-after and profit lists.
+
+    ``thresholds`` yields each period's (discharge, charge) price thresholds
+    for the segments between ``boundaries``; a period covers ``per_bid``
+    intervals. When a non-negative price beats the discharge threshold of
+    the segment just below the SoC (segment 0 at the bottom), the unit
+    discharges down through the segments whose threshold the price beats;
+    otherwise it charges up through those whose charge threshold is above
+    the price. The power rating and the SoC bounds cap the move.
+    """
+    _check_soc(e, params)
+    eta = params.efficiency_one_way
+    c = params.discharge_cost
+    big_p = params.power_rating
+    lo, hi = params.soc_min, params.soc_max
+    top = len(boundaries) - 1
+    n = len(prices)
+    discharge = [0.0] * n
+    charge = [0.0] * n
+    soc = [0.0] * n
+    profit = [0.0] * n
+    k = 0
+    for dis, chg in thresholds:
+        for price in prices[k : k + per_bid]:
+            p = b = 0.0
+            j = min(bisect_left(boundaries, e), top) - 1
+            if price >= 0.0 and price > dis[max(j, 0)]:
+                stop = e
+                # Past the power-limited reach, deeper segments change nothing.
+                while j >= 0 and price > dis[j] and (e - stop) * eta / dt < big_p:
+                    stop = boundaries[j]
+                    j -= 1
+                if stop < e:
+                    p = min(big_p, (e - stop) * eta / dt)
+            else:
+                j = max(bisect_right(boundaries, e) - 1, 0)
+                stop = e
+                while j < top and price < chg[j] and (stop - e) / (eta * dt) < big_p:
+                    j += 1
+                    stop = boundaries[j]
+                if stop > e:
+                    b = min(big_p, (stop - e) / (eta * dt))
+            after = e - p * dt / eta + b * eta * dt
+            if not lo <= after <= hi:
+                after = _clamp_soc(after, params)
+            discharge[k] = p
+            charge[k] = b
+            soc[k] = after
+            profit[k] = price * (p - b) * dt - c * p * dt
+            e = after
+            k += 1
+    return discharge, charge, soc, profit
+
+
+def random_settlement(rng):
+    """A random schedule of non-increasing rows with flat runs and negative values (so
+    crossed thresholds), or of arbitrary one-segment pairs (values None); its thresholds;
+    prices that hit thresholds, 0.0 and -0.0; and an SoC on a boundary, a bound or between."""
+    pick = lambda options: float(rng.choice(options))  # noqa: E731
+    params = StorageParams(
+        pick([0.25, 0.5, 2.0]), 1.0, pick([0.8, 0.9, 1.0]), pick([0.0, 10.0]),
+        soc_min=pick([0.0, 0.2]),
+    )
+    per_bid = int(rng.choice([1, 12]))
+    periods = int(rng.integers(1, 4))
+    segments = int(rng.choice([1, 2, 3, 7, 20]))
+    boundaries = np.linspace(params.soc_min, params.soc_max, segments + 1)
+    if segments > 2 and rng.random() < 0.5:
+        boundaries[1:-1] = np.sort(rng.uniform(params.soc_min, params.soc_max, segments - 1))
+    levels = rng.uniform(-30.0, 60.0, size=4)  # few levels, so rows have flat runs
+    levels[0] = 0.0 if rng.random() < 0.3 else levels[0]
+    values = -np.sort(-rng.choice(levels, size=(periods, segments)), axis=1)
+    if segments == 1 and rng.random() < 0.5:  # an arbitrary power pair, crossed or not
+        values = None
+        pairs = rng.uniform(0.0, 40.0, size=(periods, 2))
+        thresholds = [([d], [ch]) for d, ch in pairs.tolist()]
+    else:
+        thresholds = [(d.tolist(), ch.tolist()) for d, ch in zip(*bid_thresholds(values, params))]
+    crossings = [x for dis, chg in thresholds for x in dis + chg]
+    prices = rng.uniform(-20.0, 80.0, size=periods * per_bid)
+    hits = rng.random(prices.size)
+    prices = np.where(hits < 0.4, rng.choice(crossings, size=prices.size), prices)
+    prices = np.where(hits > 0.9, rng.choice([0.0, -0.0], size=prices.size), prices)
+    e = rng.choice([*boundaries.tolist(), params.soc_min, params.soc_max, rng.uniform(0.0, 1.0)])
+    e = min(max(e, params.soc_min), params.soc_max)
+    return params, per_bid, boundaries.tolist(), values, thresholds, prices.tolist(), float(e)
+
+
+def test_settle_from_crossing_counts_repeats_the_segment_walk_byte_for_byte():
+    rng = np.random.default_rng(61)
+    for _ in range(3000):
+        params, per_bid, boundaries, values, thresholds, prices, e = random_settlement(rng)
+        dt = float(rng.choice([1.0, 1 / 12]))
+        rows = [row for row in thresholds for _ in range(per_bid)]
+        kd = [sum(price <= d for d in dis) for price, (dis, _) in zip(prices, rows)]
+        kc = [sum(price < c for c in chg) for price, (_, chg) in zip(prices, rows)]
+        if values is not None:
+            counted = _crossings(values, np.reshape(prices, (-1, per_bid)), params)
+            assert [a.ravel().tolist() for a in counted] == [kd, kc]
+        expected = reference_settle(prices, boundaries, thresholds, per_bid, params, dt, e)
+        settled = _settle(prices, boundaries, kd, kc, params, dt, e)
+        for got, want in zip(settled, expected):
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("duration", [1, 12, 72])
+def test_run_cases_settle_from_counts_as_run_schedule_does_from_tables(duration):
+    da, rt = _synthetic_tapes("AA", 3, 15, 45, 24, 5, 1)
+    params = StorageParams(1.0, float(duration), 0.9, 10.0)
+    series = {"day_ahead": da, "real_time": rt}
+    grids = {
+        source: SoCGrid.for_storage(
+            params, tape.resolution_hours,
+            max(301, SoCGrid.min_points(params, tape.resolution_hours)),
+        )
+        for source, tape in series.items()
+    }
+    configs = [CaseConfig(case_id, initial_soc=0.5 * duration) for case_id in CASE_IDS]
+    for config, result in zip(configs, run_cases(configs, da, rt, params, grids)):
+        schedule = bid_schedule_from_prices(
+            series[config.valuation_source], params, grids[config.valuation_source],
+            config.bid_model,
+        )
+        table = run_schedule(
+            series[config.settlement_source], schedule, params, config.initial_soc
+        )
+        for name in ("discharge", "charge", "soc", "profit"):
+            assert getattr(result, name).tobytes() == getattr(table, name).tobytes()
+        assert result.total_profit == table.total_profit
+        assert result.discharged_energy == table.discharged_energy
