@@ -23,7 +23,6 @@ from .model import (
     validate_params,
 )
 from .valuation import (
-    ValueCurve,
     ValueSurface,
     _backward_curves,
     _cell_edges,
@@ -76,10 +75,6 @@ class SoCBidCurve:
         vals.flags.writeable = False
         object.__setattr__(self, "boundaries", bounds)
         object.__setattr__(self, "segment_values", vals)
-
-    @property
-    def num_segments(self) -> int:
-        return int(self.segment_values.size)
 
 
 def bid_thresholds(values, params: StorageParams):
@@ -172,10 +167,6 @@ class BidSchedule:
             return power_bid_from_average(float(self.values[t, 0]), self.params)
         return SoCBidCurve(self.boundaries, self.values[t])
 
-    @property
-    def entries(self) -> tuple:
-        return tuple(self[t] for t in range(len(self)))
-
 
 def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int = 20) -> np.ndarray:
     """Equal-width segment boundaries covering the storage's SoC range."""
@@ -199,7 +190,7 @@ def _periods(source: ValueSurface | PriceSeries) -> tuple[int, float]:
 
 def _bid_blocks(
     source: ValueSurface | PriceSeries, params: StorageParams, grid: SoCGrid,
-    kinds: tuple[str, ...], segments_per_hour: int, terminal: ValueCurve | None = None,
+    kinds: tuple[str, ...], segments_per_hour: int,
 ):
     """Each kind's segment boundaries, and a generator of (first period, means) blocks.
 
@@ -226,7 +217,7 @@ def _bid_blocks(
     if isinstance(source, ValueSurface):
         blocks = ((t, source.values[t + 1 : t + 1 + rows]) for t in range(0, horizon, rows))
     else:
-        curves = _backward_curves(source, params, grid, terminal)
+        curves = _backward_curves(source, params, grid)
         blocks = _stream_blocks(curves, rows, grid.num_points, horizon)
 
     def reduced():
@@ -241,11 +232,11 @@ def _bid_blocks(
 
 def _bid_table(
     source: ValueSurface | PriceSeries, params: StorageParams, grid: SoCGrid,
-    kinds: tuple[str, ...], segments_per_hour: int, terminal: ValueCurve | None = None,
+    kinds: tuple[str, ...], segments_per_hour: int,
 ) -> tuple[BidSchedule, ...]:
     """One schedule per bid kind in ``kinds``, filled from :func:`_bid_blocks`."""
     horizon, period_hours = _periods(source)
-    bounds, blocks = _bid_blocks(source, params, grid, kinds, segments_per_hour, terminal)
+    bounds, blocks = _bid_blocks(source, params, grid, kinds, segments_per_hour)
     tables = [np.empty((horizon, b.size - 1)) for b in bounds]
     for first, means in blocks:
         for table, block in zip(tables, means):
@@ -298,22 +289,17 @@ def bid_schedule_from_prices(
     prediction: PriceSeries,
     params: StorageParams,
     grid: SoCGrid,
-    bid_model: str | tuple[str, ...],
+    bid_model: str,
     segments_per_hour_of_duration: int = 20,
-    terminal: ValueCurve | None = None,
-) -> BidSchedule | tuple[BidSchedule, ...]:
+) -> BidSchedule:
     """Valuation and bid reduction fused into one backward pass.
 
     Produces the same schedule as running the full backward induction and
     then ``make_power_bids`` or ``make_soc_bids``, but keeps only one curve
     and one block of curves in memory, which is what makes year-long 5-minute
-    valuations practical for long-duration storage. Given a tuple of bid
-    models, returns one schedule per model, in that order, from the one pass.
+    valuations practical for long-duration storage.
     """
-    kinds = (bid_model,) if isinstance(bid_model, str) else tuple(bid_model)
-    if not kinds or any(kind not in ("power", "soc") for kind in kinds):
+    if bid_model not in ("power", "soc"):
         raise DataValidationError(f"unknown bid model {bid_model!r}")
-    schedules = _bid_table(
-        prediction, params, grid, kinds, segments_per_hour_of_duration, terminal
-    )
-    return schedules[0] if isinstance(bid_model, str) else schedules
+    (schedule,) = _bid_table(prediction, params, grid, (bid_model,), segments_per_hour_of_duration)
+    return schedule

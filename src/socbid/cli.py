@@ -161,17 +161,15 @@ def _zone_series(
 ) -> tuple[PriceSeries | None, PriceSeries | None]:
     """Load or synthesize the day-ahead and real-time tapes for one zone."""
     fill = "previous" if manifest.fill_gaps else "error"
-    da = rt = None
-    if manifest.da_prices:
-        da = data_io.load_prices(manifest.da_prices, zone, timedelta(hours=1), fill=fill)
-        if da.gaps_filled:
-            print(f"warning: forward-filled {da.gaps_filled} day-ahead interval(s) "
+    tapes = []
+    for path, label, step in ((manifest.da_prices, "day-ahead", timedelta(hours=1)),
+                              (manifest.rt_prices, "real-time", timedelta(minutes=5))):
+        tape = data_io.load_prices(path, zone, step, fill=fill) if path else None
+        if tape is not None and tape.gaps_filled:
+            print(f"warning: forward-filled {tape.gaps_filled} {label} interval(s) "
                   f"for zone {zone}", file=sys.stderr)
-    if manifest.rt_prices:
-        rt = data_io.load_prices(manifest.rt_prices, zone, timedelta(minutes=5), fill=fill)
-        if rt.gaps_filled:
-            print(f"warning: forward-filled {rt.gaps_filled} real-time interval(s) "
-                  f"for zone {zone}", file=sys.stderr)
+        tapes.append(tape)
+    da, rt = tapes
     if da is None and rt is None and manifest.synthetic_days:
         da, rt = _synthetic_tapes(
             zone, manifest.synthetic_days, manifest.synthetic_low, manifest.synthetic_high,
@@ -336,9 +334,9 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
     """
     gens: dict[str, list[tuple[float, float]]] = {}
     demand = None
-    storage_rows: dict[str, list[float]] = {}
+    storage_rows: dict[str, tuple[StorageParams, float]] = {}
     power_bids: dict[str, PowerBid] = {}
-    soc_rows: dict[str, list[tuple[float, float, float]]] = {}
+    soc_rows: dict[str, list[tuple[float, float, float, int]]] = {}
     with open(path, newline="") as fh:
         for row_num, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().startswith("#"):
@@ -350,12 +348,13 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
                 elif kind == "demand":
                     demand = float(row[2])
                 elif kind == "storage":
-                    storage_rows[row[1]] = [float(x) for x in row[2:7]]
+                    p, e, eta, cost, soc = map(float, row[2:7])
+                    storage_rows[row[1]] = (StorageParams(p, e, eta, cost), soc)
                 elif kind == "powerbid":
                     power_bids[row[1]] = PowerBid(float(row[2]), float(row[3]))
                 elif kind == "socbid":
                     soc_rows.setdefault(row[1], []).append(
-                        (float(row[2]), float(row[3]), float(row[4]))
+                        (float(row[2]), float(row[3]), float(row[4]), row_num)
                     )
                 else:
                     raise DataValidationError(f"row {row_num}: unknown row kind {kind!r}")
@@ -365,14 +364,19 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
         raise DataValidationError("scenario has no demand row")
     if power_bids and soc_rows:
         raise DataValidationError("scenario mixes power bids and SoC bids")
+    orphans = sorted((set(power_bids) | set(soc_rows)) - set(storage_rows))
+    if orphans:
+        raise DataValidationError(f"bid rows name no storage row: {', '.join(orphans)}")
     storages = []
-    for name, (p, e, eta, cost, soc) in storage_rows.items():
-        params = StorageParams(p, e, eta, cost)
+    for name, (params, soc) in storage_rows.items():
         if name in power_bids:
             bid = power_bids[name]
         elif name in soc_rows:
             rows = sorted(soc_rows[name])
             bounds = [rows[0][0]] + [r[1] for r in rows]
+            gaps = [row_num for (lo, _, _, row_num), hi in zip(rows, bounds) if lo != hi]
+            if gaps:
+                raise DataValidationError(f"row {gaps[0]}: socbid rows of {name} do not tile")
             bid = SoCBidCurve(np.asarray(bounds), np.asarray([r[2] for r in rows]))
         else:
             raise DataValidationError(f"storage {name} has no bid rows")

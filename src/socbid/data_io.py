@@ -1,4 +1,4 @@
-"""Price CSV ingestion, resampling, series statistics, and report writers.
+"""Price CSV ingestion, synthetic tapes, and report writers.
 
 The price file schema is fixed: ``timestamp,zone,price_usd_per_mwh`` with
 ISO-8601 UTC timestamps (naive timestamps are read as UTC). Gaps are a hard
@@ -129,55 +129,6 @@ def save_prices(series: PriceSeries, path: str | Path) -> None:
             writer.writerow([series.timestamp(i).isoformat(), series.zone, repr(float(value))])
 
 
-def expand_hourly_to_5min(series: PriceSeries) -> PriceSeries:
-    """Repeat each hourly price over its twelve 5-minute subintervals."""
-    if series.resolution != timedelta(hours=1):
-        raise DataValidationError(
-            f"expected an hourly series, got resolution {series.resolution}"
-        )
-    return PriceSeries(
-        series.zone,
-        series.start,
-        timedelta(minutes=5),
-        np.repeat(series.values, 12),
-    )
-
-
-def moving_stats(series: PriceSeries, window: timedelta) -> tuple[PriceSeries, PriceSeries]:
-    """Trailing-window mean and window-averaged daily price deviation.
-
-    The first output is the trailing mean at the series' own resolution
-    (windows expand at the head). The second holds, per whole day, the
-    population standard deviation of that day's prices, averaged over the
-    trailing window; it is returned as a daily-resolution series.
-    """
-    if window > series.span:
-        raise DataValidationError(f"window {window} exceeds series span {series.span}")
-    if window <= timedelta(0):
-        raise DataValidationError("window must be positive")
-    w = max(1, int(round(window / series.resolution)))
-    values = series.values
-    csum = np.concatenate([[0.0], np.cumsum(values)])
-    idx = np.arange(1, values.size + 1)
-    lo = np.maximum(idx - w, 0)
-    mean = (csum[idx] - csum[lo]) / (idx - lo)
-    mean_series = series.with_values(mean)
-
-    per_day = int(round(timedelta(days=1) / series.resolution))
-    num_days = values.size // per_day
-    if num_days < 1:
-        raise DataValidationError("series too short for daily deviations (needs one full day)")
-    days = values[: num_days * per_day].reshape(num_days, per_day)
-    daily_std = days.std(axis=1)
-    w_days = max(1, int(round(window / timedelta(days=1))))
-    dsum = np.concatenate([[0.0], np.cumsum(daily_std)])
-    didx = np.arange(1, num_days + 1)
-    dlo = np.maximum(didx - w_days, 0)
-    deviation = (dsum[didx] - dsum[dlo]) / (didx - dlo)
-    deviation_series = PriceSeries(series.zone, series.start, timedelta(days=1), deviation)
-    return mean_series, deviation_series
-
-
 @dataclass(frozen=True, eq=False)
 class DurationCurve:
     """Series values sorted descending, with top/bottom 1% quantile markers."""
@@ -185,14 +136,6 @@ class DurationCurve:
     values: np.ndarray
     q01_index: int
     q99_index: int
-
-    @property
-    def q01_value(self) -> float:
-        return float(self.values[self.q01_index])
-
-    @property
-    def q99_value(self) -> float:
-        return float(self.values[self.q99_index])
 
 
 def duration_curve(values: PriceSeries | np.ndarray) -> DurationCurve:

@@ -46,10 +46,6 @@ class GeneratorOffer:
                 )
             last_cost = cost
 
-    @property
-    def capacity(self) -> float:
-        return sum(cap for cap, _ in self.segments)
-
 
 @dataclass(frozen=True)
 class StorageUnit:
@@ -120,7 +116,6 @@ class _SupplyRow:
     rank: int  # generators clear before storage on cost ties
     order: int
     owner: str
-    is_storage: bool
 
 
 @dataclass(frozen=True)
@@ -147,7 +142,7 @@ def _bid_rows(
     for j in range(len(discharge)):
         below = max(0.0, min(unit.soc, bounds[j + 1]) - bounds[j])
         if below > 0:
-            supply.append(_SupplyRow(discharge[j], below * eta / dt, 1, order, unit.name, True))
+            supply.append(_SupplyRow(discharge[j], below * eta / dt, 1, order, unit.name))
         above = max(0.0, bounds[j + 1] - max(unit.soc, bounds[j]))
         if above > 0:
             demand.append(_DemandRow(charge[j], above / (eta * dt), unit.name))
@@ -247,7 +242,7 @@ def _assemble_and_clear(instance: MarketInstance, bid_type: type) -> ClearingRes
     demand_blocks: list[_DemandRow] = []
     for order, offer in enumerate(instance.offers):
         for cap, cost in offer.segments:
-            supply.append(_SupplyRow(cost, cap, 0, order, offer.name, False))
+            supply.append(_SupplyRow(cost, cap, 0, order, offer.name))
     for order, unit in enumerate(instance.storages):
         if not isinstance(unit.bid, bid_type):
             raise DataValidationError(

@@ -8,7 +8,7 @@ is always power times the step length in hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -135,23 +135,16 @@ class PriceSeries:
     def span(self) -> timedelta:
         return self.resolution * len(self)
 
-    @property
-    def end(self) -> datetime:
-        return self.start + self.span
-
     def timestamp(self, i: int) -> datetime:
         return self.start + i * self.resolution
-
-    def with_values(self, values: np.ndarray, resolution: timedelta | None = None) -> PriceSeries:
-        return PriceSeries(self.zone, self.start, resolution or self.resolution, values)
 
 
 @dataclass(frozen=True)
 class SoCGrid:
     """Equally spaced SoC levels used to tabulate marginal-value curves.
 
-    Lookups are nearest-point with ties resolved toward the lower SoC level,
-    matching the piecewise-constant reading of the tabulated curves.
+    Each point stands for the SoC levels nearest to it: tabulated curves are
+    read as piecewise constant over cells split at the midpoints.
     """
 
     soc_min: float
@@ -170,22 +163,8 @@ class SoCGrid:
     def step(self) -> float:
         return (self.soc_max - self.soc_min) / (self.num_points - 1)
 
-    @property
-    def span(self) -> float:
-        return self.soc_max - self.soc_min
-
     def points(self) -> np.ndarray:
         return np.linspace(self.soc_min, self.soc_max, self.num_points)
-
-    def soc_to_index(self, e: float) -> int:
-        """Nearest grid index for SoC level ``e``; exact midpoints round down."""
-        x = (e - self.soc_min) * (self.num_points - 1) / (self.soc_max - self.soc_min)
-        if x < -1e-9 or x > self.num_points - 1 + 1e-9:
-            raise DataValidationError(
-                f"SoC {e} outside grid range [{self.soc_min}, {self.soc_max}]"
-            )
-        idx = math.ceil(x - 0.5)
-        return min(max(idx, 0), self.num_points - 1)
 
     @classmethod
     def for_storage(
@@ -236,7 +215,3 @@ class DispatchDecision:
             raise DataValidationError("dispatch powers must be non-negative")
         if self.discharge_power > SOC_EPS and self.charge_power > SOC_EPS:
             raise DataValidationError("simultaneous charge and discharge is not allowed")
-
-    @property
-    def net_power(self) -> float:
-        return self.discharge_power - self.charge_power

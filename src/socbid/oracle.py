@@ -44,14 +44,6 @@ class OracleResult:
     charge: np.ndarray
     soc: np.ndarray  # length T+1, starting at the initial SoC
 
-    @property
-    def schedule(self) -> list[tuple[float, float, float]]:
-        """Per-period (discharge MW, charge MW, end-of-period SoC MWh)."""
-        return [
-            (float(p), float(b), float(e))
-            for p, b, e in zip(self.discharge, self.charge, self.soc[1:])
-        ]
-
 
 def _shift_counts(params: StorageParams, grid: SoCGrid, dt_hours: float) -> tuple[int, int]:
     """Largest whole-grid-step SoC moves within the power rating (down, up)."""

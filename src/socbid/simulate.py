@@ -37,7 +37,6 @@ from .model import (
     check_soc_range,
     validate_params,
 )
-from .valuation import ValueCurve
 
 CASE_IDS = ("DA-PB-DF", "DA-SB-DF", "RT-PB-DF", "RT-SB-DF", "RT-PB-PF", "RT-SB-PF")
 
@@ -195,23 +194,6 @@ def _settle(
     return discharge, charge, soc, profit
 
 
-def step_power_bid(
-    e_prev: float,
-    price: float,
-    bid: PowerBid,
-    params: StorageParams,
-    dt_hours: float,
-) -> DispatchDecision:
-    """Dispatch one interval under a power bid.
-
-    Discharge at full available power when the price clears the discharge
-    bid, charge when it falls below the charge bid, otherwise idle. A price
-    equal to either bid resolves to idle, and discharge is never taken at a
-    negative price. Available power is capped so the SoC stays in bounds.
-    """
-    return step_soc_bid(e_prev, price, bid, params, dt_hours)
-
-
 def step_soc_bid(
     e_prev: float,
     price: float,
@@ -235,6 +217,10 @@ def step_soc_bid(
     settled = _settle([price], boundaries, [kd], [kc], params, dt_hours, e_prev)
     p, b, soc_after, profit = (column[0] for column in settled)
     return DispatchDecision(p, b, soc_after, profit, booked_value(curve, e_prev, soc_after))
+
+
+# A power bid settles as its one-segment SoC bid (see threshold_table).
+step_power_bid = step_soc_bid
 
 
 def _intervals_per_bid(period_hours: float, periods: int, prices: PriceSeries) -> int:
@@ -311,7 +297,6 @@ def run_cases(
     params: StorageParams,
     grids: Mapping[str, SoCGrid],
     segments_per_hour_of_duration: int = 20,
-    terminal: ValueCurve | None = None,
 ) -> list[SimulationResult]:
     """Run experiment cases end to end: valuation, bid design, settlement.
 
@@ -350,7 +335,7 @@ def run_cases(
             prices = series[market].values.reshape(len(forecast), per_bid)
             counts[model, market] = (prices, *np.empty((2, *prices.shape), np.intp))
         bounds, blocks = _bid_blocks(
-            forecast, params, grids[source], models, segments_per_hour_of_duration, terminal
+            forecast, params, grids[source], models, segments_per_hour_of_duration
         )
         for first, means in blocks:
             for (model, _), (prices, kd, kc) in counts.items():
@@ -374,7 +359,6 @@ def run_case(
     params: StorageParams,
     grid: SoCGrid,
     segments_per_hour_of_duration: int = 20,
-    terminal: ValueCurve | None = None,
 ) -> SimulationResult:
     """Run one experiment case end to end, valuing its forecast tape on ``grid``.
 
@@ -382,7 +366,7 @@ def run_case(
     """
     (result,) = run_cases(
         (config,), da_prices, rt_prices, params, {config.valuation_source: grid},
-        segments_per_hour_of_duration=segments_per_hour_of_duration, terminal=terminal,
+        segments_per_hour_of_duration=segments_per_hour_of_duration,
     )
     return result
 
@@ -395,21 +379,3 @@ def utilization(result: SimulationResult, reference: SimulationResult) -> float:
             "utilization is undefined in a degenerate market"
         )
     return result.total_profit / reference.total_profit
-
-
-def windowed_profit(
-    result: SimulationResult,
-    skip_start_hours: float = 0.0,
-    skip_end_hours: float = 0.0,
-) -> float:
-    """Profit excluding warm-up and cool-down windows at the tape's ends.
-
-    Useful to neutralize the flat-zero terminal condition, which depresses
-    value over roughly the last duration-worth of periods.
-    """
-    n = len(result.profit)
-    lo = int(math.ceil(skip_start_hours / result.step_hours))
-    hi = n - int(math.ceil(skip_end_hours / result.step_hours))
-    if lo >= hi:
-        raise DataValidationError("exclusion windows cover the whole horizon")
-    return math.fsum(result.profit[lo:hi].tolist())

@@ -64,7 +64,7 @@ def test_bid_identity_on_random_surfaces(micro_params, unit_grid):
     for _ in range(20):
         surface = random_surface(rng, unit_grid, horizon=8)
         schedule = make_power_bids(surface, micro_params)
-        for bid in schedule.entries:
+        for bid in schedule:
             assert abs(bid.charge_bid - eta**2 * (bid.discharge_bid - c)) < 1e-9
 
 
@@ -74,7 +74,7 @@ def test_soc_bids_two_segment_example(micro_params, unit_grid):
     # 1 segment per hour of duration => J = 2 over [0, 1]
     schedule = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=1)
     entry = schedule[0]
-    assert entry.num_segments == 2
+    assert entry.segment_values.size == 2
     np.testing.assert_allclose(entry.boundaries, [0.0, 0.5, 1.0])
     assert entry.segment_values[0] == pytest.approx(9.0, abs=1e-9)
     assert entry.segment_values[1] == pytest.approx(1.0, abs=2 * unit_grid.step * 9)
@@ -85,7 +85,7 @@ def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
     surface = random_surface(rng, unit_grid, horizon=5)
     # duration is 2 h; half a segment per duration-hour gives J = 1
     ones = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=1)
-    assert ones[0].num_segments == 2
+    assert ones[0].segment_values.size == 2
     boundaries = soc_bid_boundaries(micro_params, 1)
     assert boundaries.size == 3
     for t in range(5):
@@ -98,8 +98,8 @@ def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
 def test_constant_curve_gives_constant_segments(micro_params, unit_grid):
     surface = ValueSurface(unit_grid, 1.0, np.full((3, unit_grid.num_points), 7.0))
     schedule = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=20)
-    for entry in schedule.entries:
-        assert entry.num_segments == 40
+    for entry in schedule:
+        assert entry.segment_values.size == 40
         np.testing.assert_allclose(entry.segment_values, 7.0, atol=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_segment_values_monotone_on_random_surfaces(micro_params, unit_grid):
     for _ in range(10):
         surface = random_surface(rng, unit_grid, horizon=4)
         schedule = make_soc_bids(surface, micro_params)
-        for entry in schedule.entries:
+        for entry in schedule:
             diffs = np.diff(entry.segment_values)
             assert np.all(diffs <= 1e-9 * (1 + np.abs(entry.segment_values).max()))
 
@@ -119,7 +119,7 @@ def test_refinement_consistency(micro_params, unit_grid):
     q_bars = [average_marginal(surface.curve(t + 1), 0.0, 1.0) for t in range(3)]
     for segments_per_hour in (1, 3, 10, 20):
         schedule = make_soc_bids(surface, micro_params, segments_per_hour)
-        for t, entry in enumerate(schedule.entries):
+        for t, entry in enumerate(schedule):
             widths = np.diff(entry.boundaries)
             weighted = float(np.sum(entry.segment_values * widths) / widths.sum())
             assert weighted == pytest.approx(q_bars[t], abs=1e-9)
@@ -167,7 +167,7 @@ def test_streaming_builder_matches_surface_route(micro_params, unit_grid):
         direct = make(surface, micro_params)
         streamed = bid_schedule_from_prices(prices, micro_params, unit_grid, model)
         assert len(direct) == len(streamed) == 5
-        for a, b in zip(direct.entries, streamed.entries):
+        for a, b in zip(direct, streamed):
             if model == "power":
                 assert a == b  # bit-identical: same arithmetic on the same arrays
             else:
@@ -196,13 +196,10 @@ def test_bid_tables_are_pinned_across_block_edges():
     for params, values, soc, power in cases:
         prices = PriceSeries("Z", START, timedelta(hours=1), values)
         surface = backward_induct(prices, params, grid)
-        shared_power, shared_soc = bid_schedule_from_prices(prices, params, grid, ("power", "soc"))
         for schedule, expected in (
             (make_soc_bids(surface, params), soc),
             (bid_schedule_from_prices(prices, params, grid, "soc"), soc),
             (bid_schedule_from_prices(prices, params, grid, "power"), power),
-            (shared_soc, soc),
-            (shared_power, power),
         ):
             assert hashlib.sha256(schedule.values.tobytes()).hexdigest() == expected
 

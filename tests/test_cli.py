@@ -260,6 +260,32 @@ def test_dispatch_demo_soc_bids(tmp_path, capsys):
     assert "clearing price: 20.00" in out
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a storage row needs P, E, eta, discharge cost and SoC
+        ("storage,S1,10,60,0.9\npowerbid,S1,25,5\n", "row 3: malformed 'storage' row"),
+        # [0, 20] then [40, 60] leaves a hole, which must not become [20, 60]
+        (
+            "storage,S1,10,60,0.9,10,30\nsocbid,S1,0,20,50\nsocbid,S1,40,60,5\n",
+            "row 5: socbid rows of S1 do not tile",
+        ),
+        (
+            "storage,S1,10,60,0.9,10,30\nsocbid,S1,0,40,50\nsocbid,S1,20,60,5\n",
+            "row 5: socbid rows of S1 do not tile",
+        ),
+        ("storage,S1,10,60,0.9,10,60\npowerbid,S1,25,5\npowerbid,S2,25,5\n", "no storage row: S2"),
+        ("storage,S1,10,20,0.9,10,14\nsocbid,S1,0,20,3\nsocbid,S2,0,10,3\n", "no storage row: S2"),
+    ],
+    ids=["short-storage-row", "hole", "overlap", "orphan-powerbid", "orphan-socbid"],
+)
+def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, message):
+    scenario = tmp_path / "bad.csv"
+    scenario.write_text("generator,G1,100,15\ndemand,,105\n" + rows)
+    assert run(["dispatch-demo", "--scenario", str(scenario)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
 def test_manifest_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"zones": ["AA"], "durations": "4", "synthetic_days": 1}))

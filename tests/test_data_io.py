@@ -6,9 +6,7 @@ import pytest
 from socbid import DataValidationError, PriceSeries
 from socbid.data_io import (
     duration_curve,
-    expand_hourly_to_5min,
     load_prices,
-    moving_stats,
     save_prices,
     synthetic_tape,
 )
@@ -137,62 +135,6 @@ def test_round_trip_is_bit_identical(tmp_path):
     assert back.start == series.start
     save_prices(back, tmp_path / "rt2.csv")
     assert (tmp_path / "rt.csv").read_bytes() == (tmp_path / "rt2.csv").read_bytes()
-
-
-def test_expand_hourly_repeats_each_value_twelve_times():
-    series = hourly_series([10.0, 20.0])
-    out = expand_hourly_to_5min(series)
-    assert len(out) == 24
-    assert out.resolution == timedelta(minutes=5)
-    np.testing.assert_array_equal(out.values[:12], 10.0)
-    np.testing.assert_array_equal(out.values[12:], 20.0)
-    assert out.values.mean() == series.values.mean()
-
-
-def test_expand_preserves_block_means_exactly():
-    rng = np.random.default_rng(62)
-    series = hourly_series(rng.normal(40, 25, 100))
-    out = expand_hourly_to_5min(series)
-    blocks = out.values.reshape(100, 12)
-    # every subinterval carries the hour's value bit-identically, so the
-    # block mean is the hourly value by construction
-    np.testing.assert_array_equal(blocks, np.broadcast_to(series.values[:, None], (100, 12)))
-
-
-def test_expand_rejects_non_hourly():
-    series = PriceSeries("Z", START, timedelta(minutes=5), np.array([1.0, 2.0]))
-    with pytest.raises(DataValidationError, match="hourly"):
-        expand_hourly_to_5min(series)
-
-
-def test_moving_stats_constant_series():
-    series = hourly_series([25.0] * 72)
-    mean, deviation = moving_stats(series, timedelta(days=1))
-    np.testing.assert_allclose(mean.values, 25.0)
-    np.testing.assert_allclose(deviation.values, 0.0, atol=1e-12)
-    assert deviation.resolution == timedelta(days=1)
-
-
-def test_moving_stats_square_wave_daily_deviation():
-    # alternating +1/-1 inside every day: population std is exactly 1
-    values = np.tile([1.0, -1.0], 12 * 3)  # three days hourly
-    series = hourly_series(values)
-    _, deviation = moving_stats(series, timedelta(days=1))
-    np.testing.assert_allclose(deviation.values, 1.0)
-
-
-def test_moving_stats_trailing_mean_matches_bruteforce():
-    rng = np.random.default_rng(63)
-    series = hourly_series(rng.normal(0, 10, 60))
-    mean, _ = moving_stats(series, timedelta(hours=7))
-    for i in range(60):
-        lo = max(0, i - 6)
-        assert mean.values[i] == pytest.approx(series.values[lo : i + 1].mean())
-
-
-def test_moving_stats_window_too_long():
-    with pytest.raises(DataValidationError, match="window"):
-        moving_stats(hourly_series([1.0, 2.0]), timedelta(days=2))
 
 
 def test_duration_curve_sorts_descending():

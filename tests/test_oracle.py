@@ -57,7 +57,7 @@ def test_oracle_single_period_full_discharge(micro_params, unit_grid):
     )
     # one-shot discharge: min(P, E*eta) = 0.5 MW at $1000 less $10 cost
     assert result.optimal_profit == pytest.approx((1000.0 - 10.0) * 0.5, abs=1e-9)
-    assert result.schedule[0][0] == pytest.approx(0.5)
+    assert result.discharge[0] == pytest.approx(0.5)
 
 
 def test_oracle_matches_enumeration_on_random_short_tapes(micro_params, unit_grid):
@@ -91,7 +91,7 @@ def test_oracle_schedule_is_feasible_and_consistent(micro_params, unit_grid):
     eta = micro_params.efficiency_one_way
     e = result.soc[0]
     profit = 0.0
-    for t, (p, b, e_after) in enumerate(result.schedule):
+    for t, (p, b, e_after) in enumerate(zip(result.discharge, result.charge, result.soc[1:])):
         assert p >= -1e-12 and b >= -1e-12
         assert not (p > 1e-12 and b > 1e-12)
         assert p <= micro_params.power_rating + 1e-9

@@ -1,4 +1,3 @@
-import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -15,6 +14,7 @@ from socbid import (
     StorageParams,
     backward_induct,
     bid_schedule_from_prices,
+    grid_dp_oracle,
     make_soc_bids,
     run_case,
     run_schedule,
@@ -24,14 +24,13 @@ from socbid import (
 )
 from socbid.bids import bid_thresholds, power_bid_from_average
 from socbid.cli import _synthetic_tapes
-from socbid.data_io import expand_hourly_to_5min, synthetic_tape
+from socbid.data_io import synthetic_tape
 from socbid.simulate import (
     _check_soc,
     _clamp_soc,
     _crossings,
     _settle,
     run_cases,
-    windowed_profit,
 )
 
 from conftest import START, five_min_series, hourly_series
@@ -71,7 +70,7 @@ def test_power_step_power_limited_charge(micro_params):
 def test_power_step_tie_resolves_to_idle(micro_params):
     for price in (MICRO_BID.discharge_bid, MICRO_BID.charge_bid):
         d = step_power_bid(0.5, price, MICRO_BID, micro_params, 1.0)
-        assert d.net_power == 0.0
+        assert d.discharge_power == d.charge_power == 0.0
 
 
 def test_power_step_no_discharge_at_negative_price(micro_params):
@@ -100,7 +99,7 @@ def test_soc_step_power_limited_discharge_through_segments(micro_params):
 def test_soc_step_idle_at_boundary(micro_params):
     # (12-10)*0.9 = 1.8 beats neither 9 below nor charging against 1 above
     d = step_soc_bid(0.5, 12.0, TWO_SEG, micro_params, 1.0)
-    assert d.net_power == 0.0
+    assert d.discharge_power == d.charge_power == 0.0
     assert d.opportunity_value_delta == 0.0
 
 
@@ -186,7 +185,7 @@ def test_run_case_constant_prices_no_dispatch(micro_params, unit_grid):
     for case_id in CASE_IDS:
         result = run_case(CaseConfig(case_id), prices, prices, micro_params, unit_grid)
         assert result.total_profit == 0.0
-        assert all(d.net_power == 0.0 for d in result.decisions)
+        assert all(d.discharge_power == d.charge_power == 0.0 for d in result.decisions)
 
 
 def test_soc_bids_dominate_power_bids_with_perfect_foresight(micro_params, unit_grid):
@@ -201,7 +200,7 @@ def test_soc_bids_dominate_power_bids_with_perfect_foresight(micro_params, unit_
 
 def test_run_case_hourly_bids_cover_five_minute_settlement(micro_params):
     da = hourly_series([5.0, 30.0])
-    rt = expand_hourly_to_5min(da)
+    rt = five_min_series(np.repeat(da.values, 12))
     grid = SoCGrid.for_storage(micro_params, 1.0, 1001)
     result = run_case(CaseConfig("RT-SB-DF"), da, rt, micro_params, grid)
     assert len(result.decisions) == 24
@@ -267,19 +266,6 @@ def test_utilization_rejects_degenerate_reference(micro_params, unit_grid):
         utilization(ref, ref)
 
 
-def test_windowed_profit_excludes_edges(micro_params, unit_grid):
-    prices = hourly_series([5.0, 30.0, 5.0, 30.0])
-    result = run_case(CaseConfig("RT-SB-PF"), prices, prices, micro_params, unit_grid)
-    full = windowed_profit(result)
-    assert full == pytest.approx(result.total_profit)
-    tail_cut = windowed_profit(result, skip_end_hours=1.0)
-    assert tail_cut == pytest.approx(
-        math.fsum(d.realized_profit for d in result.decisions[:-1])
-    )
-    with pytest.raises(DataValidationError):
-        windowed_profit(result, skip_start_hours=2.0, skip_end_hours=2.0)
-
-
 def test_power_step_crossed_pair_at_either_bound(micro_params):
     crossed = PowerBid(7.0, 16.0)  # charge threshold above the discharge threshold
     # a price above the discharge bid discharges, however crossed the pair
@@ -287,11 +273,11 @@ def test_power_step_crossed_pair_at_either_bound(micro_params):
     assert step_power_bid(1.0, 10.0, crossed, micro_params, 1.0).discharge_power == 0.5
     # empty: the discharge rule still wins, so no charge either
     empty = step_power_bid(0.0, 10.0, crossed, micro_params, 1.0)
-    assert empty.net_power == 0.0 and empty.soc_after == 0.0
+    assert empty.discharge_power == empty.charge_power == 0.0 and empty.soc_after == 0.0
     # below both bids: charge, except when full
     assert step_power_bid(0.0, 5.0, crossed, micro_params, 1.0).charge_power == 0.5
     full = step_power_bid(1.0, 5.0, crossed, micro_params, 1.0)
-    assert full.net_power == 0.0 and full.soc_after == 1.0
+    assert full.discharge_power == full.charge_power == 0.0 and full.soc_after == 1.0
 
 
 def test_soc_clamp_tolerance_scales_with_soc_magnitude():
@@ -472,3 +458,35 @@ def test_run_cases_settle_from_counts_as_run_schedule_does_from_tables(duration)
             assert getattr(result, name).tobytes() == getattr(table, name).tobytes()
         assert result.total_profit == table.total_profit
         assert result.discharged_energy == table.discharged_energy
+
+
+@pytest.mark.parametrize("duration", [1, 12, 72])
+def test_doubling_prices_and_discharge_cost_doubles_every_profit(duration):
+    # Doubling is exact in binary floating point, and every step from prices
+    # to dispatch scales with them or compares them, so the dispatch must not
+    # move by a bit and every dollar figure must double exactly. The real-time
+    # tape is shifted down so that negative prices occur.
+    configs = [CaseConfig(case_id) for case_id in CASE_IDS]
+    for seed in (1, 2):
+        da, rt = _synthetic_tapes("AA", 7, 15, 45, 24, 5, seed)
+        rt = five_min_series(rt.values - 20.0)
+        assert rt.values.min() < 0.0
+        runs = []
+        for scale in (1.0, 2.0):
+            params = StorageParams(1.0, float(duration), 0.9, 10.0 * scale)
+            tapes = [hourly_series(da.values * scale), five_min_series(rt.values * scale)]
+            grids = {}
+            for source, tape in zip(("day_ahead", "real_time"), tapes):
+                dt = tape.resolution_hours
+                grids[source] = SoCGrid.for_storage(
+                    params, dt, max(1001, SoCGrid.min_points(params, dt))
+                )
+            oracle = grid_dp_oracle(tapes[1], params, SoCGrid(0.0, float(duration), 301))
+            runs.append((run_cases(configs, *tapes, params, grids), oracle.optimal_profit))
+        (base, base_optimum), (doubled, doubled_optimum) = runs
+        assert doubled_optimum == 2.0 * base_optimum
+        for one, two in zip(base, doubled):
+            assert two.total_profit == 2.0 * one.total_profit
+            assert two.profit.tobytes() == (2.0 * one.profit).tobytes()
+            for column in ("discharge", "charge", "soc"):
+                assert getattr(two, column).tobytes() == getattr(one, column).tobytes()

@@ -252,7 +252,8 @@ def test_average_marginal_matches_dense_riemann_sum(micro_params, unit_grid):
     lo, hi = 0.1, 0.93
 
     def nearest_lookup(e):
-        return curve.values[unit_grid.soc_to_index(float(e))]
+        # nearest grid point; an exact midpoint goes to the lower one
+        return curve.values[int(np.ceil((e - unit_grid.soc_min) / unit_grid.step - 0.5))]
 
     xs = np.linspace(lo, hi, 10 * unit_grid.num_points)
     riemann = np.mean([nearest_lookup(x) for x in xs])
