@@ -27,7 +27,6 @@ from .valuation import (
     _backward_curves,
     _cell_edges,
     _cumulative,
-    _integral_at,
     _require_non_increasing,
     _segment_means,
 )
@@ -120,7 +119,8 @@ def booked_value(bid: PowerBid | SoCBidCurve, e_from: float, e_to: float) -> flo
     """
     if isinstance(bid, PowerBid):
         return 0.0
-    start, end = _integral_at(bid.boundaries, bid.segment_values, [e_from, e_to])
+    cum = _cumulative(bid.boundaries, bid.segment_values)
+    start, end = np.interp([e_from, e_to], bid.boundaries, cum)
     return float(end - start)
 
 
@@ -232,19 +232,15 @@ def _bid_blocks(
 
 def _bid_table(
     source: ValueSurface | PriceSeries, params: StorageParams, grid: SoCGrid,
-    kinds: tuple[str, ...], segments_per_hour: int,
-) -> tuple[BidSchedule, ...]:
-    """One schedule per bid kind in ``kinds``, filled from :func:`_bid_blocks`."""
+    kind: str, segments_per_hour: int,
+) -> BidSchedule:
+    """The ``kind`` bid schedule, filled from :func:`_bid_blocks`."""
     horizon, period_hours = _periods(source)
-    bounds, blocks = _bid_blocks(source, params, grid, kinds, segments_per_hour)
-    tables = [np.empty((horizon, b.size - 1)) for b in bounds]
-    for first, means in blocks:
-        for table, block in zip(tables, means):
-            table[first : first + len(block)] = block
-    return tuple(
-        BidSchedule(period_hours, params, boundaries, table, kind)
-        for kind, boundaries, table in zip(kinds, bounds, tables)
-    )
+    (bounds,), blocks = _bid_blocks(source, params, grid, (kind,), segments_per_hour)
+    table = np.empty((horizon, bounds.size - 1))
+    for first, (means,) in blocks:
+        table[first : first + len(means)] = means
+    return BidSchedule(period_hours, params, bounds, table, kind)
 
 
 def _stream_blocks(curves, rows: int, n: int, horizon: int):
@@ -265,8 +261,7 @@ def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule
 
     Period t's bid comes from curve t+1 of the surface.
     """
-    (schedule,) = _bid_table(surface, params, surface.grid, ("power",), 1)
-    return schedule
+    return _bid_table(surface, params, surface.grid, "power", 1)
 
 
 def make_soc_bids(
@@ -279,10 +274,7 @@ def make_soc_bids(
     Twenty segments per hour of storage duration by default, mirroring the
     usual cap on generator bid segments. Every row is exactly non-increasing.
     """
-    (schedule,) = _bid_table(
-        surface, params, surface.grid, ("soc",), segments_per_hour_of_duration
-    )
-    return schedule
+    return _bid_table(surface, params, surface.grid, "soc", segments_per_hour_of_duration)
 
 
 def bid_schedule_from_prices(
@@ -301,5 +293,4 @@ def bid_schedule_from_prices(
     """
     if bid_model not in ("power", "soc"):
         raise DataValidationError(f"unknown bid model {bid_model!r}")
-    (schedule,) = _bid_table(prediction, params, grid, (bid_model,), segments_per_hour_of_duration)
-    return schedule
+    return _bid_table(prediction, params, grid, bid_model, segments_per_hour_of_duration)

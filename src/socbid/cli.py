@@ -183,12 +183,9 @@ def _grid_for(manifest: RunManifest, params: StorageParams, dt_hours: float) -> 
     return SoCGrid.for_storage(params, dt_hours, points)
 
 
-def _run_zone_duration(job: dict) -> list[dict]:
-    """Worker: run every requested case for one (zone, duration) pair."""
-    manifest = RunManifest(**job["manifest"])
-    zone = job["zone"]
-    duration = job["duration"]
-    da, rt = _zone_series(manifest, zone)
+def _run_zone_duration(job: tuple) -> list[dict]:
+    """Worker: run every requested case for one (manifest, zone, duration, da, rt) job."""
+    manifest, zone, duration, da, rt = job
     params = _storage_params(manifest, duration)
 
     grids = {
@@ -227,8 +224,9 @@ def _run_zone_duration(job: dict) -> list[dict]:
 
 def _simulate(manifest: RunManifest) -> list[dict]:
     manifest.validate()
+    tapes = {zone: _zone_series(manifest, zone) for zone in manifest.zones}
     jobs = [
-        {"manifest": asdict(manifest), "zone": zone, "duration": duration}
+        (manifest, zone, duration, *tapes[zone])
         for zone in manifest.zones
         for duration in manifest.durations
     ]
@@ -328,8 +326,8 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
     """Parse a dispatch scenario CSV into a market instance.
 
     Row kinds: ``generator,<name>,<capacity>,<cost>`` (repeat for segments),
-    ``demand,,<mw>``, ``storage,<name>,<P>,<E>,<eta>,<cost>,<soc>``,
-    ``powerbid,<name>,<discharge_bid>,<charge_bid>``,
+    ``demand,,<mw>``, ``storage,<name>,<P>,<E>,<eta>,<cost>,<soc>`` and
+    ``powerbid,<name>,<discharge_bid>,<charge_bid>`` (at most one each per name),
     ``socbid,<name>,<soc_lo>,<soc_hi>,<value>`` (repeat for segments).
     """
     gens: dict[str, list[tuple[float, float]]] = {}
@@ -342,6 +340,7 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
             if not row or row[0].strip().startswith("#"):
                 continue
             kind = row[0].strip().lower()
+            once = None  # (table, entry) of a row kind allowed once per name
             try:
                 if kind == "generator":
                     gens.setdefault(row[1], []).append((float(row[2]), float(row[3])))
@@ -349,9 +348,9 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
                     demand = float(row[2])
                 elif kind == "storage":
                     p, e, eta, cost, soc = map(float, row[2:7])
-                    storage_rows[row[1]] = (StorageParams(p, e, eta, cost), soc)
+                    once = storage_rows, (StorageParams(p, e, eta, cost), soc)
                 elif kind == "powerbid":
-                    power_bids[row[1]] = PowerBid(float(row[2]), float(row[3]))
+                    once = power_bids, PowerBid(float(row[2]), float(row[3]))
                 elif kind == "socbid":
                     soc_rows.setdefault(row[1], []).append(
                         (float(row[2]), float(row[3]), float(row[4]), row_num)
@@ -360,6 +359,11 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
                     raise DataValidationError(f"row {row_num}: unknown row kind {kind!r}")
             except (IndexError, ValueError) as exc:
                 raise DataValidationError(f"row {row_num}: malformed {kind!r} row") from exc
+            if once:
+                table, entry = once
+                if row[1] in table:
+                    raise DataValidationError(f"row {row_num}: second {kind!r} row for {row[1]}")
+                table[row[1]] = entry
     if demand is None:
         raise DataValidationError("scenario has no demand row")
     if power_bids and soc_rows:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bids import BidSchedule, bid_thresholds
 from .model import DataValidationError, PriceSeries
-from .simulate import SimulationResult
+from .simulate import SimulationResult, _intervals_per_bid
 from .valuation import ValueSurface
 
 PRICE_HEADER = ("timestamp", "zone", "price_usd_per_mwh")
@@ -243,35 +243,18 @@ def write_duration_curves(
     """
     if schedule.kind != "power":
         raise DataValidationError("duration-curve reports need power bids")
-    per_bid = round(len(prices) / len(schedule))
-    if per_bid < 1 or len(schedule) * per_bid != len(prices):
-        raise DataValidationError("bid schedule does not tile the price series")
+    per_bid = _intervals_per_bid(schedule.period_hours, len(schedule), prices)
     thresholds = bid_thresholds(schedule.values[:, 0], schedule.params)
-    discharge, charge = (np.repeat(column, per_bid) for column in thresholds)
-    curves = {
-        "price": duration_curve(prices),
-        "discharge_bid": duration_curve(discharge),
-        "charge_bid": duration_curve(charge),
-    }
+    curve = duration_curve(prices)
+    columns = (curve.values, *(np.sort(np.repeat(c, per_bid))[::-1] for c in thresholds))
+    markers = {curve.q99_index: "q99", curve.q01_index: "q01"}  # q01 wins a shared row
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    n = len(prices)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "quantile_marker", "price", "discharge_bid", "charge_bid"])
-        q01 = curves["price"].q01_index
-        q99 = curves["price"].q99_index
-        for i in range(n):
-            marker = "q01" if i == q01 else ("q99" if i == q99 else "")
-            writer.writerow(
-                [
-                    i,
-                    marker,
-                    repr(float(curves["price"].values[i])),
-                    repr(float(curves["discharge_bid"].values[i])),
-                    repr(float(curves["charge_bid"].values[i])),
-                ]
-            )
+        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+            writer.writerow([i, markers.get(i, ""), *map(repr, row)])
 
 
 SUMMARY_HEADER = (

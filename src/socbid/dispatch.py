@@ -74,18 +74,18 @@ class StorageUnit:
 
 @dataclass(frozen=True)
 class MarketInstance:
-    """One clearing interval: generator offers, fixed demand, storage units."""
+    """One one-hour clearing interval: generator offers, fixed demand, storage units.
+
+    Over one hour a MW of power moves a MWh of energy.
+    """
 
     offers: tuple[GeneratorOffer, ...]
     demand: float
     storages: tuple[StorageUnit, ...] = ()
-    period_hours: float = 1.0
 
     def __post_init__(self) -> None:
         if self.demand < 0:
             raise DataValidationError(f"demand must be non-negative, got {self.demand}")
-        if self.period_hours <= 0:
-            raise DataValidationError("period_hours must be positive")
         names = [o.name for o in self.offers] + [s.name for s in self.storages]
         if len(set(names)) != len(names):
             raise DataValidationError("participant names must be unique")
@@ -125,9 +125,7 @@ class _DemandRow:
     owner: str
 
 
-def _bid_rows(
-    unit: StorageUnit, order: int, dt: float
-) -> tuple[list[_SupplyRow], list[_DemandRow]]:
+def _bid_rows(unit: StorageUnit, order: int) -> tuple[list[_SupplyRow], list[_DemandRow]]:
     """One supply step per segment below the SoC, one demand block per segment above.
 
     A power bid is one segment over the whole SoC range. Segment capacities
@@ -142,10 +140,10 @@ def _bid_rows(
     for j in range(len(discharge)):
         below = max(0.0, min(unit.soc, bounds[j + 1]) - bounds[j])
         if below > 0:
-            supply.append(_SupplyRow(discharge[j], below * eta / dt, 1, order, unit.name))
+            supply.append(_SupplyRow(discharge[j], below * eta, 1, order, unit.name))
         above = max(0.0, bounds[j + 1] - max(unit.soc, bounds[j]))
         if above > 0:
-            demand.append(_DemandRow(charge[j], above / (eta * dt), unit.name))
+            demand.append(_DemandRow(charge[j], above / eta, unit.name))
     return supply, demand
 
 
@@ -166,24 +164,14 @@ def _clear(
     """
     supply = sorted(supply, key=lambda r: (r.cost, r.rank, r.order))
 
-    def capped_sum(rows_mw: dict[str, float]) -> float:
-        return sum(min(mw, power_caps.get(owner, math.inf)) for owner, mw in rows_mw.items())
-
-    def willing_supply(price: float) -> float:
+    def capped(rows) -> float:
+        """Total MW of (owner, MW) rows, each owner's sum capped by ``power_caps``."""
         per_owner: dict[str, float] = {}
-        for r in supply:
-            if r.cost <= price:
-                per_owner[r.owner] = per_owner.get(r.owner, 0.0) + r.capacity
-        return capped_sum(per_owner)
+        for owner, mw in rows:
+            per_owner[owner] = per_owner.get(owner, 0.0) + mw
+        return sum(min(mw, power_caps.get(owner, math.inf)) for owner, mw in per_owner.items())
 
-    def willing_elastic(price: float) -> float:
-        per_owner: dict[str, float] = {}
-        for b in demand_blocks:
-            if b.bid > price:
-                per_owner[b.owner] = per_owner.get(b.owner, 0.0) + b.capacity
-        return capped_sum(per_owner)
-
-    total_supply = willing_supply(math.inf)
+    total_supply = capped((r.owner, r.capacity) for r in supply)
     if total_supply + 1e-9 < instance.demand:
         raise InfeasibleMarketError(
             f"supply {total_supply} MW cannot serve fixed demand {instance.demand} MW"
@@ -191,7 +179,9 @@ def _clear(
 
     price = None
     for cand in sorted({r.cost for r in supply}):
-        if willing_supply(cand) >= instance.demand + willing_elastic(cand) - 1e-12:
+        willing = capped((r.owner, r.capacity) for r in supply if r.cost <= cand)
+        elastic = capped((b.owner, b.capacity) for b in demand_blocks if b.bid > cand)
+        if willing >= instance.demand + elastic - 1e-12:
             price = float(cand)
             break
 
@@ -237,7 +227,6 @@ def _clear(
 
 
 def _assemble_and_clear(instance: MarketInstance, bid_type: type) -> ClearingResult:
-    dt = instance.period_hours
     supply: list[_SupplyRow] = []
     demand_blocks: list[_DemandRow] = []
     for order, offer in enumerate(instance.offers):
@@ -249,7 +238,7 @@ def _assemble_and_clear(instance: MarketInstance, bid_type: type) -> ClearingRes
                 f"storage {unit.name} carries a {type(unit.bid).__name__}, "
                 f"expected {bid_type.__name__}"
             )
-        rows = _bid_rows(unit, order, dt)
+        rows = _bid_rows(unit, order)
         supply.extend(rows[0])
         demand_blocks.extend(rows[1])
 
@@ -264,10 +253,10 @@ def _assemble_and_clear(instance: MarketInstance, bid_type: type) -> ClearingRes
         p = supply_mw.get(unit.name, 0.0)
         b = demand_mw.get(unit.name, 0.0)
         eta = unit.params.efficiency_one_way
-        soc_after = unit.soc - p * dt / eta + b * eta * dt
+        soc_after = unit.soc - p / eta + b * eta
         soc_after = min(max(soc_after, unit.params.soc_min), unit.params.soc_max)
         value_delta = booked_value(unit.bid, unit.soc, soc_after)
-        profit = price * (p - b) * dt - unit.params.discharge_cost * p * dt
+        profit = price * (p - b) - unit.params.discharge_cost * p
         storage[unit.name] = DispatchDecision(p, b, soc_after, profit, value_delta)
     cleared_charge = sum(d.charge_power for d in storage.values())
     return ClearingResult(price, generation, storage, cleared_charge)

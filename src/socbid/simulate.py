@@ -82,7 +82,6 @@ class SimulationResult:
 
     case_id: str
     initial_soc: float
-    step_hours: float
     discharge: np.ndarray
     charge: np.ndarray
     soc: np.ndarray
@@ -256,7 +255,6 @@ def _settled(
     return SimulationResult(
         case_id=case_id,
         initial_soc=initial_soc,
-        step_hours=dt,
         discharge=discharge,
         charge=charge,
         soc=soc,

@@ -314,22 +314,13 @@ def _cumulative(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _integral_at(edges: np.ndarray, values: np.ndarray, points) -> np.ndarray:
-    """Integral of a piecewise-constant function from ``edges[0]`` to each point.
-
-    ``values[i]`` holds between ``edges[i]`` and ``edges[i+1]``; points
-    outside the edges are clipped to them.
-    """
-    return np.interp(points, edges, _cumulative(edges, values))
-
-
 def _segment_means(edges: np.ndarray, cum: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Mean of each row's piecewise-constant function between consecutive boundaries.
 
     ``cum`` holds the row-wise integrals at ``edges`` from :func:`_cumulative`,
     so one cumulative serves every set of boundaries. Repeats np.interp's
-    arithmetic on them, so a block of rows gives the bits one ``_integral_at``
-    call per row gives: the integral at an edge or past an end as it is, else
+    arithmetic on them, so a block of rows gives the bits of one np.interp
+    call per row: the integral at an edge or past an end as it is, else
     ``slope * (x - edges[j]) + cum[j]`` inside cell j.
     """
     j = np.clip(np.searchsorted(edges, boundaries, side="right") - 1, 0, edges.size - 1)

@@ -234,7 +234,7 @@ def test_fill_gaps_flag_recovers_gappy_file(tmp_path, capsys):
     args = [
         "simulate",
         "--zones", "AA",
-        "--durations", "1",
+        "--durations", "1", "2", "4",
         "--cases", "RT-SB-PF",
         "--grid-points", "301",
         "--da-prices", str(tmp_path / "da.csv"),
@@ -242,8 +242,10 @@ def test_fill_gaps_flag_recovers_gappy_file(tmp_path, capsys):
         "--output-dir", str(tmp_path / "out"),
     ]
     assert run(args) == EXIT_DATA  # gap is a hard error by default
+    capsys.readouterr()
     assert run(args + ["--fill-gaps"]) == EXIT_OK
-    assert "forward-filled 1" in capsys.readouterr().err
+    # the zone's tapes are loaded once for all three durations, so it warns once
+    assert capsys.readouterr().err.count("forward-filled 1 day-ahead interval(s)") == 1
 
 
 def test_dispatch_demo_soc_bids(tmp_path, capsys):
@@ -276,8 +278,20 @@ def test_dispatch_demo_soc_bids(tmp_path, capsys):
         ),
         ("storage,S1,10,60,0.9,10,60\npowerbid,S1,25,5\npowerbid,S2,25,5\n", "no storage row: S2"),
         ("storage,S1,10,20,0.9,10,14\nsocbid,S1,0,20,3\nsocbid,S2,0,10,3\n", "no storage row: S2"),
+        # a second row for a name must not overwrite the first
+        (
+            "storage,S1,10,60,0.9,10,60\nstorage,S1,10,60,0.9,10,0\npowerbid,S1,25,5\n",
+            "row 4: second 'storage' row for S1",
+        ),
+        (
+            "storage,S1,10,60,0.9,10,60\npowerbid,S1,25,5\npowerbid,S1,50,5\n",
+            "row 5: second 'powerbid' row for S1",
+        ),
     ],
-    ids=["short-storage-row", "hole", "overlap", "orphan-powerbid", "orphan-socbid"],
+    ids=[
+        "short-storage-row", "hole", "overlap", "orphan-powerbid", "orphan-socbid",
+        "second-storage", "second-powerbid",
+    ],
 )
 def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, message):
     scenario = tmp_path / "bad.csv"

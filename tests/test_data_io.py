@@ -183,6 +183,21 @@ def test_write_duration_curves(tmp_path):
         write_duration_curves(hourly_series([1.0]), soc_schedule, path)
 
 
+def test_write_duration_curves_needs_a_schedule_that_tiles_the_tape(tmp_path):
+    from socbid import StorageParams
+    from socbid.bids import BidSchedule
+    from socbid.data_io import write_duration_curves
+
+    params = StorageParams(1.0, 1.0)
+    hourly = BidSchedule(1.0, params, np.array([0.0, 1.0]), np.array([[5.0], [6.0]]), "power")
+    # two hourly bids on 30 five-minute intervals: 15 per bid would tile the count,
+    # but a bid covers 12 intervals
+    prices = PriceSeries("Z", START, timedelta(minutes=5), np.full(30, 20.0))
+    with pytest.raises(DataValidationError, match="do not match"):
+        write_duration_curves(prices, hourly, tmp_path / "duration.csv")
+    assert not (tmp_path / "duration.csv").exists()
+
+
 def test_synthetic_tape_is_seeded_and_square():
     a = synthetic_tape("Z", START, timedelta(minutes=5), 288, noise_std=4.0, seed=9)
     b = synthetic_tape("Z", START, timedelta(minutes=5), 288, noise_std=4.0, seed=9)

@@ -9,6 +9,7 @@ from socbid import (
     CaseConfig,
     DataValidationError,
     PowerBid,
+    PriceSeries,
     SoCBidCurve,
     SoCGrid,
     StorageParams,
@@ -221,6 +222,20 @@ def test_run_case_missing_series(micro_params, unit_grid):
         run_case(CaseConfig("RT-PB-DF"), None, prices, micro_params, unit_grid)
     with pytest.raises(DataValidationError, match="real_time"):
         run_case(CaseConfig("RT-SB-PF"), prices, None, micro_params, unit_grid)
+
+
+@pytest.mark.parametrize(
+    "minutes, intervals, message",
+    [(7, 17, "not a whole number"), (5, 36, "do not match")],
+    ids=["step-does-not-divide-an-hour", "three-hours-for-two-bids"],
+)
+def test_run_schedule_rejects_a_tape_two_hourly_bids_do_not_tile(
+    micro_params, minutes, intervals, message
+):
+    schedule = BidSchedule(1.0, micro_params, np.array([0.0, 1.0]), np.array([[5.0], [6.0]]))
+    prices = PriceSeries("Z", START, timedelta(minutes=minutes), np.full(intervals, 20.0))
+    with pytest.raises(DataValidationError, match=message):
+        run_schedule(prices, schedule, micro_params, 0.0)
 
 
 def test_soc_conservation_and_bounds(micro_params, unit_grid):

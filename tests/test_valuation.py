@@ -10,7 +10,6 @@ from socbid.valuation import (
     ValueCurve,
     _cell_edges,
     _cumulative,
-    _integral_at,
     _segment_means,
     _shift_plan,
     _step_values,
@@ -301,7 +300,10 @@ def test_block_segment_means_repeat_interp_bit_for_bit():
     rows = np.stack([random_monotone_values(rng, grid.num_points) for _ in range(30)])
     rows[:10, :20] = -0.0
     expected = np.stack(
-        [np.diff(_integral_at(edges, row, boundaries)) / np.diff(boundaries) for row in rows]
+        [
+            np.diff(np.interp(boundaries, edges, _cumulative(edges, row))) / np.diff(boundaries)
+            for row in rows
+        ]
     )
     means = _segment_means(edges, _cumulative(edges, rows), boundaries)
     assert means.tobytes() == expected.tobytes()
