@@ -340,6 +340,8 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
             if not row or row[0].strip().startswith("#"):
                 continue
             kind = row[0].strip().lower()
+            if kind not in ("generator", "demand", "storage", "powerbid", "socbid"):
+                raise DataValidationError(f"row {row_num}: unknown row kind {kind!r}")
             once = None  # (table, entry) of a row kind allowed once per name
             try:
                 if kind == "generator":
@@ -351,12 +353,10 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
                     once = storage_rows, (StorageParams(p, e, eta, cost), soc)
                 elif kind == "powerbid":
                     once = power_bids, PowerBid(float(row[2]), float(row[3]))
-                elif kind == "socbid":
+                else:
                     soc_rows.setdefault(row[1], []).append(
                         (float(row[2]), float(row[3]), float(row[4]), row_num)
                     )
-                else:
-                    raise DataValidationError(f"row {row_num}: unknown row kind {kind!r}")
             except (IndexError, ValueError) as exc:
                 raise DataValidationError(f"row {row_num}: malformed {kind!r} row") from exc
             if once:

@@ -38,8 +38,8 @@ class GeneratorOffer:
             raise DataValidationError(f"offer {self.name} has no segments")
         last_cost = -math.inf
         for cap, cost in self.segments:
-            if cap <= 0:
-                raise DataValidationError(f"offer {self.name} has a non-positive capacity")
+            if not (0 < cap < math.inf and math.isfinite(cost)):
+                raise DataValidationError(f"offer {self.name} needs finite cost and capacity > 0")
             if cost < last_cost:
                 raise DataValidationError(
                     f"offer {self.name} has decreasing segment costs (non-convex)"
@@ -84,8 +84,8 @@ class MarketInstance:
     storages: tuple[StorageUnit, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.demand < 0:
-            raise DataValidationError(f"demand must be non-negative, got {self.demand}")
+        if not 0 <= self.demand < math.inf:
+            raise DataValidationError(f"demand must be non-negative and finite, got {self.demand}")
         names = [o.name for o in self.offers] + [s.name for s in self.storages]
         if len(set(names)) != len(names):
             raise DataValidationError("participant names must be unique")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bids import (
     _BLOCK_FLOATS,
+    _SEARCH_COMPARES,
     BidSchedule,
     PowerBid,
     SoCBidCurve,
@@ -125,26 +126,45 @@ def _check_soc(e_prev: float, params: StorageParams) -> None:
 def _crossings(
     values: np.ndarray, prices: np.ndarray, params: StorageParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Crossing counts of each settlement price against its period's bid row.
+    """Crossing counts of each settlement price against its period's bid.
 
-    ``values`` holds one row of J stored-energy values per period and
-    ``prices`` one row of settlement prices per period. Returns
-    ``kd = count(price <= discharge thresholds)`` and
-    ``kc = count(price < charge thresholds)``, shaped like ``prices``,
-    counted a block of periods at a time so no temporary exceeds
-    ``_BLOCK_FLOATS`` entries.
+    ``values`` holds one exactly non-increasing bid per period, SoC axis first
+    (J, periods). Returns ``kd = count(price <= discharge thresholds)`` and
+    ``kc = count(price < charge thresholds)`` shaped like ``prices``. Both are
+    prefix lengths, searched for from ``_SEARCH_COMPARES`` compares a period
+    and counted by a broadcast compare below; no temporary exceeds ``_BLOCK_FLOATS``.
     """
-    periods, per_bid = prices.shape
-    rows = max(1, _BLOCK_FLOATS // (per_bid * values.shape[1]))
-    kd = np.empty(prices.shape, dtype=np.intp)
-    kc = np.empty(prices.shape, dtype=np.intp)
+    (segments, periods), per_bid = values.shape, prices.shape[1]
+    search = per_bid * segments >= _SEARCH_COMPARES
+    rows = max(1, _BLOCK_FLOATS // (2 * per_bid * (1 if search else segments)))
+    kd, kc = np.empty((2, *prices.shape), dtype=np.intp)
     for first in range(0, periods, rows):
         block = slice(first, first + rows)
-        discharge, charge = bid_thresholds(values[block, None, :], params)
-        price = prices[block, :, None]
-        kd[block] = np.count_nonzero(price <= discharge, axis=2)
-        kc[block] = np.count_nonzero(price < charge, axis=2)
+        if search:
+            kd[block], kc[block] = _searched(values[:, block], prices[block], params)
+        else:
+            discharge, charge = bid_thresholds(values[:, block, None], params)
+            kd[block] = np.count_nonzero(prices[block] <= discharge, axis=0)
+            kc[block] = np.count_nonzero(prices[block] < charge, axis=0)
     return kd, kc
+
+
+def _searched(values, prices, params):
+    """:func:`_crossings` by a branchless binary search down each column of ``values``."""
+    n, periods = values.shape
+    flat = values.ravel()
+    # Flat index of the segment each price's search stands on, discharge then charge
+    base = np.arange(periods)[:, None] + np.zeros((2, 1, prices.shape[1]), dtype=np.intp)
+    beats = np.empty(base.shape, dtype=bool)
+    while n > 1:  # the first segment a price does not beat is at most n above base
+        half = n // 2
+        discharge, charge = bid_thresholds(flat.take(base + half * periods), params)
+        np.less_equal(prices, discharge[0], out=beats[0])
+        np.less(prices, charge[1], out=beats[1])
+        base += beats * (half * periods)
+        n -= half
+    discharge, charge = bid_thresholds(flat.take(base), params)
+    return base[0] // periods + (prices <= discharge[0]), base[1] // periods + (prices < charge[1])
 
 
 def _settle(
@@ -154,9 +174,9 @@ def _settle(
     """Dispatch each interval in turn; returns discharge, charge, SoC-after and profit lists.
 
     ``kd`` and ``kc`` are each interval's crossing counts against its bid
-    (see :func:`_crossings`). With non-increasing rows, a price beats the
-    discharge thresholds of the segments from ``kd`` up and the charge
-    thresholds of the segments below ``kc``. So a non-negative price
+    (see :func:`_crossings`), counted on the running minimum of its row, so
+    a price beats the discharge thresholds of the segments from ``kd`` up and
+    the charge thresholds of the segments below ``kc``. So a non-negative price
     discharges the unit down to ``boundaries[kd]`` when the SoC is above it;
     otherwise the unit charges up to ``boundaries[kc]`` when the SoC is below
     it. A non-negative price that beats every discharge threshold
@@ -276,15 +296,20 @@ def run_schedule(
 
     Each schedule entry covers a whole number of settlement intervals; an
     hourly schedule against 5-minute prices applies each bid to its twelve
-    subintervals, with power limits per interval.
+    subintervals, with power limits per interval. Rows settle as their running
+    minimum, which floors the rises up to 1e-9 relative a hand-built row may keep.
     """
     per_bid = _intervals_per_bid(schedule.period_hours, len(schedule), prices)
     check_soc_range(
         float(schedule.boundaries[0]), float(schedule.boundaries[-1]), params, "bid curve"
     )
-    kd, kc = _crossings(
-        schedule.values, prices.values.reshape(len(schedule), per_bid), schedule.params
-    )
+    settlement = prices.values.reshape(len(schedule), per_bid)
+    rows = max(1, _BLOCK_FLOATS // schedule.values.shape[1])
+    kd, kc = np.empty((2, *settlement.shape), dtype=np.intp)
+    for first in range(0, len(schedule), rows):
+        block = slice(first, first + rows)
+        bids = np.minimum.accumulate(schedule.values[block].T, axis=0)
+        kd[block], kc[block] = _crossings(bids, settlement[block], schedule.params)
     return _settled(case_id, prices, schedule.boundaries, kd, kc, params, initial_soc)
 
 
@@ -338,7 +363,7 @@ def run_cases(
         for first, means in blocks:
             for (model, _), (prices, kd, kc) in counts.items():
                 block = means[models.index(model)]
-                rows = slice(first, first + len(block))
+                rows = slice(first, first + block.shape[1])
                 kd[rows], kc[rows] = _crossings(block, prices[rows], params)
         for i, config in enumerate(configs):
             if config.valuation_source == source:

@@ -308,27 +308,45 @@ def _cell_edges(grid: SoCGrid) -> np.ndarray:
 
 
 def _cumulative(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Integral from ``edges[0]`` to each edge of every piecewise-constant row of ``values``."""
-    cum = np.zeros(values.shape[:-1] + edges.shape)
-    np.cumsum(values * np.diff(edges), axis=-1, out=cum[..., 1:])
+    """Integral from ``edges[0]`` to each edge of each row of ``values``, SoC axis first.
+
+    Returns ``(edges.size, rows)``; each column, a left fold, has the bits of a 1-D cumsum.
+    """
+    rows = values.reshape(-1, values.shape[-1])
+    cum = np.zeros((edges.size, rows.shape[0]))
+    np.cumsum((rows * np.diff(edges)).T, axis=0, out=cum[1:])
     return cum
 
 
-def _segment_means(edges: np.ndarray, cum: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Mean of each row's piecewise-constant function between consecutive boundaries.
+def _interp_plan(edges: np.ndarray, points: np.ndarray) -> tuple:
+    """Where np.interp reads each point on ``edges``; a pass builds it once per bid kind.
 
-    ``cum`` holds the row-wise integrals at ``edges`` from :func:`_cumulative`,
-    so one cumulative serves every set of boundaries. Repeats np.interp's
-    arithmetic on them, so a block of rows gives the bits of one np.interp
-    call per row: the integral at an edge or past an end as it is, else
-    ``slope * (x - edges[j]) + cum[j]`` inside cell j.
+    The points taken as they are (on an edge or past an end) and their edges,
+    cells k and k + 1, and as columns the cell widths, offsets and point gaps.
     """
-    j = np.clip(np.searchsorted(edges, boundaries, side="right") - 1, 0, edges.size - 1)
-    as_is = (edges[j] == boundaries) | (j == edges.size - 1) | (boundaries < edges[0])
+    j = np.clip(np.searchsorted(edges, points, side="right") - 1, 0, edges.size - 1)
+    as_is = np.flatnonzero((edges[j] == points) | (j == edges.size - 1) | (points < edges[0]))
     k = np.minimum(j, edges.size - 2)
-    slope = (cum[..., k + 1] - cum[..., k]) / (edges[k + 1] - edges[k])
-    integral = np.where(as_is, cum[..., j], slope * (boundaries - edges[k]) + cum[..., k])
-    return np.diff(integral, axis=-1) / np.diff(boundaries)
+    width, offset = edges[k + 1] - edges[k], points - edges[k]
+    return as_is, j[as_is], k, k + 1, width[:, None], offset[:, None], np.diff(points)[:, None]
+
+
+def _integrals(plan: tuple, cum: np.ndarray) -> np.ndarray:
+    """Each column of ``cum`` from :func:`_cumulative` at the points of ``plan``.
+
+    Repeats np.interp's arithmetic on whole rows of ``cum``, so each column gets
+    its bits: the integral as it is, else ``slope * (x - edges[k]) + cum[k]``.
+    """
+    as_is, at, k, after, width, offset, _ = plan
+    lo = cum.take(k, axis=0)
+    out = (cum.take(after, axis=0) - lo) / width * offset + lo
+    out[as_is] = cum.take(at, axis=0)
+    return out
+
+
+def _segment_means(plan: tuple, cum: np.ndarray) -> np.ndarray:
+    """Mean of each column between consecutive points of ``plan``, SoC axis first."""
+    return np.diff(_integrals(plan, cum), axis=0) / plan[-1]
 
 
 def average_marginal(curve: ValueCurve, lo: float, hi: float) -> float:
@@ -357,4 +375,4 @@ def segment_averages(curve: ValueCurve, boundaries: np.ndarray) -> np.ndarray:
             f"range [{bounds[0]}, {bounds[-1]}] leaves the grid [{grid.soc_min}, {grid.soc_max}]"
         )
     edges = _cell_edges(grid)
-    return _segment_means(edges, _cumulative(edges, curve.values), bounds)
+    return _segment_means(_interp_plan(edges, bounds), _cumulative(edges, curve.values))[:, 0]

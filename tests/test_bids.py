@@ -20,7 +20,7 @@ from socbid import (
     make_soc_bids,
     update_step,
 )
-from socbid.bids import _BLOCK_FLOATS, power_bid_from_average, soc_bid_boundaries
+from socbid.bids import _BLOCK_FLOATS, booked_value, power_bid_from_average, soc_bid_boundaries
 from socbid.cli import _synthetic_tapes
 
 from conftest import START, hourly_series, random_monotone_values
@@ -173,6 +173,22 @@ def test_streaming_builder_matches_surface_route(micro_params, unit_grid):
             else:
                 np.testing.assert_array_equal(a.boundaries, b.boundaries)
                 np.testing.assert_array_equal(a.segment_values, b.segment_values)
+
+
+def test_booked_value_repeats_interp_bit_for_bit():
+    # booked_value shares the bid reduction's np.interp arithmetic; np.interp
+    # over the bid's cumulative integral is the reference. SoCs on boundaries,
+    # inside segments, equal, and rows with signed zeros.
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        segments = int(rng.integers(1, 30))
+        bounds = np.cumsum(rng.uniform(0.1, 1.0, segments + 1))
+        values = -np.sort(-rng.choice([-5.0, -0.0, 0.0, 20.0, 45.0], size=segments))
+        cum = np.concatenate(([0.0], np.cumsum(values * np.diff(bounds))))
+        points = rng.choice(np.concatenate((bounds, rng.uniform(bounds[0], bounds[-1], 4))), 2)
+        start, end = np.interp(points, bounds, cum)
+        booked = booked_value(SoCBidCurve(bounds, values), *points.tolist())
+        assert np.float64(booked).tobytes() == np.float64(end - start).tobytes()
 
 
 def test_bid_tables_are_pinned_across_block_edges():

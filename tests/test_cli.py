@@ -300,6 +300,31 @@ def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, me
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ("generator,G1,100,nan\ndemand,,50\n", "offer G1 needs finite cost and capacity > 0"),
+        ("generator,G1,nan,15\ndemand,,50\n", "offer G1 needs finite cost and capacity > 0"),
+        ("generator,G1,100,15\ndemand,,nan\n", "demand must be non-negative and finite"),
+        ("generator,G1,100,15\ndemand,,inf\n", "demand must be non-negative and finite"),
+        (
+            "generator,G1,100,15\ndemand,,50\nstorge,S1,10,60,0.9,10,60\n",
+            "row 3: unknown row kind 'storge'",
+        ),
+    ],
+    ids=["nan-cost", "nan-capacity", "nan-demand", "inf-demand", "unknown-kind"],
+)
+def test_dispatch_demo_rejects_non_finite_numbers_and_unknown_kinds(
+    tmp_path, capsys, scenario, message
+):
+    path = tmp_path / "bad.csv"
+    path.write_text(scenario)
+    assert run(["dispatch-demo", "--scenario", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "nan" not in captured.out
+
+
 def test_manifest_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"zones": ["AA"], "durations": "4", "synthetic_days": 1}))

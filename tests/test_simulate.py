@@ -26,10 +26,12 @@ from socbid import (
 from socbid.bids import bid_thresholds, power_bid_from_average
 from socbid.cli import _synthetic_tapes
 from socbid.data_io import synthetic_tape
+from socbid import simulate
 from socbid.simulate import (
     _check_soc,
     _clamp_soc,
     _crossings,
+    _searched,
     _settle,
     run_cases,
 )
@@ -440,12 +442,72 @@ def test_settle_from_crossing_counts_repeats_the_segment_walk_byte_for_byte():
         kd = [sum(price <= d for d in dis) for price, (dis, _) in zip(prices, rows)]
         kc = [sum(price < c for c in chg) for price, (_, chg) in zip(prices, rows)]
         if values is not None:
-            counted = _crossings(values, np.reshape(prices, (-1, per_bid)), params)
+            counted = _crossings(values.T, np.reshape(prices, (-1, per_bid)), params)
             assert [a.ravel().tolist() for a in counted] == [kd, kc]
         expected = reference_settle(prices, boundaries, thresholds, per_bid, params, dt, e)
         settled = _settle(prices, boundaries, kd, kc, params, dt, e)
         for got, want in zip(settled, expected):
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("per_bid", [1, 12])
+@pytest.mark.parametrize("segments", [1, 2, 3, 20, 1023, 1024, 1440])
+def test_searched_and_broadcast_counts_equal_a_plain_count(segments, per_bid, monkeypatch):
+    # Rows with flat runs and signed zeros; prices on thresholds, at 0.0 and
+    # -0.0 and beyond both ends. _crossings searches from _SEARCH_COMPARES
+    # compares a period; each shape is counted at that crossover, then with
+    # the crossover moved so that it lands on each side of it.
+    rng = np.random.default_rng(segments * 100 + per_bid)
+    params = StorageParams(1.0, segments / 20, 0.9, 10.0)
+    periods = 9
+    levels = np.concatenate((rng.uniform(-30.0, 60.0, size=5), [0.0, -0.0]))
+    values = -np.sort(-rng.choice(levels, size=(periods, segments)), axis=1)
+    discharge, charge = bid_thresholds(values, params)
+    on_rows = np.concatenate((discharge, charge), axis=1)
+    prices = rng.uniform(-40.0, 90.0, size=(periods, per_bid))
+    hits = rng.random(prices.shape)
+    prices = np.where(
+        hits < 0.4, on_rows[np.arange(periods)[:, None], rng.integers(0, 2 * segments, prices.shape)],
+        prices,
+    )
+    prices = np.where(hits > 0.8, rng.choice([0.0, -0.0, -1e9, 1e9], size=prices.shape), prices)
+    expected = [
+        np.sum(prices[:, :, None] <= discharge[:, None, :], axis=2).tolist(),
+        np.sum(prices[:, :, None] < charge[:, None, :], axis=2).tolist(),
+    ]
+    bids = np.ascontiguousarray(values.T)
+    for crossover in (simulate._SEARCH_COMPARES, 1, segments * per_bid + 1):
+        monkeypatch.setattr(simulate, "_SEARCH_COMPARES", crossover)
+        assert [a.tolist() for a in _crossings(bids, prices, params)] == expected
+
+
+@pytest.mark.parametrize("segments", [4, 240])  # 12 prices a bid: broadcast, then search
+def test_run_schedule_settles_a_rising_row_as_its_running_minimum(segments):
+    # The schedule check admits a rise of 1e-12; settlement reads the row as
+    # its running minimum, so a price inside the rise counts as it would on
+    # the floored row, not as a count over the raw row would have it.
+    params = StorageParams(float(segments), float(segments), 0.9, 10.0)
+    boundaries = np.linspace(0.0, params.soc_max, segments + 1)
+    row = np.linspace(30.0, 10.0, segments)
+    rise = segments // 2
+    row[rise] = row[rise - 1] + 1e-12
+    floored = np.minimum.accumulate(row)
+    discharge, charge = bid_thresholds(row, params)
+    price = float(discharge[rise])
+    assert price > discharge[rise - 1]
+    tape = five_min_series(np.full(12, price))
+    settled = [
+        run_schedule(tape, BidSchedule(1.0, params, boundaries, bids[None]), params, params.soc_max)
+        for bids in (row, floored)
+    ]
+    for name in ("discharge", "charge", "soc", "profit"):
+        assert getattr(settled[0], name).tobytes() == getattr(settled[1], name).tobytes()
+    step = step_soc_bid(params.soc_max, price, SoCBidCurve(boundaries, row), params, 1 / 12)
+    assert step.soc_after == settled[0].soc[0]  # a single step reads the curve the same way
+    kd, kc = int(np.sum(price <= discharge)), int(np.sum(price < charge))
+    raw = _settle([price] * 12, boundaries.tolist(), [kd] * 12, [kc] * 12, params, 1 / 12,
+                  params.soc_max)
+    assert raw[2] != settled[0].soc.tolist()
 
 
 @pytest.mark.parametrize("duration", [1, 12, 72])

@@ -10,6 +10,7 @@ from socbid.valuation import (
     ValueCurve,
     _cell_edges,
     _cumulative,
+    _interp_plan,
     _segment_means,
     _shift_plan,
     _step_values,
@@ -301,12 +302,15 @@ def test_block_segment_means_repeat_interp_bit_for_bit():
     rows[:10, :20] = -0.0
     expected = np.stack(
         [
-            np.diff(np.interp(boundaries, edges, _cumulative(edges, row))) / np.diff(boundaries)
+            np.diff(np.interp(boundaries, edges, np.r_[0.0, np.cumsum(row * np.diff(edges))]))
+            / np.diff(boundaries)
             for row in rows
         ]
     )
-    means = _segment_means(edges, _cumulative(edges, rows), boundaries)
-    assert means.tobytes() == expected.tobytes()
+    # The block is integrated and reduced with the SoC axis first: one column per row.
+    means = _segment_means(_interp_plan(edges, boundaries), _cumulative(edges, rows))
+    assert means.shape == (boundaries.size - 1, rows.shape[0])
+    assert means.T.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
