@@ -41,6 +41,10 @@ class PowerBid:
     discharge_bid: float
     charge_bid: float
 
+    def __post_init__(self) -> None:
+        if not np.isfinite([self.discharge_bid, self.charge_bid]).all():
+            raise DataValidationError(f"power bid thresholds must be finite: {self}")
+
 
 def _check_segments(boundaries, values, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """Float arrays of J+1 increasing boundaries and non-increasing rows of J values."""
@@ -181,27 +185,16 @@ def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int
 
 
 _BLOCK_FLOATS = 2**16  # cap on the entries of each temporary of a block of curves or counts
-# Settlement searches a period's crossings from this many compares (intervals x
-# segments) and broadcasts below. On a 2-CPU Xeon the two tie on a 9,601-point PF
-# pass's 6-row blocks of 1,440; at 2,880 (12 prices x 240) the search is 4-7x faster.
-_SEARCH_COMPARES = 2048
-
-
-def _periods(source: ValueSurface | PriceSeries) -> tuple[int, float]:
-    """Number of bid periods and their length in hours."""
-    if isinstance(source, ValueSurface):
-        return source.horizon, source.step_hours
-    return len(source), source.resolution_hours
 
 
 def _bid_blocks(
-    source: ValueSurface | PriceSeries, params: StorageParams, grid: SoCGrid,
-    kinds: tuple[str, ...], segments_per_hour: int,
+    curves, horizon: int, params: StorageParams, grid: SoCGrid, kinds: tuple[str, ...],
+    segments_per_hour: int,
 ):
     """Each kind's segment boundaries, and a generator of (first period, means) blocks.
 
-    ``source`` is a value surface, read a block of rows at a time, or a
-    forecast tape, valued by one backward pass that holds one curve at a
+    ``curves`` yields (t, curve after period t) on ``grid`` for t = ``horizon``
+    down to 0, as a backward pass does; it is buffered a block of rows at a
     time. Period t's dispatch trades against the value of energy left after
     it, so the bid of 0-indexed period t comes from the curve after period
     t+1; the pre-horizon curve (t = 0) sets no bid. Each block of curves is
@@ -220,15 +213,9 @@ def _bid_blocks(
     edges = _cell_edges(grid)
     plans = [_interp_plan(edges, b) for b in bounds]
     rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, *(b.size for b in bounds)) + 1))
-    horizon, _ = _periods(source)
-    if isinstance(source, ValueSurface):
-        blocks = ((t, source.values[t + 1 : t + 1 + rows]) for t in range(0, horizon, rows))
-    else:
-        curves = _backward_curves(source, params, grid)
-        blocks = _stream_blocks(curves, rows, grid.num_points, horizon)
 
     def reduced():
-        for first, block in blocks:
+        for first, block in _stream_blocks(curves, rows, grid.num_points, horizon):
             cum = _cumulative(edges, block)
             yield first, [
                 np.minimum.accumulate(_segment_means(plan, cum), axis=0) for plan in plans
@@ -241,9 +228,14 @@ def _bid_table(
     source: ValueSurface | PriceSeries, params: StorageParams, grid: SoCGrid,
     kind: str, segments_per_hour: int,
 ) -> BidSchedule:
-    """The ``kind`` bid schedule, filled from :func:`_bid_blocks`."""
-    horizon, period_hours = _periods(source)
-    (bounds,), blocks = _bid_blocks(source, params, grid, (kind,), segments_per_hour)
+    """The ``kind`` bid schedule of a value surface's rows or a forecast tape's backward pass."""
+    if isinstance(source, ValueSurface):
+        horizon, period_hours = source.horizon, source.step_hours
+        curves = zip(range(horizon, -1, -1), source.values[::-1])
+    else:
+        horizon, period_hours = len(source), source.resolution_hours
+        curves = _backward_curves(source, params, grid)
+    (bounds,), blocks = _bid_blocks(curves, horizon, params, grid, (kind,), segments_per_hour)
     table = np.empty((horizon, bounds.size - 1))
     for first, (means,) in blocks:
         table[first : first + means.shape[1]] = means.T

@@ -236,6 +236,7 @@ def _simulate(manifest: RunManifest) -> list[dict]:
     else:
         results = [_run_zone_duration(job) for job in jobs]
     rows = [row for chunk in results for row in chunk]
+    # The one row order: stdout and both summary files follow it
     rows.sort(key=lambda r: (r["zone"], r["duration_hours"], r["case_id"]))
     return rows
 

@@ -269,14 +269,13 @@ SUMMARY_HEADER = (
 
 
 def write_summary_csv(rows: list[dict], path: str | Path) -> None:
-    """Summary table, one row per (zone, duration, case), sorted canonically."""
+    """Summary table, one row per (zone, duration, case), in the order given."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(rows, key=lambda r: (r["zone"], r["duration_hours"], r["case_id"]))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
-        for row in ordered:
+        for row in rows:
             writer.writerow([_plain(row.get(k, "")) for k in SUMMARY_HEADER])
 
 
@@ -284,8 +283,7 @@ def write_summary_json(rows: list[dict], meta: dict, path: str | Path) -> None:
     """Machine-readable run summary: metadata plus the same rows as the CSV."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(rows, key=lambda r: (r["zone"], r["duration_hours"], r["case_id"]))
-    doc = {"meta": meta, "rows": ordered}
+    doc = {"meta": meta, "rows": rows}
     with path.open("w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

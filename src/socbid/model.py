@@ -95,6 +95,12 @@ def check_soc_range(lo: float, hi: float, params: StorageParams, what: str) -> N
         )
 
 
+def check_initial_soc(e: float, params: StorageParams) -> None:
+    """Require that the initial SoC ``e`` lies in the storage's SoC range, up to SOC_EPS."""
+    if not params.soc_min - SOC_EPS <= e <= params.soc_max + SOC_EPS:
+        raise DataValidationError(f"initial SoC {e} outside [{params.soc_min}, {params.soc_max}]")
+
+
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
     """Uniformly spaced electricity price tape for one zone.

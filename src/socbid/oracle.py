@@ -30,6 +30,7 @@ from .model import (
     PriceSeries,
     SoCGrid,
     StorageParams,
+    check_initial_soc,
     check_soc_range,
     validate_params,
 )
@@ -84,8 +85,7 @@ def grid_dp_oracle(
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     if action_points < 3:
         raise DataValidationError(f"action_points must be at least 3, got {action_points}")
-    if not params.soc_min - SOC_EPS <= initial_soc <= params.soc_max + SOC_EPS:
-        raise DataValidationError(f"initial SoC {initial_soc} out of bounds")
+    check_initial_soc(initial_soc, params)
 
     eta = params.efficiency_one_way
     c = params.discharge_cost

@@ -18,7 +18,6 @@ import numpy as np
 
 from .bids import (
     _BLOCK_FLOATS,
-    _SEARCH_COMPARES,
     BidSchedule,
     PowerBid,
     SoCBidCurve,
@@ -29,15 +28,16 @@ from .bids import (
     threshold_table,
 )
 from .model import (
-    SOC_EPS,
     DataValidationError,
     DispatchDecision,
     PriceSeries,
     SoCGrid,
     StorageParams,
+    check_initial_soc,
     check_soc_range,
     validate_params,
 )
+from .valuation import _backward_curves
 
 CASE_IDS = ("DA-PB-DF", "DA-SB-DF", "RT-PB-DF", "RT-SB-DF", "RT-PB-PF", "RT-SB-PF")
 
@@ -116,13 +116,6 @@ def _clamp_soc(e: float, params: StorageParams) -> float:
     raise DataValidationError(f"SoC {e} left [{lo}, {hi}] by more than {tol:g} MWh")
 
 
-def _check_soc(e_prev: float, params: StorageParams) -> None:
-    if e_prev < params.soc_min - SOC_EPS or e_prev > params.soc_max + SOC_EPS:
-        raise DataValidationError(
-            f"initial SoC {e_prev} outside [{params.soc_min}, {params.soc_max}]"
-        )
-
-
 def _crossings(
     values: np.ndarray, prices: np.ndarray, params: StorageParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,40 +124,31 @@ def _crossings(
     ``values`` holds one exactly non-increasing bid per period, SoC axis first
     (J, periods). Returns ``kd = count(price <= discharge thresholds)`` and
     ``kc = count(price < charge thresholds)`` shaped like ``prices``. Both are
-    prefix lengths, searched for from ``_SEARCH_COMPARES`` compares a period
-    and counted by a broadcast compare below; no temporary exceeds ``_BLOCK_FLOATS``.
+    prefix lengths, found by a branchless binary search down each column of
+    ``values``, a block of periods at a time; no temporary exceeds ``_BLOCK_FLOATS``.
     """
-    (segments, periods), per_bid = values.shape, prices.shape[1]
-    search = per_bid * segments >= _SEARCH_COMPARES
-    rows = max(1, _BLOCK_FLOATS // (2 * per_bid * (1 if search else segments)))
+    per_bid = prices.shape[1]
+    rows = max(1, _BLOCK_FLOATS // (2 * per_bid))
     kd, kc = np.empty((2, *prices.shape), dtype=np.intp)
-    for first in range(0, periods, rows):
+    for first in range(0, values.shape[1], rows):
         block = slice(first, first + rows)
-        if search:
-            kd[block], kc[block] = _searched(values[:, block], prices[block], params)
-        else:
-            discharge, charge = bid_thresholds(values[:, block, None], params)
-            kd[block] = np.count_nonzero(prices[block] <= discharge, axis=0)
-            kc[block] = np.count_nonzero(prices[block] < charge, axis=0)
+        bids, block_prices = values[:, block], prices[block]
+        flat, periods = bids.ravel(), bids.shape[1]
+        # Flat index of the segment each price's search stands on, discharge then charge
+        base = np.arange(periods)[:, None] + np.zeros((2, 1, per_bid), dtype=np.intp)
+        beats = np.empty(base.shape, dtype=bool)
+        n = values.shape[0]
+        while n > 1:  # the first segment a price does not beat is at most n above base
+            half = n // 2
+            discharge, charge = bid_thresholds(flat.take(base + half * periods), params)
+            np.less_equal(block_prices, discharge[0], out=beats[0])
+            np.less(block_prices, charge[1], out=beats[1])
+            base += beats * (half * periods)
+            n -= half
+        discharge, charge = bid_thresholds(flat.take(base), params)
+        kd[block] = base[0] // periods + (block_prices <= discharge[0])
+        kc[block] = base[1] // periods + (block_prices < charge[1])
     return kd, kc
-
-
-def _searched(values, prices, params):
-    """:func:`_crossings` by a branchless binary search down each column of ``values``."""
-    n, periods = values.shape
-    flat = values.ravel()
-    # Flat index of the segment each price's search stands on, discharge then charge
-    base = np.arange(periods)[:, None] + np.zeros((2, 1, prices.shape[1]), dtype=np.intp)
-    beats = np.empty(base.shape, dtype=bool)
-    while n > 1:  # the first segment a price does not beat is at most n above base
-        half = n // 2
-        discharge, charge = bid_thresholds(flat.take(base + half * periods), params)
-        np.less_equal(prices, discharge[0], out=beats[0])
-        np.less(prices, charge[1], out=beats[1])
-        base += beats * (half * periods)
-        n -= half
-    discharge, charge = bid_thresholds(flat.take(base), params)
-    return base[0] // periods + (prices <= discharge[0]), base[1] // periods + (prices < charge[1])
 
 
 def _settle(
@@ -183,7 +167,7 @@ def _settle(
     (``kd == 0``) never charges, even at ``soc_min``. The power rating and
     the SoC bounds cap the move.
     """
-    _check_soc(e, params)
+    check_initial_soc(e, params)
     eta = params.efficiency_one_way
     c = params.discharge_cost
     big_p = params.power_rating
@@ -343,7 +327,7 @@ def run_cases(
                 f"day-ahead span {da_prices.span} != real-time span {rt_prices.span}"
             )
     for config in configs:
-        _check_soc(config.initial_soc, params)
+        check_initial_soc(config.initial_soc, params)
 
     results: list[SimulationResult] = [None] * len(configs)
     for source in dict.fromkeys(config.valuation_source for config in configs):
@@ -358,7 +342,8 @@ def run_cases(
             prices = series[market].values.reshape(len(forecast), per_bid)
             counts[model, market] = (prices, *np.empty((2, *prices.shape), np.intp))
         bounds, blocks = _bid_blocks(
-            forecast, params, grids[source], models, segments_per_hour_of_duration
+            _backward_curves(forecast, params, grids[source]), len(forecast), params,
+            grids[source], models, segments_per_hour_of_duration,
         )
         for first, means in blocks:
             for (model, _), (prices, kd, kc) in counts.items():

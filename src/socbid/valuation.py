@@ -58,8 +58,6 @@ class ValueCurve:
             raise DataValidationError(
                 f"curve has {arr.size} values for a {self.grid.num_points}-point grid"
             )
-        if not np.all(np.isfinite(arr)):
-            raise DataValidationError("curve values must be finite")
         _require_non_increasing(arr)
         arr = arr.copy()
         arr.flags.writeable = False
@@ -102,14 +100,19 @@ class ValueSurface:
 
 
 def _require_non_increasing(values: np.ndarray) -> None:
-    """Raise unless each row (last axis) of ``values`` is non-increasing up to float noise.
+    """Raise unless each row (last axis) of ``values`` is finite and non-increasing.
 
-    Rows are checked in blocks, so no temporary spans a whole (T, J) table.
+    A rise within float noise passes: the tolerance scales with the row's
+    largest magnitude, so it is finite exactly when the row is. Rows are
+    checked in blocks, so no temporary spans a whole (T, J) table.
     """
     rows = values.reshape(-1, values.shape[-1])
     for first in range(0, rows.shape[0], 256):
         block = rows[first : first + 256]
         tol = 1e-9 * (1.0 + np.max(np.abs(block), axis=1, keepdims=True))
+        (bad_rows,) = np.nonzero(~np.isfinite(tol[:, 0]))
+        if bad_rows.size:
+            raise DataValidationError(f"values must be finite; row {first + bad_rows[0]} is not")
         bad_rows, bad_cols = np.nonzero(np.diff(block, axis=1) > tol)
         if bad_rows.size:
             raise DataValidationError(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from socbid import (
+    BidSchedule,
     DataValidationError,
     PowerBid,
     PriceSeries,
@@ -144,6 +145,26 @@ def test_soc_bid_curve_validation():
         SoCBidCurve(np.array([0.0, 0.0, 1.0]), np.array([9.0, 1.0]))
     with pytest.raises(DataValidationError, match="J"):
         SoCBidCurve(np.array([0.0, 1.0]), np.array([9.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_bids_and_curves_are_rejected(bad, micro_params, unit_grid):
+    # A NaN threshold loses every compare, so a bid carrying one never moves
+    # the unit; -inf in last place leaves a row non-increasing. Rows past the
+    # first block of a table are checked too.
+    for make in (lambda: PowerBid(bad, 5.0), lambda: PowerBid(20.0, bad),
+                 lambda: SoCBidCurve(np.array([0.0, 0.5, 1.0]), np.array([9.0, bad])),
+                 lambda: ValueCurve(unit_grid, np.full(unit_grid.num_points, bad))):
+        with pytest.raises(DataValidationError, match="finite"):
+            make()
+    table = np.zeros((600, 2))
+    table[300, 1] = bad
+    with pytest.raises(DataValidationError, match="finite; row 300 is not"):
+        BidSchedule(1.0, micro_params, np.array([0.0, 0.5, 1.0]), table)
+    surface = np.zeros((600, unit_grid.num_points))
+    surface[599, -1] = bad
+    with pytest.raises(DataValidationError, match="finite; row 599 is not"):
+        ValueSurface(unit_grid, 1.0, surface)
 
 
 def test_zero_segments_rejected(micro_params):

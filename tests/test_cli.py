@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from socbid import bids
+from socbid import simulate
 from socbid.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 SCENARIO = """\
@@ -311,8 +311,20 @@ def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, me
             "generator,G1,100,15\ndemand,,50\nstorge,S1,10,60,0.9,10,60\n",
             "row 3: unknown row kind 'storge'",
         ),
+        # a NaN threshold or value beats no price, so the unit would never move
+        (
+            "generator,G1,100,15\ndemand,,50\nstorage,S1,10,60,0.9,10,30\npowerbid,S1,nan,5\n",
+            "row 4: malformed 'powerbid' row",
+        ),
+        (
+            "generator,G1,100,15\ndemand,,50\nstorage,S1,10,60,0.9,10,30\nsocbid,S1,0,60,nan\n",
+            "values must be finite",
+        ),
     ],
-    ids=["nan-cost", "nan-capacity", "nan-demand", "inf-demand", "unknown-kind"],
+    ids=[
+        "nan-cost", "nan-capacity", "nan-demand", "inf-demand", "unknown-kind",
+        "nan-powerbid", "nan-socbid",
+    ],
 )
 def test_dispatch_demo_rejects_non_finite_numbers_and_unknown_kinds(
     tmp_path, capsys, scenario, message
@@ -323,6 +335,21 @@ def test_dispatch_demo_rejects_non_finite_numbers_and_unknown_kinds(
     captured = capsys.readouterr()
     assert message in captured.err
     assert "nan" not in captured.out
+
+
+def test_nan_initial_soc_is_rejected_before_valuation(tmp_path, capsys, monkeypatch):
+    def no_valuation(*args, **kwargs):
+        raise AssertionError("valuation ran")
+
+    monkeypatch.setattr(simulate, "_backward_curves", no_valuation)
+    code = run(
+        [
+            "sweep", "--zones", "AA", "--durations", "1", "--synthetic-days", "1",
+            "--initial-soc", "nan", "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == EXIT_DATA
+    assert "initial SoC" in capsys.readouterr().err
 
 
 def test_manifest_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
@@ -379,13 +406,13 @@ def test_sweep_values_each_forecast_tape_once(tmp_path, monkeypatch):
     # Six cases per (zone, duration) value two tapes: day-ahead for the four
     # DF cases and real-time for the two PF cases.
     calls = []
-    passes = bids._backward_curves
+    passes = simulate._backward_curves
 
     def counted(prediction, *args, **kwargs):
         calls.append(prediction.resolution_hours)
         return passes(prediction, *args, **kwargs)
 
-    monkeypatch.setattr(bids, "_backward_curves", counted)
+    monkeypatch.setattr(simulate, "_backward_curves", counted)
     write_csv_tapes(tmp_path / "da.csv", tmp_path / "rt.csv")
     code = run(
         [

@@ -27,11 +27,10 @@ from socbid.bids import bid_thresholds, power_bid_from_average
 from socbid.cli import _synthetic_tapes
 from socbid.data_io import synthetic_tape
 from socbid import simulate
+from socbid.model import check_initial_soc
 from socbid.simulate import (
-    _check_soc,
     _clamp_soc,
     _crossings,
-    _searched,
     _settle,
     run_cases,
 )
@@ -355,7 +354,7 @@ def reference_settle(
     otherwise it charges up through those whose charge threshold is above
     the price. The power rating and the SoC bounds cap the move.
     """
-    _check_soc(e, params)
+    check_initial_soc(e, params)
     eta = params.efficiency_one_way
     c = params.discharge_cost
     big_p = params.power_rating
@@ -450,13 +449,12 @@ def test_settle_from_crossing_counts_repeats_the_segment_walk_byte_for_byte():
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("per_bid", [1, 12])
-@pytest.mark.parametrize("segments", [1, 2, 3, 20, 1023, 1024, 1440])
-def test_searched_and_broadcast_counts_equal_a_plain_count(segments, per_bid, monkeypatch):
-    # Rows with flat runs and signed zeros; prices on thresholds, at 0.0 and
-    # -0.0 and beyond both ends. _crossings searches from _SEARCH_COMPARES
-    # compares a period; each shape is counted at that crossover, then with
-    # the crossover moved so that it lands on each side of it.
+def crossing_case(segments: int, per_bid: int):
+    """Nine periods' bids, SoC axis first, and prices, with their plain crossing counts.
+
+    Rows have flat runs and signed zeros; prices sit on thresholds, at 0.0
+    and -0.0 and beyond both ends.
+    """
     rng = np.random.default_rng(segments * 100 + per_bid)
     params = StorageParams(1.0, segments / 20, 0.9, 10.0)
     periods = 9
@@ -475,13 +473,29 @@ def test_searched_and_broadcast_counts_equal_a_plain_count(segments, per_bid, mo
         np.sum(prices[:, :, None] <= discharge[:, None, :], axis=2).tolist(),
         np.sum(prices[:, :, None] < charge[:, None, :], axis=2).tolist(),
     ]
-    bids = np.ascontiguousarray(values.T)
-    for crossover in (simulate._SEARCH_COMPARES, 1, segments * per_bid + 1):
-        monkeypatch.setattr(simulate, "_SEARCH_COMPARES", crossover)
-        assert [a.tolist() for a in _crossings(bids, prices, params)] == expected
+    return params, np.ascontiguousarray(values.T), prices, expected
 
 
-@pytest.mark.parametrize("segments", [4, 240])  # 12 prices a bid: broadcast, then search
+@pytest.mark.parametrize("per_bid", [1, 12])
+@pytest.mark.parametrize("segments", [1, 2, 3, 20, 1023, 1024, 1440])
+def test_crossing_counts_equal_a_plain_count(segments, per_bid):
+    # The binary search counts on every shape, power-of-two segment counts and their
+    # neighbours included, what a plain count over all segments gives.
+    params, bids, prices, expected = crossing_case(segments, per_bid)
+    assert [a.tolist() for a in _crossings(bids, prices, params)] == expected
+
+
+@pytest.mark.parametrize("per_bid", [1, 12])
+@pytest.mark.parametrize("segments", [1, 20, 1440])
+def test_crossings_split_into_blocks_equal_a_plain_count(segments, per_bid, monkeypatch):
+    # A cap of 2 x 4 x per_bid floats takes blocks of 4 periods, so the nine
+    # periods split as 4 + 4 + 1 and the last block is partial.
+    params, bids, prices, expected = crossing_case(segments, per_bid)
+    monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 2 * 4 * per_bid)
+    assert [a.tolist() for a in _crossings(bids, prices, params)] == expected
+
+
+@pytest.mark.parametrize("segments", [4, 240])  # 12 prices a bid; searches of 2 and 8 halvings
 def test_run_schedule_settles_a_rising_row_as_its_running_minimum(segments):
     # The schedule check admits a rise of 1e-12; settlement reads the row as
     # its running minimum, so a price inside the rise counts as it would on
