@@ -225,10 +225,12 @@ def _run_zone_duration(job: tuple) -> list[dict]:
 def _simulate(manifest: RunManifest) -> list[dict]:
     manifest.validate()
     tapes = {zone: _zone_series(manifest, zone) for zone in manifest.zones}
+    # Longest duration first: its grids are the finest, so no worker is
+    # left running a long job alone at the end
     jobs = [
         (manifest, zone, duration, *tapes[zone])
+        for duration in sorted(manifest.durations, reverse=True)
         for zone in manifest.zones
-        for duration in manifest.durations
     ]
     if manifest.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=manifest.workers) as pool:
@@ -353,13 +355,15 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
                     p, e, eta, cost, soc = map(float, row[2:7])
                     once = storage_rows, (StorageParams(p, e, eta, cost), soc)
                 elif kind == "powerbid":
-                    once = power_bids, PowerBid(float(row[2]), float(row[3]))
+                    thresholds = float(row[2]), float(row[3])
                 else:
                     soc_rows.setdefault(row[1], []).append(
                         (float(row[2]), float(row[3]), float(row[4]), row_num)
                     )
             except (IndexError, ValueError) as exc:
                 raise DataValidationError(f"row {row_num}: malformed {kind!r} row") from exc
+            if kind == "powerbid":  # outside the try, so a rejected bid says why
+                once = power_bids, PowerBid(*thresholds)
             if once:
                 table, entry = once
                 if row[1] in table:

@@ -8,17 +8,19 @@ energy, discharge at full power) and assigns the corresponding marginal
 value in closed form. Integration of the curve recovers the opportunity
 value function used for bid design.
 
-A step is a handful of whole-array passes. A full-power charge fits on the
-grid for a prefix of the levels and a full-power discharge for a suffix, so
-the curve and the price tests at the shifted levels are slices of the
-unshifted ones, with no gather. The regimes are then written lowest
-priority first (full discharge, capped discharge, hold, capped charge, full
-charge), each a masked copy over the one before, so every level keeps the
-first band its price falls in.
+Every curve the recursion builds is exactly non-increasing: a curve handed
+in is read as its running minimum. On such a curve the charge test
+``price <= q*eta`` and the hold test ``price <= max(q/eta + c, 0)`` each hold
+for a prefix of the levels, so a step finds the two prefix lengths by
+bisection and writes its output as five slices, one per regime, with no
+full-length pass besides the writes. Float rounding can leave a 1-ulp rise
+where two slices meet; a step checks those four junctions and, only on a
+rise, floors its output to its running minimum.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -171,57 +173,45 @@ def _step_values(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """One backward step of the five-regime recursion, with ``plan`` from :func:`_shift_plan`.
 
-    Two masks decide every band: ``price <= q*eta`` (charge) and ``price <=
-    max(q/eta + c, 0)`` (hold; clipped at zero so no discharge regime fires
-    at a negative price). The full-power bands test the same thresholds at
-    the shifted level, so they are slices of the two masks, as the shifted
-    curves are slices of ``q``. A level with no room for a full-power
-    charge never charges fully; a level with too little energy for a
-    full-power discharge discharges at least capped, since a finite price
-    is always below its missing threshold. ``cases=True`` also returns the
-    StepCase labels, written from the same masks.
+    ``q`` must be exactly non-increasing. Levels below ``kc`` charge (``price
+    <= q*eta``) and levels below ``kd >= kc`` charge or hold (``price <= max(q/eta
+    + c, 0)``; clipped at zero so no discharge regime fires at a negative
+    price); each bisection probe evaluates that same float expression. A
+    charging level fully charges while its full-power target, which must fit
+    on the grid, still charges: the first ``m1`` levels. A discharging level
+    (from ``kd`` on) fully discharges once its full-power target, on the
+    grid, discharges too: from ``m2`` on. A step that only holds returns ``q`` itself. A rise where two
+    slices meet is floored with the running minimum. ``cases=True`` also
+    returns the StepCase labels, filled over the same five slices.
     """
     eta = params.efficiency_one_way
     c = params.discharge_cost
     up, up_levels, down, down_from = plan
-    # Level i < up_levels reads level i + up, level i >= down_from reads
-    # level i - down; with no level fitting, the bounds are equal and the
-    # slice is empty.
-    above = slice(up, up + up_levels)
-    below = slice(down_from - down, q.size - down)
-    charge = price <= q * eta
-    ceiling = q / eta
-    ceiling += c
-    discharge = price <= np.maximum(ceiling, 0.0, out=ceiling)
-    masks = (charge, discharge, charge[above], discharge[below])
-    capped = (price - c) * eta
-    out = _write_regimes(np.empty(q.size), plan, masks, q[below], capped, q, price / eta, q[above])
+    n = q.size
+    levels = memoryview(q)
+    kc = bisect_left(levels, True, key=lambda v: not price <= v * eta)
+    # At a positive price, price <= max(x, 0) is price <= x.
+    kd = n if price <= 0.0 else bisect_left(
+        levels, True, lo=kc, key=lambda v: not price <= v / eta + c
+    )
+    if kc == 0 and kd == n and not cases:
+        return q
+    m1 = max(0, min(up_levels, kc - up))
+    m2 = min(n, max(kd, down_from, kd + down))
+    out = np.empty(n)
+    out[:m1] = q[up : up + m1]
+    out[m1:kc] = price / eta
+    out[kc:kd] = q[kc:kd]
+    out[kd:m2] = (price - c) * eta
+    out[m2:] = q[m2 - down : n - down]
+    if any(0 < j < n and out[j - 1] < out[j] for j in (m1, kc, kd, m2)):
+        np.minimum.accumulate(out, out=out)
     if not cases:
         return out
-    labels = _write_regimes(
-        np.empty(q.size, dtype=np.int64), plan, masks, StepCase.FULL_DISCHARGE,
-        StepCase.PARTIAL_DISCHARGE, StepCase.HOLD, StepCase.PARTIAL_CHARGE, StepCase.FULL_CHARGE,
-    )
+    labels = np.empty(n, dtype=np.int64)
+    for case, lo, hi in zip(StepCase, (0, m1, kc, kd, m2), (m1, kc, kd, m2, n)):
+        labels[lo:hi] = case
     return out, labels
-
-
-def _write_regimes(out, plan, masks, full_discharge, partial_discharge, hold, partial_charge,
-                   full_charge):
-    """Fill ``out`` with each level's regime entry, lowest-priority regime first.
-
-    Each masked write overrides the ones before it, so a level keeps the
-    entry of the first band its price falls in: the pick of a nested
-    ``where`` over the bands, full charge first.
-    """
-    _, up_levels, _, down_from = plan
-    charge, discharge, full_charge_band, partial_discharge_band = masks
-    out[:down_from] = partial_discharge
-    out[down_from:] = full_discharge
-    np.copyto(out[down_from:], partial_discharge, where=partial_discharge_band)
-    np.copyto(out, hold, where=discharge)
-    np.copyto(out, partial_charge, where=charge)
-    np.copyto(out[:up_levels], full_charge, where=full_charge_band)
-    return out
 
 
 def _check_step(params: StorageParams, price: float, dt_hours: float) -> None:
@@ -239,21 +229,23 @@ def update_step(
     """Propagate a marginal-value curve one period backward for one price.
 
     Returns the curve at the start of the period, given the curve ``q_next``
-    at its end and the period's (predicted) price. Monotonicity of the input
-    is enforced by the ValueCurve type; the output is monotone as well.
+    at its end and the period's (predicted) price. ``q_next`` is read as its
+    running minimum; the output is exactly non-increasing.
     """
     _check_step(params, price, dt_hours)
     plan = _shift_plan(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
-    return ValueCurve(q_next.grid, _step_values(q_next.values, float(price), params, plan))
+    q = np.minimum.accumulate(q_next.values)
+    return ValueCurve(q_next.grid, _step_values(q, float(price), params, plan))
 
 
 def step_case_breakdown(
     q_next: ValueCurve, price: float, params: StorageParams, dt_hours: float
 ) -> np.ndarray:
-    """Regime label (StepCase) selected at each grid level for one step."""
+    """Regime label (StepCase) at each grid level for one step of ``q_next``'s running minimum."""
     _check_step(params, price, dt_hours)
     plan = _shift_plan(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
-    _, labels = _step_values(q_next.values, float(price), params, plan, cases=True)
+    q = np.minimum.accumulate(q_next.values)
+    _, labels = _step_values(q, float(price), params, plan, cases=True)
     return labels
 
 
@@ -267,8 +259,8 @@ def backward_induct(
 
     Runs the recursion from a terminal curve (flat zero when omitted: stored
     energy is worthless after the horizon) back to the start of the series.
-    Row t of the result is the curve after period t; row T equals the
-    terminal condition.
+    Row t of the result is the curve after period t; row T is the terminal
+    curve's running minimum.
     """
     out = np.empty((len(prediction) + 1, grid.num_points))
     for t, q in _backward_curves(prediction, params, grid, terminal):
@@ -285,7 +277,8 @@ def _backward_curves(
     """Yield (t, curve values after period t) for t = T down to 0.
 
     The backward recursion behind :func:`backward_induct`, holding one curve
-    at a time; the terminal curve is flat zero when omitted.
+    at a time; the terminal curve is flat zero when omitted and is read as
+    its running minimum.
     """
     validate_params(params)
     if terminal is None:
@@ -293,7 +286,7 @@ def _backward_curves(
     if terminal.grid != grid:
         raise DataValidationError("terminal curve is tabulated on a different grid")
     plan = _shift_plan(grid.num_points, params, grid.step, prediction.resolution_hours)
-    q = terminal.values
+    q = np.minimum.accumulate(terminal.values)
     for t in range(len(prediction), 0, -1):
         yield t, q
         q = _step_values(q, float(prediction.values[t - 1]), params, plan)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from socbid import simulate
+from socbid import cli, simulate
 from socbid.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 SCENARIO = """\
@@ -90,6 +90,31 @@ def test_determinism_across_runs_and_workers(tmp_path):
         outs.append((out / "summary.json").read_bytes())
     assert outs[0] == outs[2] == outs[4]
     assert outs[1] == outs[3] == outs[5]
+
+
+def test_sweep_jobs_are_submitted_longest_first(tmp_path, monkeypatch):
+    received = []
+    job = cli._run_zone_duration
+
+    def recorded(args):
+        received.append((args[2], args[1]))
+        return job(args)
+
+    monkeypatch.setattr(cli, "_run_zone_duration", recorded)
+    code = run(
+        [
+            "simulate",
+            "--zones", "AA", "BB",
+            "--durations", "2", "1", "4",
+            "--cases", "RT-SB-DF",
+            "--synthetic-days", "1",
+            "--grid-points", "101",
+            "--workers", "1",
+            "--output-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+    assert received == [(4, "AA"), (4, "BB"), (2, "AA"), (2, "BB"), (1, "AA"), (1, "BB")]
 
 
 def test_value_writes_surface(tmp_path):
@@ -314,7 +339,11 @@ def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, me
         # a NaN threshold or value beats no price, so the unit would never move
         (
             "generator,G1,100,15\ndemand,,50\nstorage,S1,10,60,0.9,10,30\npowerbid,S1,nan,5\n",
-            "row 4: malformed 'powerbid' row",
+            "power bid thresholds must be finite",
+        ),
+        (
+            "generator,G1,100,15\ndemand,,50\nstorage,S1,10,60,0.9,10,30\npowerbid,S1,25,inf\n",
+            "power bid thresholds must be finite",
         ),
         (
             "generator,G1,100,15\ndemand,,50\nstorage,S1,10,60,0.9,10,30\nsocbid,S1,0,60,nan\n",
@@ -323,7 +352,7 @@ def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, me
     ],
     ids=[
         "nan-cost", "nan-capacity", "nan-demand", "inf-demand", "unknown-kind",
-        "nan-powerbid", "nan-socbid",
+        "nan-powerbid", "inf-powerbid", "nan-socbid",
     ],
 )
 def test_dispatch_demo_rejects_non_finite_numbers_and_unknown_kinds(

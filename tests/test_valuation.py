@@ -332,10 +332,12 @@ EDGE_CASES = {
         _runs((40, 300), (25, 301), (0, 200), (-20, 200)),
         "ad2be6ec3dedd0d519e20e71847af1f8a089228a2130fb440674ef0c96ba2b10",
     ),
+    # Unfloored, the gather step emits row 31 as [30.0, 30.000000000000004];
+    # this digest floors each step to its running minimum, as the recursion does.
     "two-points": (
         StorageParams(0.5, 1.0, 0.9, 10.0), SoCGrid(0.0, 1.0, 2), HOUR,
         _runs((30, 1), (-5, 1)),
-        "30fc056a70a99df9edd8a5d17b19f3813d24e29921330da4b61f13821b11d325",
+        "2d6963d4ea0e6d7cf313fd9ef77e333809aab29db0d92c300d695d3f4656adb0",
     ),
     "three-points": (
         StorageParams(0.5, 1.0, 0.9, 10.0), SoCGrid(0.0, 1.0, 3), HOUR,
@@ -367,7 +369,8 @@ def _edge_tape(params, terminal, rng):
 @pytest.mark.parametrize("name", list(EDGE_CASES))
 def test_recursion_bits_are_pinned_on_edge_cases(name):
     # Digests recorded with the gather-and-nested-where step the slice
-    # kernel replaced: surfaces, then labels at every tie of three curves.
+    # kernel replaced (floored for two-points): surfaces, then labels at
+    # every tie of three curves.
     params, grid, resolution, terminal, expected = EDGE_CASES[name]
     rng = np.random.default_rng(7)
     series = PriceSeries("Z", START, resolution, _edge_tape(params, terminal, rng))
@@ -442,8 +445,50 @@ def test_slice_step_repeats_the_gather_step_byte_for_byte():
         for price in ties + [0.0, -0.0, rng.uniform(-60.0, 150.0)]:
             want_values, want_labels = reference_step(q, float(price), params, grid.step, dt)
             values, labels = _step_values(q, float(price), params, plan, cases=True)
-            assert values.tobytes() == want_values.tobytes()
+            # the gather step can rise by an ulp where two regimes meet
+            assert values.tobytes() == np.minimum.accumulate(want_values).tobytes()
             assert labels.dtype == want_labels.dtype
             assert labels.tobytes() == want_labels.tobytes()
             assert _step_values(q, float(price), params, plan).tobytes() == values.tobytes()
     assert wide > 10
+
+
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_every_emitted_curve_is_exactly_non_increasing(name):
+    params, grid, resolution, terminal, _ = EDGE_CASES[name]
+    tape = _edge_tape(params, terminal, np.random.default_rng(7))
+    series = PriceSeries("Z", START, resolution, tape)
+    surface = backward_induct(series, params, grid, terminal=ValueCurve(grid, terminal))
+    assert np.all(np.diff(surface.values, axis=1) <= 0)
+    # Replay each step from the row after it; the unfloored gather step may rise.
+    plan = _shift_plan(grid.num_points, params, grid.step, series.resolution_hours)
+    rises = 0
+    for t, price in enumerate(series.values):
+        q = surface.values[t + 1]
+        assert _step_values(q, float(price), params, plan).tobytes() == surface.values[t].tobytes()
+        gathered, _ = reference_step(q, float(price), params, grid.step, series.resolution_hours)
+        rises += bool(np.any(np.diff(gathered) > 0))
+    assert rises > 0 if name == "two-points" else rises == 0
+
+
+def test_a_curve_rising_within_tolerance_is_read_as_its_running_minimum():
+    params = StorageParams(0.3, 1.0, 0.9, 10.0)
+    grid = SoCGrid(0.0, 1.0, 41)
+    rng = np.random.default_rng(11)
+    exact = np.round(random_monotone_values(rng, grid.num_points) / 5.0) * 5.0
+    # every level but the first of a plateau rises 1e-10 relative above it
+    bumped = exact + 1e-10 * (1.0 + np.abs(exact)) * np.r_[False, np.diff(exact) == 0]
+    assert np.any(np.diff(bumped) > 0)
+    assert np.array_equal(np.minimum.accumulate(bumped), exact)
+    tape = PriceSeries("Z", START, HOUR, rng.choice([-10.0, 0.0, 20.0, 45.0, 90.0], size=48))
+    surfaces = [
+        backward_induct(tape, params, grid, terminal=ValueCurve(grid, end)).values
+        for end in (bumped, exact)
+    ]
+    assert surfaces[0].tobytes() == surfaces[1].tobytes()
+    for price in [0.0, *bumped * 0.9, *(bumped / 0.9 + 10.0)]:  # ties of both curves
+        curves = [ValueCurve(grid, q) for q in (bumped, exact)]
+        steps = [update_step(curve, price, params, 1.0).values for curve in curves]
+        assert steps[0].tobytes() == steps[1].tobytes()
+        labels = [step_case_breakdown(curve, price, params, 1.0) for curve in curves]
+        assert labels[0].tobytes() == labels[1].tobytes()
