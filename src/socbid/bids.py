@@ -187,72 +187,58 @@ def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int
 _BLOCK_FLOATS = 2**16  # cap on the entries of each temporary of a block of curves or counts
 
 
-def _bid_blocks(
-    curves, horizon: int, params: StorageParams, grid: SoCGrid, kinds: tuple[str, ...],
-    segments_per_hour: int,
-):
-    """Each kind's segment boundaries, and a generator of (first period, means) blocks.
+def _segment_bounds(params: StorageParams, kind: str, segments_per_hour: int) -> np.ndarray:
+    """Segment boundaries of a ``kind`` bid: a power bid is one segment over the SoC range."""
+    if kind == "power":
+        return np.array([params.soc_min, params.soc_max])
+    return soc_bid_boundaries(params, segments_per_hour)
+
+
+def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, bounds: dict):
+    """Yield (first period, {key: segment means}) for each block of bid periods.
 
     ``curves`` yields (t, curve after period t) on ``grid`` for t = ``horizon``
-    down to 0, as a backward pass does; it is buffered a block of rows at a
-    time. Period t's dispatch trades against the value of energy left after
-    it, so the bid of 0-indexed period t comes from the curve after period
-    t+1; the pre-horizon curve (t = 0) sets no bid. Each block of curves is
-    integrated once, and ``means[i]`` holds kind i's segment means for the
-    block's periods, SoC axis first: ``(J, periods)``. A running minimum down
-    that axis makes every bid exactly non-increasing: cumulative differences
-    leave +-1-ulp bumps on flat runs, which must not decide a crossing.
+    down to 0, as a backward pass does, and is buffered a block of rows at a
+    time in one reused buffer: consume each block before asking for the next.
+    Period t's dispatch trades against the value of energy left after it, so
+    the bid of 0-indexed period t comes from the curve after period t+1; the
+    pre-horizon curve (t = 0) sets no bid. Each block of curves is integrated
+    once; ``means[key]`` holds its raw segment means over ``bounds[key]``, SoC
+    axis first: ``(J, periods)``. Cumulative differences leave +-1-ulp bumps
+    on flat runs, so a consumer reads each bid as its running minimum.
     """
-    validate_params(params)
-    bounds = [
-        np.array([params.soc_min, params.soc_max]) if kind == "power"
-        else soc_bid_boundaries(params, segments_per_hour)
-        for kind in kinds
-    ]
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     edges = _cell_edges(grid)
-    plans = [_interp_plan(edges, b) for b in bounds]
-    rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, *(b.size for b in bounds)) + 1))
-
-    def reduced():
-        for first, block in _stream_blocks(curves, rows, grid.num_points, horizon):
-            cum = _cumulative(edges, block)
-            yield first, [
-                np.minimum.accumulate(_segment_means(plan, cum), axis=0) for plan in plans
-            ]
-
-    return bounds, reduced()
+    plans = {key: _interp_plan(edges, b) for key, b in bounds.items()}
+    rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, *(b.size for b in bounds.values())) + 1))
+    block = np.empty((rows, grid.num_points))
+    for t, q in curves:
+        if t > 0:
+            block[(t - 1) % rows] = q
+            if (t - 1) % rows == 0:
+                cum = _cumulative(edges, block[: horizon - t + 1])
+                yield t - 1, {key: _segment_means(plan, cum) for key, plan in plans.items()}
 
 
 def _bid_table(
     source: ValueSurface | PriceSeries, params: StorageParams, grid: SoCGrid,
     kind: str, segments_per_hour: int,
 ) -> BidSchedule:
-    """The ``kind`` bid schedule of a value surface's rows or a forecast tape's backward pass."""
+    """The ``kind`` bid schedule of a value surface's rows or a forecast tape's backward pass.
+
+    Every row is stored as its running minimum, so it is exactly non-increasing.
+    """
     if isinstance(source, ValueSurface):
         horizon, period_hours = source.horizon, source.step_hours
         curves = zip(range(horizon, -1, -1), source.values[::-1])
     else:
         horizon, period_hours = len(source), source.resolution_hours
         curves = _backward_curves(source, params, grid)
-    (bounds,), blocks = _bid_blocks(curves, horizon, params, grid, (kind,), segments_per_hour)
+    bounds = _segment_bounds(validate_params(params), kind, segments_per_hour)
     table = np.empty((horizon, bounds.size - 1))
-    for first, (means,) in blocks:
-        table[first : first + means.shape[1]] = means.T
+    for first, means in _bid_blocks(curves, horizon, params, grid, {kind: bounds}):
+        table[first : first + means[kind].shape[1]] = np.minimum.accumulate(means[kind], axis=0).T
     return BidSchedule(period_hours, params, bounds, table, kind)
-
-
-def _stream_blocks(curves, rows: int, n: int, horizon: int):
-    """Buffer a stream of (t, curve after t), t falling, into (first period, block) pairs.
-
-    The buffer is reused, so each block must be consumed before the next is asked for.
-    """
-    block = np.empty((rows, n))
-    for t, q in curves:
-        if t > 0:
-            block[(t - 1) % rows] = q
-            if (t - 1) % rows == 0:
-                yield t - 1, block[: horizon - t + 1]
 
 
 def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule:

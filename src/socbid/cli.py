@@ -8,7 +8,6 @@ with the SOCBID_OUTPUT_DIR environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -108,8 +107,13 @@ def _load_manifest(args: argparse.Namespace) -> RunManifest:
     manifest = RunManifest()
     hints = typing.get_type_hints(RunManifest)
     if getattr(args, "manifest", None):
-        with open(args.manifest) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.manifest, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError:  # UnicodeDecodeError and JSONDecodeError both are
+            data = None
+        if not isinstance(data, dict):
+            raise UsageError(f"manifest {args.manifest} is not a JSON object in UTF-8")
         unknown = set(data) - set(hints)
         if unknown:
             raise UsageError(f"unknown manifest keys: {', '.join(sorted(unknown))}")
@@ -338,37 +342,36 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
     storage_rows: dict[str, tuple[StorageParams, float]] = {}
     power_bids: dict[str, PowerBid] = {}
     soc_rows: dict[str, list[tuple[float, float, float, int]]] = {}
-    with open(path, newline="") as fh:
-        for row_num, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            kind = row[0].strip().lower()
-            if kind not in ("generator", "demand", "storage", "powerbid", "socbid"):
-                raise DataValidationError(f"row {row_num}: unknown row kind {kind!r}")
-            once = None  # (table, entry) of a row kind allowed once per name
-            try:
-                if kind == "generator":
-                    gens.setdefault(row[1], []).append((float(row[2]), float(row[3])))
-                elif kind == "demand":
-                    demand = float(row[2])
-                elif kind == "storage":
-                    p, e, eta, cost, soc = map(float, row[2:7])
-                    once = storage_rows, (StorageParams(p, e, eta, cost), soc)
-                elif kind == "powerbid":
-                    thresholds = float(row[2]), float(row[3])
-                else:
-                    soc_rows.setdefault(row[1], []).append(
-                        (float(row[2]), float(row[3]), float(row[4]), row_num)
-                    )
-            except (IndexError, ValueError) as exc:
-                raise DataValidationError(f"row {row_num}: malformed {kind!r} row") from exc
-            if kind == "powerbid":  # outside the try, so a rejected bid says why
-                once = power_bids, PowerBid(*thresholds)
-            if once:
-                table, entry = once
-                if row[1] in table:
-                    raise DataValidationError(f"row {row_num}: second {kind!r} row for {row[1]}")
-                table[row[1]] = entry
+    for row_num, row in enumerate(data_io._read_csv(path), start=1):
+        if not row or row[0].strip().startswith("#"):
+            continue
+        kind = row[0].strip().lower()
+        if kind not in ("generator", "demand", "storage", "powerbid", "socbid"):
+            raise DataValidationError(f"row {row_num}: unknown row kind {kind!r}")
+        once = None  # (table, entry) of a row kind allowed once per name
+        try:
+            if kind == "generator":
+                gens.setdefault(row[1], []).append((float(row[2]), float(row[3])))
+            elif kind == "demand":
+                demand = float(row[2])
+            elif kind == "storage":
+                p, e, eta, cost, soc = map(float, row[2:7])
+                once = storage_rows, (StorageParams(p, e, eta, cost), soc)
+            elif kind == "powerbid":
+                thresholds = float(row[2]), float(row[3])
+            else:
+                soc_rows.setdefault(row[1], []).append(
+                    (float(row[2]), float(row[3]), float(row[4]), row_num)
+                )
+        except (IndexError, ValueError) as exc:
+            raise DataValidationError(f"row {row_num}: malformed {kind!r} row") from exc
+        if kind == "powerbid":  # outside the try, so a rejected bid says why
+            once = power_bids, PowerBid(*thresholds)
+        if once:
+            table, entry = once
+            if row[1] in table:
+                raise DataValidationError(f"row {row_num}: second {kind!r} row for {row[1]}")
+            table[row[1]] = entry
     if demand is None:
         raise DataValidationError("scenario has no demand row")
     if power_bids and soc_rows:
@@ -414,12 +417,11 @@ def cmd_dispatch_demo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, with_cases: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, sweeping: bool = False) -> None:
     parser.add_argument("--manifest", help="JSON file supplying any of the run settings")
     parser.add_argument("--zones", nargs="+", help="zone labels to process")
     parser.add_argument("--durations", nargs="+", type=float, help="storage durations in hours")
-    if with_cases:
-        parser.add_argument("--cases", nargs="+", help="case ids to simulate")
+    if sweeping:
         parser.add_argument("--initial-soc", dest="initial_soc", type=float)
         parser.add_argument("--workers", type=int, help="parallel (zone, duration) workers")
         parser.add_argument("--trace", dest="write_traces", action="store_const", const=True,
@@ -470,11 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bids)
 
     p = sub.add_parser("simulate", help="run selected cases and write the summary table")
-    _add_common(p, with_cases=True)
+    _add_common(p, sweeping=True)
+    p.add_argument("--cases", nargs="+", help="case ids to simulate")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="run the full six-case matrix")
-    _add_common(p, with_cases=True)
+    p = sub.add_parser("sweep", help="run all six cases; a manifest's cases are ignored")
+    _add_common(p, sweeping=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("dispatch-demo", help="clear a single-period market scenario")

@@ -25,6 +25,24 @@ from .valuation import ValueSurface
 PRICE_HEADER = ("timestamp", "zone", "price_usd_per_mwh")
 
 
+def _read_csv(path: str | Path):
+    """Yield the rows of a UTF-8 CSV file; any other encoding is a DataValidationError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from csv.reader(fh)
+        except UnicodeDecodeError as exc:
+            raise DataValidationError(f"{path} is not UTF-8 text") from exc
+
+
+def _write_csv(path: str | Path, header, rows) -> None:
+    """Write a header row and then ``rows`` to a CSV file, making its parent directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _parse_timestamp(raw: str, row_num: int) -> datetime:
     text = raw.strip()
     if text.endswith("Z"):
@@ -56,23 +74,19 @@ def load_prices(
         raise DataValidationError(f"unknown fill policy {fill!r}")
     rows: list[tuple[datetime, float]] = []
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for row_num, row in enumerate(reader, start=1):
-            if not row or (row_num == 1 and row[0].strip().lower() == "timestamp"):
-                continue
-            if len(row) < 3:
-                raise DataValidationError(f"row {row_num}: expected 3 columns, got {len(row)}")
-            if row[1].strip() != zone:
-                continue
-            ts = _parse_timestamp(row[0], row_num)
-            try:
-                price = float(row[2])
-            except ValueError as exc:
-                raise DataValidationError(
-                    f"row {row_num}: unparseable price {row[2]!r}"
-                ) from exc
-            rows.append((ts, price))
+    for row_num, row in enumerate(_read_csv(path), start=1):
+        if not row or (row_num == 1 and row[0].strip().lower() == "timestamp"):
+            continue
+        if len(row) < 3:
+            raise DataValidationError(f"row {row_num}: expected 3 columns, got {len(row)}")
+        if row[1].strip() != zone:
+            continue
+        ts = _parse_timestamp(row[0], row_num)
+        try:
+            price = float(row[2])
+        except ValueError as exc:
+            raise DataValidationError(f"row {row_num}: unparseable price {row[2]!r}") from exc
+        rows.append((ts, price))
     if not rows:
         raise DataValidationError(f"no rows for zone {zone!r} in {path}")
     if expected_resolution is not None:
@@ -120,13 +134,11 @@ def load_prices(
 
 def save_prices(series: PriceSeries, path: str | Path) -> None:
     """Write a series in the canonical CSV schema (round-trips with load_prices)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PRICE_HEADER)
-        for i, value in enumerate(series.values):
-            writer.writerow([series.timestamp(i).isoformat(), series.zone, repr(float(value))])
+    rows = (
+        [series.timestamp(i).isoformat(), series.zone, repr(float(value))]
+        for i, value in enumerate(series.values)
+    )
+    _write_csv(path, PRICE_HEADER, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,35 +195,31 @@ def synthetic_tape(
 
 def write_surface(surface: ValueSurface, path: str | Path) -> None:
     """Dump a value surface as long-format CSV: (period, soc_mwh, value_usd_per_mwh)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     pts = surface.grid.points()
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "soc_mwh", "marginal_value_usd_per_mwh"])
-        for t in range(surface.values.shape[0]):
-            row_vals = surface.values[t]
-            for soc, val in zip(pts, row_vals):
-                writer.writerow([t, repr(float(soc)), repr(float(val))])
+    rows = (
+        [t, repr(float(soc)), repr(float(val))]
+        for t, curve in enumerate(surface.values) for soc, val in zip(pts, curve)
+    )
+    _write_csv(path, ["period", "soc_mwh", "marginal_value_usd_per_mwh"], rows)
 
 
 def write_bid_schedule(schedule: BidSchedule, path: str | Path) -> None:
     """Dump a bid schedule as CSV, one row per period (power) or per segment (SoC)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if schedule.kind == "power":
-            writer.writerow(["period", "type", "discharge_bid", "charge_bid"])
-            discharge, charge = bid_thresholds(schedule.values[:, 0], schedule.params)
-            for t, pair in enumerate(zip(discharge.tolist(), charge.tolist())):
-                writer.writerow([t, "power", *map(repr, pair)])
-        else:
-            writer.writerow(["period", "segment_index", "soc_lo_mwh", "soc_hi_mwh", "value_usd_per_mwh"])
-            bounds = [repr(b) for b in schedule.boundaries.tolist()]
-            for t, row in enumerate(schedule.values.tolist()):
-                for j, value in enumerate(row):
-                    writer.writerow([t, j, bounds[j], bounds[j + 1], repr(value)])
+    if schedule.kind == "power":
+        header = ["period", "type", "discharge_bid", "charge_bid"]
+        discharge, charge = bid_thresholds(schedule.values[:, 0], schedule.params)
+        rows = (
+            [t, "power", *map(repr, pair)]
+            for t, pair in enumerate(zip(discharge.tolist(), charge.tolist()))
+        )
+    else:
+        header = ["period", "segment_index", "soc_lo_mwh", "soc_hi_mwh", "value_usd_per_mwh"]
+        bounds = [repr(b) for b in schedule.boundaries.tolist()]
+        rows = (
+            [t, j, bounds[j], bounds[j + 1], repr(value)]
+            for t, row in enumerate(schedule.values.tolist()) for j, value in enumerate(row)
+        )
+    _write_csv(path, header, rows)
 
 
 def write_trace(
@@ -220,16 +228,13 @@ def write_trace(
     """Per-interval dispatch trace: timestamp, price, powers, SoC, profit."""
     if len(result.profit) != len(prices):
         raise DataValidationError("trace length does not match the price series")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["timestamp", "price_usd_per_mwh", "discharge_mw", "charge_mw", "soc_mwh", "profit_usd"]
-        )
-        columns = (prices.values, result.discharge, result.charge, result.soc, result.profit)
-        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
-            writer.writerow([prices.timestamp(i).isoformat(), *map(repr, row)])
+    header = ["timestamp", "price_usd_per_mwh", "discharge_mw", "charge_mw", "soc_mwh", "profit_usd"]
+    columns = (prices.values, result.discharge, result.charge, result.soc, result.profit)
+    rows = (
+        [prices.timestamp(i).isoformat(), *map(repr, row)]
+        for i, row in enumerate(zip(*(c.tolist() for c in columns)))
+    )
+    _write_csv(path, header, rows)
 
 
 def write_duration_curves(
@@ -248,13 +253,11 @@ def write_duration_curves(
     curve = duration_curve(prices)
     columns = (curve.values, *(np.sort(np.repeat(c, per_bid))[::-1] for c in thresholds))
     markers = {curve.q99_index: "q99", curve.q01_index: "q01"}  # q01 wins a shared row
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "quantile_marker", "price", "discharge_bid", "charge_bid"])
-        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
-            writer.writerow([i, markers.get(i, ""), *map(repr, row)])
+    rows = (
+        [i, markers.get(i, ""), *map(repr, row)]
+        for i, row in enumerate(zip(*(c.tolist() for c in columns)))
+    )
+    _write_csv(path, ["rank", "quantile_marker", "price", "discharge_bid", "charge_bid"], rows)
 
 
 SUMMARY_HEADER = (
@@ -270,13 +273,7 @@ SUMMARY_HEADER = (
 
 def write_summary_csv(rows: list[dict], path: str | Path) -> None:
     """Summary table, one row per (zone, duration, case), in the order given."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for row in rows:
-            writer.writerow([_plain(row.get(k, "")) for k in SUMMARY_HEADER])
+    _write_csv(path, SUMMARY_HEADER, ([_plain(r.get(k, "")) for k in SUMMARY_HEADER] for r in rows))
 
 
 def write_summary_json(rows: list[dict], meta: dict, path: str | Path) -> None:

@@ -22,6 +22,7 @@ from .bids import (
     PowerBid,
     SoCBidCurve,
     _bid_blocks,
+    _segment_bounds,
     bid_schedule_from_prices,  # noqa: F401 - unused here; bench/spans.py wraps it by this name
     bid_thresholds,
     booked_value,
@@ -121,18 +122,20 @@ def _crossings(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Crossing counts of each settlement price against its period's bid.
 
-    ``values`` holds one exactly non-increasing bid per period, SoC axis first
-    (J, periods). Returns ``kd = count(price <= discharge thresholds)`` and
-    ``kc = count(price < charge thresholds)`` shaped like ``prices``. Both are
-    prefix lengths, found by a branchless binary search down each column of
-    ``values``, a block of periods at a time; no temporary exceeds ``_BLOCK_FLOATS``.
+    ``values`` holds one bid per period, SoC axis first (J, periods), each read
+    as its running minimum, so no float bump in a row decides a crossing.
+    Returns ``kd = count(price <= discharge thresholds)`` and ``kc = count(price
+    < charge thresholds)`` shaped like ``prices``: prefix lengths, found by a
+    branchless binary search down each column, a block of periods at a time;
+    no temporary exceeds ``_BLOCK_FLOATS``.
     """
     per_bid = prices.shape[1]
-    rows = max(1, _BLOCK_FLOATS // (2 * per_bid))
+    rows = max(1, _BLOCK_FLOATS // max(values.shape[0], 2 * per_bid))
     kd, kc = np.empty((2, *prices.shape), dtype=np.intp)
     for first in range(0, values.shape[1], rows):
         block = slice(first, first + rows)
-        bids, block_prices = values[:, block], prices[block]
+        bids = np.minimum.accumulate(values[:, block], axis=0)
+        block_prices = prices[block]
         flat, periods = bids.ravel(), bids.shape[1]
         # Flat index of the segment each price's search stands on, discharge then charge
         base = np.arange(periods)[:, None] + np.zeros((2, 1, per_bid), dtype=np.intp)
@@ -158,7 +161,7 @@ def _settle(
     """Dispatch each interval in turn; returns discharge, charge, SoC-after and profit lists.
 
     ``kd`` and ``kc`` are each interval's crossing counts against its bid
-    (see :func:`_crossings`), counted on the running minimum of its row, so
+    (see :func:`_crossings`), counted on the running minimum of its bid, so
     a price beats the discharge thresholds of the segments from ``kd`` up and
     the charge thresholds of the segments below ``kc``. So a non-negative price
     discharges the unit down to ``boundaries[kd]`` when the SoC is above it;
@@ -281,19 +284,15 @@ def run_schedule(
     Each schedule entry covers a whole number of settlement intervals; an
     hourly schedule against 5-minute prices applies each bid to its twelve
     subintervals, with power limits per interval. Rows settle as their running
-    minimum, which floors the rises up to 1e-9 relative a hand-built row may keep.
+    minimum (see :func:`_crossings`), which floors the rises up to 1e-9 relative
+    a hand-built row may keep.
     """
     per_bid = _intervals_per_bid(schedule.period_hours, len(schedule), prices)
     check_soc_range(
         float(schedule.boundaries[0]), float(schedule.boundaries[-1]), params, "bid curve"
     )
     settlement = prices.values.reshape(len(schedule), per_bid)
-    rows = max(1, _BLOCK_FLOATS // schedule.values.shape[1])
-    kd, kc = np.empty((2, *settlement.shape), dtype=np.intp)
-    for first in range(0, len(schedule), rows):
-        block = slice(first, first + rows)
-        bids = np.minimum.accumulate(schedule.values[block].T, axis=0)
-        kd[block], kc[block] = _crossings(bids, settlement[block], schedule.params)
+    kd, kc = _crossings(schedule.values.T, settlement, schedule.params)
     return _settled(case_id, prices, schedule.boundaries, kd, kc, params, initial_soc)
 
 
@@ -333,7 +332,8 @@ def run_cases(
     for source in dict.fromkeys(config.valuation_source for config in configs):
         group = [config for config in configs if config.valuation_source == source]
         forecast = series[source]
-        models = tuple(dict.fromkeys(config.bid_model for config in group))
+        bounds = {c.bid_model: _segment_bounds(params, c.bid_model, segments_per_hour_of_duration)
+                  for c in group}
         # One pair of crossing-count arrays per (bid model, settlement tape) the group
         # settles, filled a block of bid periods at a time; no bid table is kept.
         counts = {}
@@ -341,21 +341,17 @@ def run_cases(
             per_bid = _intervals_per_bid(forecast.resolution_hours, len(forecast), series[market])
             prices = series[market].values.reshape(len(forecast), per_bid)
             counts[model, market] = (prices, *np.empty((2, *prices.shape), np.intp))
-        bounds, blocks = _bid_blocks(
-            _backward_curves(forecast, params, grids[source]), len(forecast), params,
-            grids[source], models, segments_per_hour_of_duration,
-        )
-        for first, means in blocks:
+        curves = _backward_curves(forecast, params, grids[source])
+        for first, means in _bid_blocks(curves, len(forecast), params, grids[source], bounds):
             for (model, _), (prices, kd, kc) in counts.items():
-                block = means[models.index(model)]
-                rows = slice(first, first + block.shape[1])
-                kd[rows], kc[rows] = _crossings(block, prices[rows], params)
+                rows = slice(first, first + means[model].shape[1])
+                kd[rows], kc[rows] = _crossings(means[model], prices[rows], params)
         for i, config in enumerate(configs):
             if config.valuation_source == source:
                 _, kd, kc = counts[config.bid_model, config.settlement_source]
                 results[i] = _settled(
                     config.case_id, series[config.settlement_source],
-                    bounds[models.index(config.bid_model)], kd, kc, params, config.initial_soc,
+                    bounds[config.bid_model], kd, kc, params, config.initial_soc,
                 )
     return results
 

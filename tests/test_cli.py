@@ -388,6 +388,44 @@ def test_manifest_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
     assert "durations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", [b"[]", b"3", b"{bad", b'"x"', b'{"zones": ["\xff"]}'],
+    ids=["list", "number", "not-json", "string", "not-utf8"],
+)
+def test_manifest_that_is_not_a_json_object_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    assert run(["simulate", "--manifest", str(path)]) == EXIT_USAGE
+    assert f"manifest {path} is not a JSON object" in capsys.readouterr().err
+
+
+def test_sweep_runs_all_six_cases_whatever_the_cases_flag_or_manifest_say(tmp_path):
+    flags = ["--zones", "AA", "--durations", "1", "--synthetic-days", "1", "--grid-points", "301"]
+    assert run(["sweep", *flags, "--cases", "BOGUS", "--output-dir", str(tmp_path)]) == EXIT_USAGE
+    assert not (tmp_path / "summary.csv").exists()
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({"cases": ["RT-SB-PF"]}))
+    code = run(["sweep", *flags, "--manifest", str(manifest), "--output-dir", str(tmp_path)])
+    assert code == EXIT_OK
+    assert len((tmp_path / "summary.csv").read_text().splitlines()) == 1 + 6
+
+
+def test_non_utf8_price_file_is_a_data_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "da.csv"
+    path.write_bytes(b"timestamp,zone,price_usd_per_mwh\n2019-01-01T00:00:00,A\xe9,1.0\n")
+    code = run(["simulate", "--zones", "A", "--durations", "1", "--da-prices", str(path),
+                "--output-dir", str(tmp_path)])
+    assert code == EXIT_DATA
+    assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_non_utf8_scenario_is_a_data_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "scenario.csv"
+    path.write_bytes(SCENARIO.encode() + b"# caf\xe9\n")
+    assert run(["dispatch-demo", "--scenario", str(path)]) == EXIT_DATA
+    assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_synthetic_tapes_depend_on_zone_character_order(tmp_path):
     assert run(["synth", "--zones", "AB", "BA", "--days", "1", "--output-dir", str(tmp_path)]) == 0
 

@@ -488,8 +488,9 @@ def test_crossing_counts_equal_a_plain_count(segments, per_bid):
 @pytest.mark.parametrize("per_bid", [1, 12])
 @pytest.mark.parametrize("segments", [1, 20, 1440])
 def test_crossings_split_into_blocks_equal_a_plain_count(segments, per_bid, monkeypatch):
-    # A cap of 2 x 4 x per_bid floats takes blocks of 4 periods, so the nine
-    # periods split as 4 + 4 + 1 and the last block is partial.
+    # A cap of 2 x 4 x per_bid floats takes blocks of 4 periods where the bid is
+    # no wider than 2 x per_bid, so the nine periods split as 4 + 4 + 1 and the
+    # last block is partial; a wider bid takes blocks of one period.
     params, bids, prices, expected = crossing_case(segments, per_bid)
     monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 2 * 4 * per_bid)
     assert [a.tolist() for a in _crossings(bids, prices, params)] == expected
