@@ -110,10 +110,9 @@ def grid_dp_oracle(
 
     idx = np.arange(n)
     # Bound-reaching moves (exact SoC to the bound, power-feasible region only).
-    floor_reach = idx[idx * p_of_k <= big_p + 1e-12]
-    floor_power = floor_reach * p_of_k
-    ceil_reach = idx[(n - 1 - idx) * b_of_k <= big_p + 1e-12]
-    ceil_power = (n - 1 - ceil_reach) * b_of_k
+    floor_power = idx[idx * p_of_k <= big_p + 1e-12] * p_of_k
+    ceil_power = (n - 1 - idx[(n - 1 - idx) * b_of_k <= big_p + 1e-12]) * b_of_k
+    n_floor, n_ceil = floor_power.size, ceil_power.size
 
     # Stacked whole-step moves: idle, the charges, then the discharges, which
     # a negative price cuts off. Move r takes level i to level src[r, i];
@@ -139,10 +138,10 @@ def grid_dp_oracle(
         if price >= 0.0:
             _apply_fractional(best, nxt, down_full, (price - c) * big_p * dt, -1)
             cand = (price - c) * dt * floor_power + nxt[0]
-            np.maximum(best[floor_reach], cand, out=best[floor_reach])
+            np.maximum(best[:n_floor], cand, out=best[:n_floor])
         _apply_fractional(best, nxt, up_full, -price * big_p * dt, +1)
         cand = -price * dt * ceil_power + nxt[n - 1]
-        np.maximum(best[ceil_reach], cand, out=best[ceil_reach])
+        np.maximum(best[n - n_ceil :], cand, out=best[n - n_ceil :])
 
     # Forward re-evaluation from the actual SoC. The first maximum is taken over
     # idle; strided discharges, full-power discharge, floor-reach; strided charges,

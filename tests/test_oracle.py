@@ -60,6 +60,16 @@ def test_oracle_single_period_full_discharge(micro_params, unit_grid):
     assert result.discharge[0] == pytest.approx(0.5)
 
 
+def test_oracle_takes_the_exact_move_to_the_soc_floor(micro_params, unit_grid):
+    # From a full unit the optimum sells 0.4 MW at $55 and 0.5 MW at $70,
+    # which ends exactly on the SoC floor. Without the move that lands there
+    # the oracle stopped 0.0244 MWh short of it, at 47.01.
+    prices = hourly_series([-2.0, 55.0, 70.0])
+    assert enumerate_tiny(prices, micro_params, initial_soc=1.0) == pytest.approx(48.0)
+    dp = grid_dp_oracle(prices, micro_params, unit_grid, initial_soc=1.0).optimal_profit
+    assert dp >= 47.9
+
+
 def test_oracle_matches_enumeration_on_random_short_tapes(micro_params, unit_grid):
     # Both sides are quantized (power levels on each side, value interpolation
     # in the DP), so the budget is one action-grid power step's worth of cash
@@ -152,7 +162,9 @@ def test_oracle_outputs_are_pinned(micro_params, unit_grid):
     The cases cover negative prices (two where discharging into one would
     pay), full-power moves that are not whole grid steps, a grid too coarse
     for any whole-step move, off-grid interior initial SoCs, a raised SoC
-    floor and 3, 15 and 201 action points.
+    floor and 3, 15 and 201 action points. The last two cases have a
+    full-power move of exactly five grid steps each way, and full-power
+    moves longer than a three-point grid.
     """
     grid_5min = SoCGrid.for_storage(micro_params, 1 / 12, 301)
     tape_5min = _seeded_tape(42, 600, 5, -20.0, 80.0)
@@ -161,11 +173,14 @@ def test_oracle_outputs_are_pinned(micro_params, unit_grid):
     assert _shift_counts(micro_params, coarse, 1 / 12) == (0, 0)
     paid_to_charge = np.tile([-5.0, -100.0, -100.0, 60.0, -2.0, -90.0, 55.0, 70.0], 4)
     drawn = np.random.default_rng(0).choice([-100.0, -5.0, 1.0, 60.0], size=24)
+    lossless = StorageParams(0.5, 1.0, 1.0, 10.0)
+    assert _shift_counts(lossless, SoCGrid(0.0, 1.0, 11), 1.0) == (5, 5)
+    fast = StorageParams(2.0, 1.0, 0.9, 10.0)
     cases = [
         ((_seeded_tape(41, 48, 60, -30.0, 90.0), micro_params, unit_grid, 15, 0.4321),
-         "8bf0d4a76a6c5dfaf89807f44f40c4177f1e8aef23ba97b3b39a013810542b3f"),
+         "34bbbc0e0215ff5bddcae31ac1ec23916dfb7f677a2d9902d311b713fe5729b0"),
         ((tape_5min, micro_params, grid_5min, 3, 0.0),
-         "da6bf2663b5c5c0fd6604b5b54ed2519837e49126e358853ce4f2b0b7014decd"),
+         "ebe1edb30c6a97d93515e8491805758d370cb920edcdbaf0ba5d9e0b5248c047"),
         ((tape_5min, micro_params, grid_5min, 201, 0.61803),
          "7e503bb4035b18e030a52326027296ce5126c3caf3e50ab0f5ed10fb967467e7"),
         ((_seeded_tape(43, 200, 5, -20.0, 80.0), micro_params, coarse, 15, 0.25),
@@ -173,9 +188,13 @@ def test_oracle_outputs_are_pinned(micro_params, unit_grid):
         ((_seeded_tape(44, 300, 15, -40.0, 120.0), band, SoCGrid(1.0, 6.5, 457), 15, 3.14159),
          "262cae9cb324dba6403442e2a9a0e95b9b55ce4299c95e6349a028f2218023e1"),
         ((hourly_series(paid_to_charge), micro_params, unit_grid, 15, 1.0),
-         "2512332c91dbc2307f9ada9454cf98738e475978246f786eb4526c94ce0bb5d9"),
+         "aeca17ce6a1b31c50544f0f0c7cfb73199e76a340fe60b3d1dd003905e7669ae"),
         ((hourly_series(drawn), micro_params, unit_grid, 15, 1.0),
-         "d1445599a9cb57cc3b8895940d5bbee500954f287d1695631a9bd532feb65325"),
+         "0d17e3c3e35ede474a6665fd535af16dfbc30f8f85835d7b46df2208deeafe75"),
+        ((_seeded_tape(45, 48, 60, -30.0, 90.0), lossless, SoCGrid(0.0, 1.0, 11), 15, 0.55),
+         "3ccbba3fd684333fb0338acf8431401fed7aaadcce6cf6fdedec55051efdcbca"),
+        ((_seeded_tape(46, 48, 60, -30.0, 90.0), fast, coarse, 15, 0.3),
+         "e36ac13bdceb70e78cb94f2f08d385790f289d9bcce0c7e2c64da0cf5bfa3de0"),
     ]
     for (prices, params, grid, action_points, e0), expected in cases:
         result = grid_dp_oracle(prices, params, grid, action_points=action_points, initial_soc=e0)
