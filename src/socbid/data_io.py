@@ -26,12 +26,15 @@ PRICE_HEADER = ("timestamp", "zone", "price_usd_per_mwh")
 
 
 def _read_csv(path: str | Path):
-    """Yield the rows of a UTF-8 CSV file; any other encoding is a DataValidationError."""
+    """Yield the rows of a UTF-8 CSV file; another encoding, or a row the csv
+    module cannot read (a field over 131,072 characters), is a DataValidationError."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             yield from csv.reader(fh)
         except UnicodeDecodeError as exc:
             raise DataValidationError(f"{path} is not UTF-8 text") from exc
+        except csv.Error as exc:
+            raise DataValidationError(f"{path} is not a readable CSV: {exc}") from exc
 
 
 def _write_csv(path: str | Path, header, rows) -> None:

@@ -7,14 +7,14 @@ numerical route from the analytical marginal-value recursion it certifies.
 ``enumerate_tiny`` brute-forces the full action product space on horizons of
 a few periods and grounds the oracle itself.
 
-The backward pass stacks the whole-step moves: each gets a row of source
-indices, built once per call, so a period is one gather, one add and one
-max over the rows; moves off the grid read a -inf sentinel column. The
-full-power move, fractional in grid steps, and the bound-reaching moves are
-folded in after. The forward pass re-evaluates every candidate from the
-actual SoC rather than replaying argmax actions recorded on grid points:
-the fractional full-power move leaves the grid, so the SoC a schedule
-reaches is generally not a grid point.
+The backward pass copies the next period's values into one row between
+-inf pads, and every move reads it through views built once per call: the
+whole-step moves as stepped views, one add per arithmetic run of shifts, the
+fractional full-power moves as blends of two views; the pads stand in for
+moves off the grid. One reduction takes the maximum. The forward pass
+re-evaluates every candidate from the actual SoC rather than replaying argmax
+actions recorded on grid points: the fractional full-power move leaves the
+grid, so the SoC a schedule reaches is generally not a grid point.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def grid_dp_oracle(
     whose SoC moves are whole grid steps (so value lookups are exact), plus
     the exact full-power move and the exact bound-reaching move. Discharge
     actions are dropped whenever the period price is negative. Memory is
-    (T+1) x num_points for the stored value functions. The grid must span
-    the storage's SoC range.
+    (T+1) x num_points for the stored value functions, plus one padded row
+    and one row per move. The grid must span the storage's SoC range.
     """
     validate_params(params)
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
@@ -100,113 +100,113 @@ def grid_dp_oracle(
     k_down, k_up = _shift_counts(params, grid, dt)
     ks_down = _strided(k_down, action_points - 1)
     ks_up = _strided(k_up, action_points - 1)
-    # Power per whole-step move, and the fractional remainder of a full-power move.
-    p_of_k = step * eta / dt
-    b_of_k = step / (eta * dt)
-    down_full = big_p * dt / (eta * step)  # full-power discharge, in grid steps
-    up_full = big_p * eta * dt / step
+    p_of_k, b_of_k = step * eta / dt, step / (eta * dt)  # power per whole-step move
     p_down = ks_down * p_of_k
     b_up = ks_up * b_of_k
-
     idx = np.arange(n)
     # Bound-reaching moves (exact SoC to the bound, power-feasible region only).
     floor_power = idx[idx * p_of_k <= big_p + 1e-12] * p_of_k
     ceil_power = (n - 1 - idx[(n - 1 - idx) * b_of_k <= big_p + 1e-12]) * b_of_k
-    n_floor, n_ceil = floor_power.size, ceil_power.size
 
-    # Stacked whole-step moves: idle, the charges, then the discharges, which
-    # a negative price cuts off. Move r takes level i to level src[r, i];
-    # column n of the value table is a -inf sentinel for moves off the grid.
-    src = idx + np.concatenate(([0], ks_up, -ks_down))[:, None]
-    src[(src < 0) | (src >= n)] = n
-    no_discharge = 1 + ks_up.size
-    cash = np.zeros((horizon, src.shape[0]))  # cash of each move in each period
-    cash[:, 1:no_discharge] = -prices.values[:, None] * b_up * dt
-    cash[:, no_discharge:] = (prices.values - c)[:, None] * p_down * dt
+    # Rows of ``moved``: floor-reach, full-power discharge, the whole-step moves
+    # by shift (discharges, idle, charges), full-power charge, ceiling-reach. A
+    # row with no move stays -inf; a negative price reduces from idle on.
+    shifts = np.concatenate((-ks_down[::-1], [0], ks_up))
+    idle = 2 + ks_down.size
+    moved = np.full((shifts.size + 4, n), -np.inf)
+    cash = np.zeros((horizon, shifts.size + 4))  # cash of each move in each period
+    cash[:, 1] = (prices.values - c) * big_p * dt
+    cash[:, 2:idle] = (prices.values - c)[:, None] * p_down[::-1] * dt
+    cash[:, idle + 1 : -2] = -prices.values[:, None] * b_up * dt
+    cash[:, -2] = -prices.values * big_p * dt
+    # Level i of the next values is padded[n + i]; window[n + s] reads them s levels on.
+    padded = np.full(3 * n, -np.inf)
+    window = np.lib.stride_tricks.sliding_window_view(padded, n)
+    runs = []  # (first row, end row, stepped view) per arithmetic run of shifts
+    i = 0
+    while i < shifts.size:
+        j = i + 1
+        gap = shifts[j] - shifts[i] if j < shifts.size else 1
+        while j < shifts.size and shifts[j] - shifts[j - 1] == gap:
+            j += 1
+        at = n + shifts[i]
+        runs.append((2 + i, 2 + j, window[at : at + gap * (j - i - 1) + 1 : gap]))
+        i = j
+    fractional = []  # (row, view weighted frac, view weighted 1 - frac, frac, cash)
+    for r, shift, sign in ((1, big_p * dt / (eta * step), -1), (-2, big_p * eta * dt / step, 1)):
+        base, frac = int(shift), shift % 1.0
+        # A whole-step move is among the strided ones; a longer one fits no level.
+        if frac > 1e-9 and shift <= n - 1:
+            far, near = window[n + sign * (base + 1)], window[n + sign * base]
+            fractional.append((moved[r], far, near, frac, cash[:, r]))
+    floor_row, ceil_row = moved[0, : floor_power.size], moved[-1, n - ceil_power.size :]
+    weighted = np.empty(n)
 
-    values = np.empty((horizon + 1, n + 1))
-    values[:, n] = -np.inf
-    values[horizon, :n] = 0.0
+    values = np.zeros((horizon + 1, n))
     for t in range(horizon, 0, -1):
         price = float(prices.values[t - 1])
-        nxt = values[t, :n]
-        best = values[t - 1, :n]
-        rows = src.shape[0] if price >= 0.0 else no_discharge
-        moved = values[t].take(src[:rows])
-        moved += cash[t - 1, :rows, None]
-        np.maximum.reduce(moved, axis=0, out=best)
-        if price >= 0.0:
-            _apply_fractional(best, nxt, down_full, (price - c) * big_p * dt, -1)
-            cand = (price - c) * dt * floor_power + nxt[0]
-            np.maximum(best[:n_floor], cand, out=best[:n_floor])
-        _apply_fractional(best, nxt, up_full, -price * big_p * dt, +1)
-        cand = -price * dt * ceil_power + nxt[n - 1]
-        np.maximum(best[n - n_ceil :], cand, out=best[n - n_ceil :])
+        padded[n : 2 * n] = values[t]
+        for r0, r1, view in runs:
+            np.add(view, cash[t - 1, r0:r1, None], out=moved[r0:r1])
+        for row, far, near, frac, full_cash in fractional:
+            np.multiply(far, frac, out=row)
+            np.multiply(near, 1.0 - frac, out=weighted)
+            row += weighted
+            row += full_cash[t - 1]
+        np.multiply(floor_power, (price - c) * dt, out=floor_row)
+        floor_row += values[t, 0]
+        np.multiply(ceil_power, -price * dt, out=ceil_row)
+        ceil_row += values[t, n - 1]
+        np.maximum.reduce(moved[0 if price >= 0.0 else idle :], axis=0, out=values[t - 1])
 
     # Forward re-evaluation from the actual SoC. The first maximum is taken over
     # idle; strided discharges, full-power discharge, floor-reach; strided charges,
     # full-power charge, ceiling-reach. Only the two bound-reaching powers vary.
     floor_slot = 2 + ks_down.size
     ceil_slot = floor_slot + ks_up.size + 2
-    act_p = np.zeros(ceil_slot + 1)
-    act_b = np.zeros(ceil_slot + 1)
+    act_p, act_b = np.zeros(ceil_slot + 1), np.zeros(ceil_slot + 1)
     act_p[1:floor_slot] = np.append(p_down, big_p)
     act_b[floor_slot + 1 : ceil_slot] = np.append(b_up, big_p)
     split = floor_slot + 1  # candidates before it discharge (or idle), the rest charge
+    move = np.concatenate((-(act_p[:split] * dt / eta), act_b[split:] * eta * dt))
+    net, cost = act_p - act_b, c * act_p * dt
+    e_next, totals = np.empty(move.size), np.empty(move.size)
+    infeasible = np.empty(move.size, dtype=bool)
+    down, up = e_next[:split], e_next[split:]
+    too_low, too_high = infeasible[:split], infeasible[split:]
 
     e = min(max(float(initial_soc), lo), hi)
-    discharge = np.zeros(horizon)
-    charge = np.zeros(horizon)
-    soc = np.empty(horizon + 1)
-    soc[0] = e
+    discharge, charge, soc = np.zeros(horizon), np.zeros(horizon), np.full(horizon + 1, e)
     profits = []
     for t in range(horizon):
         price = float(prices.values[t])
-        act_p[floor_slot] = min(big_p, (e - lo) * eta / dt)
-        act_b[ceil_slot] = min(big_p, (hi - e) / (eta * dt))
-        e_next = np.concatenate((e - act_p[:split] * dt / eta, e + act_b[split:] * eta * dt))
-        infeasible = (e_next < lo - SOC_EPS) | (e_next > hi + SOC_EPS)
+        act_p[floor_slot] = net[floor_slot] = p_floor = min(big_p, (e - lo) * eta / dt)
+        act_b[ceil_slot] = b_ceil = min(big_p, (hi - e) / (eta * dt))
+        net[ceil_slot] = 0.0 - b_ceil
+        cost[floor_slot] = c * p_floor * dt
+        move[floor_slot] = -(p_floor * dt / eta)
+        move[ceil_slot] = b_ceil * eta * dt
+        np.add(move, e, out=e_next)
+        # A discharge never rises above e <= hi, nor a charge falls below e >= lo.
+        np.less(down, lo - SOC_EPS, out=too_low)
+        np.greater(up, hi + SOC_EPS, out=too_high)
         if price < 0.0:
-            infeasible[1:split] = True
-        e_arr = np.clip(e_next, lo, hi)
-        totals = price * (act_p - act_b) * dt - c * act_p * dt
-        totals += np.interp(e_arr, pts, values[t + 1, :n])
+            too_low[1:] = True
+        np.maximum(lo, down, out=down)
+        np.minimum(hi, up, out=up)
+        np.multiply(net, price, out=totals)
+        totals *= dt
+        totals -= cost
+        totals += np.interp(e_next, pts, values[t + 1])
         totals[infeasible] = -np.inf
-        best_i = int(np.argmax(totals))
-        p, b, e = float(act_p[best_i]), float(act_b[best_i]), float(e_arr[best_i])
-        discharge[t] = p
-        charge[t] = b
-        soc[t + 1] = e
+        best_i = int(totals.argmax())
+        p, b, e = float(act_p[best_i]), float(act_b[best_i]), float(e_next[best_i])
+        discharge[t], charge[t], soc[t + 1] = p, b, e
         profits.append(price * (p - b) * dt - c * p * dt)
 
     return OracleResult(
         optimal_profit=math.fsum(profits), discharge=discharge, charge=charge, soc=soc
     )
-
-
-def _apply_fractional(
-    best: np.ndarray, nxt: np.ndarray, shift: float, cash: float, direction: int
-) -> None:
-    """Fold in the full-power action when its SoC move is not a whole grid step.
-
-    ``shift`` is the move in grid-step units, ``direction`` -1 for discharge
-    (SoC falls) and +1 for charge (SoC rises).
-    """
-    n = best.size
-    base = int(math.floor(shift))
-    frac = shift - base
-    if frac <= 1e-9 or shift > n - 1:
-        return  # whole-step moves are covered by the integer actions
-    if direction < 0:
-        i0 = base + 1
-        vals = frac * nxt[: n - base - 1] + (1.0 - frac) * nxt[1 : n - base]
-        np.maximum(best[i0:], cash + vals, out=best[i0:])
-    else:
-        i1 = n - 1 - (base + 1)  # last index that can move up by the full shift
-        if i1 < 0:
-            return
-        vals = (1.0 - frac) * nxt[base : base + i1 + 1] + frac * nxt[base + 1 : base + i1 + 2]
-        np.maximum(best[: i1 + 1], cash + vals, out=best[: i1 + 1])
 
 
 def enumerate_tiny(

@@ -419,6 +419,16 @@ def test_non_utf8_price_file_is_a_data_error_naming_it(tmp_path, capsys):
     assert f"{path} is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_oversized_price_field_is_a_data_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "da.csv"
+    price = "0" * 200_000  # over the csv module's 131,072-character field limit
+    path.write_text(f"timestamp,zone,price_usd_per_mwh\n2019-01-01T00:00:00,A,{price}\n")
+    code = run(["simulate", "--zones", "A", "--durations", "1", "--da-prices", str(path),
+                "--output-dir", str(tmp_path)])
+    assert code == EXIT_DATA
+    assert f"{path} is not a readable CSV" in capsys.readouterr().err
+
+
 def test_non_utf8_scenario_is_a_data_error_naming_it(tmp_path, capsys):
     path = tmp_path / "scenario.csv"
     path.write_bytes(SCENARIO.encode() + b"# caf\xe9\n")
