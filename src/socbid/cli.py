@@ -1,8 +1,8 @@
 """Command-line front end: tape generation, valuation, bidding, and case sweeps.
 
 Exit codes: 0 success, 1 usage error, 2 data validation error,
-3 infeasible dispatch scenario. The default output directory can be set
-with the SOCBID_OUTPUT_DIR environment variable.
+3 infeasible dispatch scenario. The SOCBID_OUTPUT_DIR environment variable
+sets the output directory when neither --output-dir nor a manifest does.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class RunManifest:
     synthetic_noise: float = 5.0
     synthetic_period_hours: float = 24.0
     seed: int = 0
-    output_dir: str = "."
+    output_dir: str = field(default_factory=lambda: os.environ.get("SOCBID_OUTPUT_DIR", "."))
     workers: int = 1
     fill_gaps: bool = False
     write_traces: bool = False
@@ -82,6 +82,7 @@ class RunManifest:
     def validate(self) -> None:
         if not self.zones:
             raise UsageError("no zones given (set --zones or the manifest 'zones' field)")
+        _check_zone_names(self.zones)
         if not self.durations or any(d <= 0 for d in self.durations):
             raise UsageError("durations must be positive numbers of hours")
         for case in self.cases:
@@ -91,6 +92,13 @@ class RunManifest:
             raise UsageError("supply --da-prices/--rt-prices or --synthetic-days")
         if self.workers < 1:
             raise UsageError("workers must be at least 1")
+
+
+def _check_zone_names(zones: list[str]) -> None:
+    """Zone names become parts of output file names, so none may name a directory."""
+    for zone in zones:
+        if zone in ("", ".", "..") or {"/", "\0", os.sep, os.altsep} & set(zone):
+            raise UsageError(f"zone name {zone!r} is empty, '.', '..' or holds a separator or NUL")
 
 
 def _has_type(value, hint) -> bool:
@@ -161,25 +169,26 @@ def _synthetic_tapes(
 
 
 def _zone_series(
-    manifest: RunManifest, zone: str
+    manifest: RunManifest, zone: str, only: str | None = None
 ) -> tuple[PriceSeries | None, PriceSeries | None]:
-    """Load or synthesize the day-ahead and real-time tapes for one zone."""
-    fill = "previous" if manifest.fill_gaps else "error"
-    tapes = []
-    for path, label, step in ((manifest.da_prices, "day-ahead", timedelta(hours=1)),
-                              (manifest.rt_prices, "real-time", timedelta(minutes=5))):
-        tape = data_io.load_prices(path, zone, step, fill=fill) if path else None
-        if tape is not None and tape.gaps_filled:
-            print(f"warning: forward-filled {tape.gaps_filled} {label} interval(s) "
-                  f"for zone {zone}", file=sys.stderr)
-        tapes.append(tape)
-    da, rt = tapes
-    if da is None and rt is None and manifest.synthetic_days:
-        da, rt = _synthetic_tapes(
+    """Load or synthesize the day-ahead and real-time tapes for one zone; with
+    ``only`` naming one source, the other's CSV is not read and its tape is None."""
+    if manifest.synthetic_days and not (manifest.da_prices or manifest.rt_prices):
+        return _synthetic_tapes(
             zone, manifest.synthetic_days, manifest.synthetic_low, manifest.synthetic_high,
             manifest.synthetic_period_hours, manifest.synthetic_noise, manifest.seed,
         )
-    return da, rt
+    tapes = []
+    for source, path, step in (("day_ahead", manifest.da_prices, timedelta(hours=1)),
+                               ("real_time", manifest.rt_prices, timedelta(minutes=5))):
+        tape = None
+        if path and only in (None, source):
+            tape = data_io.load_prices(path, zone, step, manifest.fill_gaps)
+            if tape.gaps_filled:
+                print(f"warning: forward-filled {tape.gaps_filled} {source.replace('_', '-')} "
+                      f"interval(s) for zone {zone}", file=sys.stderr)
+        tapes.append(tape)
+    return tuple(tapes)
 
 
 def _grid_for(manifest: RunManifest, params: StorageParams, dt_hours: float) -> SoCGrid:
@@ -219,8 +228,7 @@ def _run_zone_duration(job: tuple) -> list[dict]:
             }
         )
         if manifest.write_traces:
-            config = CaseConfig(case_id)
-            settled = da if config.settlement_source == "day_ahead" else rt
+            settled = da if CaseConfig(case_id).settlement_source == "day_ahead" else rt
             path = Path(manifest.output_dir) / f"trace_{zone}_{duration:g}h_{case_id}.csv"
             data_io.write_trace(result, settled, path)
     return rows
@@ -250,10 +258,7 @@ def _simulate(manifest: RunManifest) -> list[dict]:
 def _summary_meta(manifest: RunManifest) -> dict:
     # Worker count and output paths are excluded: identical inputs must give
     # byte-identical summaries regardless of parallelism.
-    meta = asdict(manifest)
-    meta.pop("workers")
-    meta.pop("output_dir")
-    return meta
+    return {k: v for k, v in asdict(manifest).items() if k not in ("workers", "output_dir")}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -281,7 +286,7 @@ def _valuation_inputs(args: argparse.Namespace):
     manifest = _load_manifest(args)
     manifest.validate()
     for zone in manifest.zones:
-        da, rt = _zone_series(manifest, zone)
+        da, rt = _zone_series(manifest, zone, only=args.source)
         source = da if args.source == "day_ahead" else rt
         if source is None:
             raise DataValidationError(f"no {args.source} prices available for zone {zone}")
@@ -318,7 +323,8 @@ def cmd_bids(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    out = Path(args.output_dir or os.environ.get("SOCBID_OUTPUT_DIR", "."))
+    _check_zone_names(args.zones)
+    out = Path(args.output_dir)
     for zone in args.zones:
         da, rt = _synthetic_tapes(
             zone, args.days, args.low, args.high, args.period_hours, args.noise, args.seed
@@ -440,8 +446,7 @@ def _add_common(parser: argparse.ArgumentParser, sweeping: bool = False) -> None
                         help="generate synthetic tapes of this many days instead of loading files")
     parser.add_argument("--seed", type=int, help="seed for synthetic tapes")
     parser.add_argument("--output-dir", dest="output_dir",
-                        default=os.environ.get("SOCBID_OUTPUT_DIR"),
-                        help="where reports go (default: $SOCBID_OUTPUT_DIR or .)")
+                        help="where reports go (default: manifest, $SOCBID_OUTPUT_DIR, .)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", dest="output_dir",
-                   default=os.environ.get("SOCBID_OUTPUT_DIR"))
+                   default=os.environ.get("SOCBID_OUTPUT_DIR", "."))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("value", help="dump marginal-value surfaces per (zone, duration)")

@@ -2,8 +2,9 @@
 
 The price file schema is fixed: ``timestamp,zone,price_usd_per_mwh`` with
 ISO-8601 UTC timestamps (naive timestamps are read as UTC). Gaps are a hard
-error by default because silently filled intervals bias profit metrics; an
-explicit forward-fill policy is available and counts what it filled.
+error by default because silently filled intervals bias profit metrics;
+``load_prices(..., fill_gaps=True)`` forward-fills them instead and counts
+what it filled.
 """
 
 from __future__ import annotations
@@ -54,28 +55,22 @@ def _parse_timestamp(raw: str, row_num: int) -> datetime:
         ts = datetime.fromisoformat(text)
     except ValueError as exc:
         raise DataValidationError(f"row {row_num}: unparseable timestamp {raw!r}") from exc
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts.astimezone(timezone.utc)
 
 
 def load_prices(
-    path: str | Path,
-    zone: str,
-    expected_resolution: timedelta | None = None,
-    fill: str = "error",
+    path: str | Path, zone: str, resolution: timedelta, fill_gaps: bool = False
 ) -> PriceSeries:
     """Read one zone's prices from a CSV file into a validated series.
 
-    ``expected_resolution``, when given, is the lattice the timestamps must
-    sit on, and the file's finest step must equal it; otherwise the
-    resolution is inferred from the first two rows. ``fill="previous"``
-    forward-fills missing intervals instead of failing; the number of filled
-    intervals is reported on the returned series.
+    Every timestamp must sit exactly on the ``resolution`` lattice from the
+    first row, and the file's finest step must equal it. A missing interval
+    is an error unless ``fill_gaps`` forward-fills it; the number of filled
+    intervals is reported on the returned series. Of several faults, the
+    first in file order is reported.
     """
-    if fill not in ("error", "previous"):
-        raise DataValidationError(f"unknown fill policy {fill!r}")
-    rows: list[tuple[datetime, float]] = []
+    stamps: list[datetime] = []
+    prices: list[float] = []
     path = Path(path)
     for row_num, row in enumerate(_read_csv(path), start=1):
         if not row or (row_num == 1 and row[0].strip().lower() == "timestamp"):
@@ -84,55 +79,38 @@ def load_prices(
             raise DataValidationError(f"row {row_num}: expected 3 columns, got {len(row)}")
         if row[1].strip() != zone:
             continue
-        ts = _parse_timestamp(row[0], row_num)
+        stamps.append(_parse_timestamp(row[0], row_num))
         try:
-            price = float(row[2])
+            prices.append(float(row[2]))
         except ValueError as exc:
             raise DataValidationError(f"row {row_num}: unparseable price {row[2]!r}") from exc
-        rows.append((ts, price))
-    if not rows:
+    if not stamps:
         raise DataValidationError(f"no rows for zone {zone!r} in {path}")
-    if expected_resolution is not None:
-        resolution = expected_resolution
-        # A first step off the lattice is a gap or another resolution; the
-        # finest step tells which. Non-positive steps are reported below.
-        if len(rows) > 1 and rows[1][0] - rows[0][0] != resolution:
-            finest = min(b[0] - a[0] for a, b in zip(rows, rows[1:]))
-            if finest > timedelta(0) and finest != resolution:
-                raise DataValidationError(
-                    f"resolution {finest} does not match expected {resolution}"
-                )
-    elif len(rows) == 1:
-        raise DataValidationError("cannot infer resolution from a single row")
-    else:
-        resolution = rows[1][0] - rows[0][0]
-
-    values = [rows[0][1]]
-    filled = 0
-    prev_ts = rows[0][0]
-    for ts, price in rows[1:]:
-        gap = ts - prev_ts
-        if gap <= timedelta(0):
+    # Whole microseconds from the first row: the lattice test is exact.
+    us = timedelta(microseconds=1)
+    start = stamps[0]
+    steps = np.diff(np.fromiter(((ts - start) // us for ts in stamps), np.int64, len(stamps)))
+    res = resolution // us
+    # A first step off the lattice is a gap or another resolution; the finest
+    # step tells which. Non-positive steps are reported below.
+    if steps.size and steps[0] != res:
+        finest = timedelta(microseconds=int(steps.min()))
+        if timedelta(0) < finest != resolution:
+            raise DataValidationError(f"resolution {finest} does not match expected {resolution}")
+    bad = np.flatnonzero((steps <= 0) | (steps % res != 0) if fill_gaps else steps != res)
+    if bad.size:
+        i = int(bad[0])
+        ts, step = stamps[i + 1], int(steps[i])
+        if step <= 0:
             raise DataValidationError(f"duplicate or out-of-order timestamp {ts.isoformat()}")
-        elif gap == resolution:
-            values.append(price)
-        else:
-            steps = gap / resolution
-            if abs(steps - round(steps)) > 1e-9:
-                raise DataValidationError(
-                    f"timestamp {ts.isoformat()} is off the {resolution} lattice"
-                )
-            missing = int(round(steps)) - 1
-            if fill == "error":
-                gap_ts = prev_ts + resolution
-                raise DataValidationError(
-                    f"missing interval at {gap_ts.isoformat()} ({missing} interval(s) absent)"
-                )
-            values.extend([values[-1]] * missing)
-            values.append(price)
-            filled += missing
-        prev_ts = ts
-    return PriceSeries(zone, rows[0][0], resolution, np.asarray(values), gaps_filled=filled)
+        if step % res:
+            raise DataValidationError(f"timestamp {ts.isoformat()} is off the {resolution} lattice")
+        raise DataValidationError(
+            f"missing interval at {(stamps[i] + resolution).isoformat()}"
+            f" ({step // res - 1} interval(s) absent)"
+        )
+    values = np.repeat(prices, np.append(steps // res, 1))
+    return PriceSeries(zone, start, resolution, values, gaps_filled=values.size - len(prices))
 
 
 def save_prices(series: PriceSeries, path: str | Path) -> None:

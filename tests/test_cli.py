@@ -526,3 +526,47 @@ def test_clean_week_soc_bids_reach_the_monotone_utilization(tmp_path):
         rows = {row["case_id"]: row for row in csv.DictReader(fh)}
     assert float(rows["DA-SB-DF"]["utilization"]) == pytest.approx(0.930656, abs=1e-6)
     assert rows["DA-SB-DF"]["total_profit_usd"] == rows["DA-PB-DF"]["total_profit_usd"]
+
+
+def test_output_dir_flag_beats_manifest_beats_environment(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SOCBID_OUTPUT_DIR", "from_env")
+    settings = {"zones": ["AA"], "durations": [1.0], "cases": ["RT-SB-PF"],
+                "synthetic_days": 1.0, "grid_points": 301}
+    (tmp_path / "bare.json").write_text(json.dumps(settings))
+    (tmp_path / "run.json").write_text(json.dumps({**settings, "output_dir": "from_manifest"}))
+    assert run(["simulate", "--manifest", "run.json", "--output-dir", "from_flag"]) == EXIT_OK
+    assert run(["simulate", "--manifest", "run.json"]) == EXIT_OK
+    assert not (tmp_path / "from_env").exists()
+    assert run(["simulate", "--manifest", "bare.json"]) == EXIT_OK
+    assert run(["synth", "--zones", "AA", "--days", "1"]) == EXIT_OK
+    for where in ("from_flag", "from_manifest", "from_env"):
+        assert (tmp_path / where / "summary.csv").exists()
+    assert (tmp_path / "from_env" / "AA_da.csv").exists()
+
+
+@pytest.mark.parametrize("zone", ["a/../../escaped", "..", ".", "", "a\0b"])
+def test_zone_names_unfit_for_file_names_are_usage_errors(tmp_path, monkeypatch, capsys, zone):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    sweep = ["sweep", "--zones", zone, "--durations", "1", "--synthetic-days", "1", "--trace"]
+    assert run([*sweep, "--output-dir", "out"]) == EXIT_USAGE
+    assert run(["synth", "--zones", zone, "--days", "1", "--output-dir", "out"]) == EXIT_USAGE
+    assert capsys.readouterr().err.count("zone name") == 2
+    assert list(tmp_path.rglob("*")) == [work]
+
+
+def test_value_and_bids_read_only_the_source_tape(tmp_path, capsys):
+    write_csv_tapes(tmp_path / "da.csv", tmp_path / "rt.csv", days=1)
+    rt_lines = (tmp_path / "rt.csv").read_text().splitlines()
+    (tmp_path / "rt.csv").write_text("\n".join(rt_lines[:4] + rt_lines[5:]) + "\n")
+    flags = ["--zones", "AA", "--durations", "1", "--grid-points", "101",
+             "--da-prices", str(tmp_path / "da.csv"), "--rt-prices", str(tmp_path / "rt.csv"),
+             "--output-dir", str(tmp_path / "out")]
+    assert run(["value", "--source", "day_ahead", *flags]) == EXIT_OK
+    assert run(["bids", "--source", "day_ahead", *flags]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    # the gap is still found when the real-time tape is the one valued
+    assert run(["value", "--source", "real_time", *flags]) == EXIT_DATA
+    assert "missing interval at 2019-01-01T00:15:00+00:00" in capsys.readouterr().err

@@ -48,7 +48,7 @@ def test_load_filters_by_zone(tmp_path):
             "2019-01-01T01:00:00Z,NYC,21",
         ],
     )
-    west = load_prices(path, "WEST")
+    west = load_prices(path, "WEST", timedelta(hours=1))
     np.testing.assert_allclose(west.values, [10.0, 11.0])
 
 
@@ -63,7 +63,7 @@ def test_load_gap_is_an_error_naming_the_timestamp(tmp_path):
         ],
     )
     with pytest.raises(DataValidationError, match="00:10:00"):
-        load_prices(path, "Z")
+        load_prices(path, "Z", timedelta(minutes=5))
 
 
 def test_load_forward_fill_counts_gaps(tmp_path):
@@ -76,7 +76,7 @@ def test_load_forward_fill_counts_gaps(tmp_path):
             "2019-01-01T00:15:00Z,Z,13",
         ],
     )
-    series = load_prices(path, "Z", fill="previous")
+    series = load_prices(path, "Z", timedelta(minutes=5), fill_gaps=True)
     assert series.gaps_filled == 1
     np.testing.assert_allclose(series.values, [10.0, 11.0, 11.0, 13.0])
 
@@ -91,7 +91,7 @@ def test_load_gap_at_second_row_uses_the_expected_lattice(tmp_path):
             "2019-01-01T03:00:00Z,Z,13",
         ],
     )
-    series = load_prices(path, "Z", timedelta(hours=1), fill="previous")
+    series = load_prices(path, "Z", timedelta(hours=1), fill_gaps=True)
     assert series.gaps_filled == 1
     np.testing.assert_allclose(series.values, [10.0, 10.0, 12.0, 13.0])
     with pytest.raises(DataValidationError, match="missing interval"):
@@ -108,7 +108,42 @@ def test_load_duplicate_timestamp_rejected(tmp_path):
         ],
     )
     with pytest.raises(DataValidationError, match="duplicate"):
-        load_prices(path, "Z")
+        load_prices(path, "Z", timedelta(hours=1))
+
+
+@pytest.mark.parametrize("fill_gaps", [False, True])
+def test_load_one_microsecond_off_the_lattice_is_rejected(tmp_path, fill_gaps):
+    # 1 us is 2.8e-10 of an hour: a float tolerance on steps would let it pass
+    path = tmp_path / "off.csv"
+    write_rows(
+        path,
+        [
+            "2019-01-01T00:00:00Z,Z,1",
+            "2019-01-01T01:00:00Z,Z,2",
+            "2019-01-01T02:00:00.000001Z,Z,3",
+            "2019-01-01T03:00:00Z,Z,4",
+        ],
+    )
+    with pytest.raises(DataValidationError, match=r"02:00:00\.000001\+00:00 is off the 1:00:00"):
+        load_prices(path, "Z", timedelta(hours=1), fill_gaps=fill_gaps)
+
+
+def test_load_offset_and_naive_timestamps_match_their_utc_twin(tmp_path):
+    utc_rows = [f"2019-01-01T{h:02d}:00:00+00:00,Z,{10 + h}" for h in (0, 1, 2, 4)]
+    mixed_rows = [
+        "2019-01-01T05:00:00+05:00,Z,10",
+        "2019-01-01T01:00:00,Z,11",
+        "2019-01-01T02:00:00Z,Z,12",
+        "2019-01-01T09:00:00+05:00,Z,14",
+    ]
+    write_rows(tmp_path / "utc.csv", utc_rows)
+    write_rows(tmp_path / "mixed.csv", mixed_rows)
+    utc = load_prices(tmp_path / "utc.csv", "Z", timedelta(hours=1), fill_gaps=True)
+    mixed = load_prices(tmp_path / "mixed.csv", "Z", timedelta(hours=1), fill_gaps=True)
+    np.testing.assert_array_equal(mixed.values, utc.values)
+    np.testing.assert_array_equal(utc.values, [10.0, 11.0, 12.0, 12.0, 14.0])
+    assert mixed.start == utc.start == START
+    assert mixed.gaps_filled == utc.gaps_filled == 1
 
 
 def test_load_resolution_mismatch(tmp_path):
@@ -122,7 +157,7 @@ def test_load_unparseable_row_reports_row_number(tmp_path):
     path = tmp_path / "bad.csv"
     write_rows(path, ["2019-01-01T00:00:00Z,Z,10", "2019-01-01T01:00:00Z,Z,not-a-price"])
     with pytest.raises(DataValidationError, match="row 3"):
-        load_prices(path, "Z")
+        load_prices(path, "Z", timedelta(hours=1))
 
 
 def test_round_trip_is_bit_identical(tmp_path):
