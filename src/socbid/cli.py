@@ -339,7 +339,7 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
     """Parse a dispatch scenario CSV into a market instance.
 
     Row kinds: ``generator,<name>,<capacity>,<cost>`` (repeat for segments),
-    ``demand,,<mw>``, ``storage,<name>,<P>,<E>,<eta>,<cost>,<soc>`` and
+    one ``demand,,<mw>``, ``storage,<name>,<P>,<E>,<eta>,<cost>,<soc>`` and
     ``powerbid,<name>,<discharge_bid>,<charge_bid>`` (at most one each per name),
     ``socbid,<name>,<soc_lo>,<soc_hi>,<value>`` (repeat for segments).
     """
@@ -354,6 +354,8 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
         kind = row[0].strip().lower()
         if kind not in ("generator", "demand", "storage", "powerbid", "socbid"):
             raise DataValidationError(f"row {row_num}: unknown row kind {kind!r}")
+        if kind == "demand" and demand is not None:
+            raise DataValidationError(f"row {row_num}: second 'demand' row")
         once = None  # (table, entry) of a row kind allowed once per name
         try:
             if kind == "generator":
@@ -380,8 +382,6 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
             table[row[1]] = entry
     if demand is None:
         raise DataValidationError("scenario has no demand row")
-    if power_bids and soc_rows:
-        raise DataValidationError("scenario mixes power bids and SoC bids")
     orphans = sorted((set(power_bids) | set(soc_rows)) - set(storage_rows))
     if orphans:
         raise DataValidationError(f"bid rows name no storage row: {', '.join(orphans)}")

@@ -23,7 +23,7 @@ from .model import (
 
 
 class InfeasibleMarketError(RuntimeError):
-    """Raised when fixed demand cannot be served by the offered supply."""
+    """Raised when the offered supply cannot serve fixed demand or set a price."""
 
 
 @dataclass(frozen=True)
@@ -109,141 +109,105 @@ class ClearingResult:
         return sum(d.discharge_power for d in self.storage.values())
 
 
-@dataclass(frozen=True)
-class _SupplyRow:
-    cost: float
-    capacity: float
-    rank: int  # generators clear before storage on cost ties
-    order: int
-    owner: str
+def _bid_rows(unit: StorageUnit) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """``(price, MW)`` supply steps for segments below the SoC, demand blocks above it.
 
-
-@dataclass(frozen=True)
-class _DemandRow:
-    bid: float
-    capacity: float
-    owner: str
-
-
-def _bid_rows(unit: StorageUnit, order: int) -> tuple[list[_SupplyRow], list[_DemandRow]]:
-    """One supply step per segment below the SoC, one demand block per segment above.
-
-    A power bid is one segment over the whole SoC range. Segment capacities
-    are the segment's energy overlap converted to grid power; the unit-wide
-    power rating is enforced during acceptance, not in the rows, so deeper
-    segments stay available when shallow ones are thin.
+    A power bid is one segment over the whole SoC range. Capacities are the
+    segments' energy in grid power, cut to the unit's power rating in the
+    order the market takes them: supply steps by cost, then segment order;
+    demand blocks in segment order, dearest first as charge thresholds are
+    non-increasing. A step the rating empties stays at 0 MW, as its cost is
+    still a candidate price.
     """
     bounds, discharge, charge = threshold_table(unit.bid, unit.params)
     eta = unit.params.efficiency_one_way
-    supply = []
-    demand = []
-    for j in range(len(discharge)):
-        below = max(0.0, min(unit.soc, bounds[j + 1]) - bounds[j])
-        if below > 0:
-            supply.append(_SupplyRow(discharge[j], below * eta, 1, order, unit.name))
-        above = max(0.0, bounds[j + 1] - max(unit.soc, bounds[j]))
-        if above > 0:
-            demand.append(_DemandRow(charge[j], above / eta, unit.name))
-    return supply, demand
+    segments = list(zip(bounds, bounds[1:], discharge, charge))
+    below = [(d, (min(unit.soc, hi) - lo) * eta) for lo, hi, d, _ in segments if unit.soc > lo]
+    above = [(c, (hi - max(unit.soc, lo)) / eta) for lo, hi, _, c in segments if hi > unit.soc]
+    below.sort(key=lambda row: row[0])
+    rating = unit.params.power_rating
+    return list(_cut(below, rating)), list(_cut(above, rating))
+
+
+def _cut(rows: list[tuple[float, float]], rating: float):
+    """``(price, MW)`` rows in order, each cut so that the running MW stays within ``rating``."""
+    used = 0.0
+    for price, mw in rows:
+        mw = max(0.0, min(mw, rating - used))
+        used += mw
+        yield price, mw
 
 
 def _clear(
-    instance: MarketInstance,
-    supply: list[_SupplyRow],
-    demand_blocks: list[_DemandRow],
-    power_caps: dict[str, float],
+    demand: float, supply: list[tuple], demand_blocks: list[tuple]
 ) -> tuple[float, dict[str, float], dict[str, float]]:
-    """Uniform-price clearing of the assembled stack.
+    """Uniform-price clearing of the stack that :func:`_assemble_and_clear` builds.
 
     The clearing price is the lowest supply-step cost at which cumulative
     willing supply covers fixed demand plus the elastic blocks still willing
     to buy at that price; a demand block whose bid equals the price is
-    rejected (ties resolve to no action). ``power_caps`` bounds the total MW
-    accepted per storage owner in each direction, which, with monotone bid
-    curves, reproduces the power-limited greedy sweep exactly.
+    rejected (ties resolve to no action). Power ratings are already in the
+    row capacities, so each row clears up to its own MW.
     """
-    supply = sorted(supply, key=lambda r: (r.cost, r.rank, r.order))
+    supply = sorted(supply, key=lambda r: r[:2])
+    total = sum(r[2] for r in supply)
+    if total + 1e-9 < demand:
+        raise InfeasibleMarketError(f"supply {total} MW cannot serve fixed demand {demand} MW")
+    if not supply:
+        raise InfeasibleMarketError("no supply step sets a price")
 
-    def capped(rows) -> float:
-        """Total MW of (owner, MW) rows, each owner's sum capped by ``power_caps``."""
-        per_owner: dict[str, float] = {}
-        for owner, mw in rows:
-            per_owner[owner] = per_owner.get(owner, 0.0) + mw
-        return sum(min(mw, power_caps.get(owner, math.inf)) for owner, mw in per_owner.items())
-
-    total_supply = capped((r.owner, r.capacity) for r in supply)
-    if total_supply + 1e-9 < instance.demand:
-        raise InfeasibleMarketError(
-            f"supply {total_supply} MW cannot serve fixed demand {instance.demand} MW"
-        )
-
-    price = None
-    for cand in sorted({r.cost for r in supply}):
-        willing = capped((r.owner, r.capacity) for r in supply if r.cost <= cand)
-        elastic = capped((b.owner, b.capacity) for b in demand_blocks if b.bid > cand)
-        if willing >= instance.demand + elastic - 1e-12:
+    charge: dict[str, float] = {}
+    for cand in sorted({r[0] for r in supply}):
+        willing = sum(r[2] for r in supply if r[0] <= cand)
+        elastic = sum(mw for bid, mw, _ in demand_blocks if bid > cand)
+        if willing >= demand + elastic - 1e-12:
             price = float(cand)
+            for bid, mw, owner in demand_blocks:
+                if bid > price:
+                    charge[owner] = charge.get(owner, 0.0) + mw
             break
-
-    demand_by_owner: dict[str, float] = {}
-    if price is None:
+    else:
         # Supply exhausted while elastic blocks still bid above every supply
         # step: the marginal demand block sets the price, served partially.
-        room = total_supply - instance.demand
-        price = max(r.cost for r in supply)
-        for block in sorted(demand_blocks, key=lambda b: -b.bid):
-            budget = power_caps.get(block.owner, math.inf) - demand_by_owner.get(block.owner, 0.0)
-            take = min(block.capacity, budget, room)
+        room = total - demand
+        price = supply[-1][0]
+        for bid, mw, owner in sorted(demand_blocks, key=lambda b: -b[0]):
+            take = min(mw, room)
             if take <= 1e-12:
                 continue
-            demand_by_owner[block.owner] = demand_by_owner.get(block.owner, 0.0) + take
+            charge[owner] = charge.get(owner, 0.0) + take
             room -= take
-            price = float(block.bid)
+            price = float(bid)
             if room <= 1e-12:
                 break
-    else:
-        for block in demand_blocks:
-            if block.bid > price:
-                budget = power_caps.get(block.owner, math.inf) - demand_by_owner.get(
-                    block.owner, 0.0
-                )
-                take = min(block.capacity, budget)
-                if take > 0:
-                    demand_by_owner[block.owner] = demand_by_owner.get(block.owner, 0.0) + take
 
-    target = instance.demand + sum(demand_by_owner.values())
-    supply_by_owner: dict[str, float] = {}
-    remaining = target
-    for row in supply:
+    dispatch: dict[str, float] = {}
+    remaining = demand + sum(charge.values())
+    for _, _, mw, owner in supply:
         if remaining <= 1e-12:
             break
-        budget = power_caps.get(row.owner, math.inf) - supply_by_owner.get(row.owner, 0.0)
-        take = min(row.capacity, budget, remaining)
-        if take <= 0:
-            continue
-        supply_by_owner[row.owner] = supply_by_owner.get(row.owner, 0.0) + take
+        take = min(mw, remaining)
+        dispatch[owner] = dispatch.get(owner, 0.0) + take
         remaining -= take
-    return price, supply_by_owner, demand_by_owner
+    return price, dispatch, charge
 
 
 def _assemble_and_clear(instance: MarketInstance, bid_type: type) -> ClearingResult:
-    supply: list[_SupplyRow] = []
-    demand_blocks: list[_DemandRow] = []
+    supply = []  # (cost, order, MW, owner); generators come first, so they win cost ties
+    demand_blocks = []  # (bid, MW, owner)
     for order, offer in enumerate(instance.offers):
-        for cap, cost in offer.segments:
-            supply.append(_SupplyRow(cost, cap, 0, order, offer.name))
-    for order, unit in enumerate(instance.storages):
+        supply += [(cost, order, cap, offer.name) for cap, cost in offer.segments]
+    for order, unit in enumerate(instance.storages, start=len(instance.offers)):
         if not isinstance(unit.bid, bid_type):
             raise DataValidationError(
                 f"storage {unit.name} carries a {type(unit.bid).__name__}, "
                 f"expected {bid_type.__name__}"
             )
-        rows = _bid_rows(unit, order)
-        supply.extend(rows[0])
-        demand_blocks.extend(rows[1])
+        steps, blocks = _bid_rows(unit)
+        supply += [(cost, order, mw, unit.name) for cost, mw in steps]
+        demand_blocks += [(bid, mw, unit.name) for bid, mw in blocks]
 
-    power_caps = {unit.name: unit.params.power_rating for unit in instance.storages}
-    price, supply_mw, demand_mw = _clear(instance, supply, demand_blocks, power_caps)
+    price, supply_mw, demand_mw = _clear(instance.demand, supply, demand_blocks)
 
     generation = {}
     storage = {}

@@ -226,6 +226,18 @@ def test_dispatch_demo_infeasible(tmp_path):
     assert run(["dispatch-demo", "--scenario", str(scenario)]) == EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    ["demand,,0\n", "demand,,0\nstorage,S1,10,60,0.9,10,0\npowerbid,S1,25,5\n"],
+    ids=["demand-only", "empty-storage-only"],
+)
+def test_dispatch_demo_without_supply_steps_is_infeasible(tmp_path, capsys, scenario):
+    path = tmp_path / "no_supply.csv"
+    path.write_text(scenario)
+    assert run(["dispatch-demo", "--scenario", str(path)]) == EXIT_INFEASIBLE
+    assert "no supply step sets a price" in capsys.readouterr().err
+
+
 def test_trace_flag_writes_per_interval_files(tmp_path):
     code = run(
         [
@@ -312,10 +324,16 @@ def test_dispatch_demo_soc_bids(tmp_path, capsys):
             "storage,S1,10,60,0.9,10,60\npowerbid,S1,25,5\npowerbid,S1,50,5\n",
             "row 5: second 'powerbid' row for S1",
         ),
+        ("demand,,50\n", "row 3: second 'demand' row"),
+        (
+            "storage,S1,10,60,0.9,10,60\npowerbid,S1,25,5\n"
+            "storage,S2,10,20,0.9,10,14\nsocbid,S2,0,20,3\n",
+            "storage S1 carries a PowerBid, expected SoCBidCurve",
+        ),
     ],
     ids=[
         "short-storage-row", "hole", "overlap", "orphan-powerbid", "orphan-socbid",
-        "second-storage", "second-powerbid",
+        "second-storage", "second-powerbid", "second-demand", "mixed-bids",
     ],
 )
 def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, message):

@@ -102,6 +102,63 @@ def test_rationed_charge_block_sets_the_price():
     assert result.total_generation == pytest.approx(50.0 + result.cleared_charge)
 
 
+def test_step_emptied_by_the_power_rating_still_sets_the_price():
+    # S's cheap shallow segment uses its whole 10 MW rating, so its 50 $/MWh
+    # deep segment offers 0 MW; its cost is still the price at which the
+    # 105 MW of demand clears without T's 40 $/MWh charge block.
+    s = StorageUnit(
+        "S", StorageParams(10.0, 40.0, 1.0, 0.0), 40.0,
+        SoCBidCurve(np.array([0.0, 20.0, 40.0]), np.array([50.0, 10.0])),
+    )
+    t = StorageUnit(
+        "T", StorageParams(10.0, 10.0, 1.0, 0.0), 0.0,
+        SoCBidCurve(np.array([0.0, 10.0]), np.array([40.0])),
+    )
+    gen = GeneratorOffer("G", ((100.0, 30.0),))
+    result = clear_soc_bid_ed(MarketInstance((gen,), 105.0, (s, t)))
+    assert result.price == 50.0
+    assert result.generation == {"G": 95.0}
+    assert result.storage["S"].discharge_power == 10.0
+    assert result.storage["T"].charge_power == 0.0
+
+
+def test_two_units_each_clear_at_most_their_rating():
+    # Each unit's cheap shallow segment holds more than its rating, so the
+    # rating, taken in cost order, leaves its deep segment nothing to offer.
+    s1 = StorageUnit(
+        "S1", StorageParams(10.0, 60.0, 1.0, 0.0), 60.0,
+        SoCBidCurve(np.array([0.0, 30.0, 60.0]), np.array([30.0, 5.0])),
+    )
+    s2 = StorageUnit(
+        "S2", StorageParams(4.0, 20.0, 1.0, 0.0), 20.0,
+        SoCBidCurve(np.array([0.0, 10.0, 20.0]), np.array([35.0, 8.0])),
+    )
+    result = clear_soc_bid_ed(MarketInstance((G1, G2), 110.0, (s1, s2)))
+    assert result.price == 15.0
+    assert result.generation == {"G1": 96.0, "G2": 0.0}
+    assert result.storage["S1"].discharge_power == 10.0
+    assert result.storage["S2"].discharge_power == 4.0
+    # rationed charging: 10 MW of room, the first hungry unit takes its 8 MW
+    hungry = [
+        StorageUnit(name, StorageParams(p, 500.0, 0.9, 10.0), 0.0, PowerBid(2000.0, 1000.0))
+        for name, p in (("H1", 8.0), ("H2", 6.0))
+    ]
+    result = clear_power_bid_ed(MarketInstance((G1,), 90.0, tuple(hungry)))
+    assert result.price == 1000.0
+    assert result.storage["H1"].charge_power == 8.0
+    assert result.storage["H2"].charge_power == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize(
+    "storages",
+    [(), (StorageUnit("S", BIG_STORAGE, 0.0, PowerBid(25.0, 5.0)),)],
+    ids=["empty-market", "empty-storage"],
+)
+def test_market_without_supply_steps_is_infeasible(storages):
+    with pytest.raises(InfeasibleMarketError, match="no supply step sets a price"):
+        clear_power_bid_ed(MarketInstance((), 0.0, storages))
+
+
 def test_generator_wins_cost_ties():
     storage = full_storage(PowerBid(15.0, 0.0))  # same cost as G1
     result = clear_power_bid_ed(MarketInstance((G1, G2), 50.0, (storage,)))
