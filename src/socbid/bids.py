@@ -29,7 +29,7 @@ from .valuation import (
     _cumulative,
     _integrals,
     _interp_plan,
-    _require_non_increasing,
+    _non_increasing_rows,
     _segment_means,
 )
 
@@ -47,7 +47,7 @@ class PowerBid:
 
 
 def _check_segments(boundaries, values, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float arrays of J+1 increasing boundaries and non-increasing rows of J values."""
+    """Float arrays of J+1 increasing boundaries and rows of J values, each floored."""
     bounds = np.asarray(boundaries, dtype=float)
     vals = np.asarray(values, dtype=float)
     if bounds.ndim != 1 or vals.ndim != ndim or bounds.size != vals.shape[-1] + 1:
@@ -56,8 +56,7 @@ def _check_segments(boundaries, values, ndim: int) -> tuple[np.ndarray, np.ndarr
         raise DataValidationError("an SoC bid needs at least one segment")
     if np.any(np.diff(bounds) <= 0):
         raise DataValidationError("segment boundaries must be strictly increasing")
-    _require_non_increasing(vals)
-    return bounds, vals
+    return bounds, _non_increasing_rows(vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +64,8 @@ class SoCBidCurve:
     """Marginal stored-energy value ($/MWh) per SoC segment.
 
     ``boundaries`` has one more entry than ``segment_values`` and spans the
-    bid's SoC range; values must be non-increasing (concave opportunity
-    value), which is what makes greedy segment-by-segment dispatch optimal.
+    bid's SoC range; values, non-increasing (concave opportunity value) and
+    stored as their running minimum, make greedy segment dispatch optimal.
     """
 
     boundaries: np.ndarray
@@ -108,13 +107,13 @@ def threshold_table(
     """Segment boundaries and per-segment (discharge, charge) price thresholds.
 
     A power bid is one segment over the SoC range carrying its own pair; an
-    SoC bid curve must span that range and reads as its running minimum.
+    SoC bid curve must span that range, and its stored values never rise.
     """
     if isinstance(bid, PowerBid):
         return [params.soc_min, params.soc_max], [bid.discharge_bid], [bid.charge_bid]
     boundaries = bid.boundaries.tolist()
     check_soc_range(boundaries[0], boundaries[-1], params, "bid curve")
-    discharge, charge = bid_thresholds(np.minimum.accumulate(bid.segment_values), params)
+    discharge, charge = bid_thresholds(bid.segment_values, params)
     return boundaries, discharge.tolist(), charge.tolist()
 
 
@@ -138,7 +137,7 @@ class BidSchedule:
     segment j, between ``boundaries[j]`` and ``boundaries[j + 1]``; prices
     follow from ``params`` via :func:`bid_thresholds`. A power schedule
     (``kind="power"``) has the single segment [soc_min, soc_max] and books
-    no opportunity value.
+    no opportunity value. Rows are stored as their running minimum.
     """
 
     period_hours: float
@@ -203,9 +202,9 @@ def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, boun
     Period t's dispatch trades against the value of energy left after it, so
     the bid of 0-indexed period t comes from the curve after period t+1; the
     pre-horizon curve (t = 0) sets no bid. Each block of curves is integrated
-    once; ``means[key]`` holds its raw segment means over ``bounds[key]``, SoC
+    once; ``means[key]`` holds its segment means over ``bounds[key]``, SoC
     axis first: ``(J, periods)``. Cumulative differences leave +-1-ulp bumps
-    on flat runs, so a consumer reads each bid as its running minimum.
+    on flat runs, so each bid is floored in place to its running minimum.
     """
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     edges = _cell_edges(grid)
@@ -217,7 +216,8 @@ def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, boun
             block[(t - 1) % rows] = q
             if (t - 1) % rows == 0:
                 cum = _cumulative(edges, block[: horizon - t + 1])
-                yield t - 1, {key: _segment_means(plan, cum) for key, plan in plans.items()}
+                means = {key: _segment_means(plan, cum) for key, plan in plans.items()}
+                yield t - 1, {key: np.minimum.accumulate(m, axis=0, out=m) for key, m in means.items()}
 
 
 def _bid_table(
@@ -226,7 +226,7 @@ def _bid_table(
 ) -> BidSchedule:
     """The ``kind`` bid schedule of a value surface's rows or a forecast tape's backward pass.
 
-    Every row is stored as its running minimum, so it is exactly non-increasing.
+    Rows come floored from :func:`_bid_blocks`, so the schedule holds the table as is.
     """
     if isinstance(source, ValueSurface):
         horizon, period_hours = source.horizon, source.step_hours
@@ -237,7 +237,7 @@ def _bid_table(
     bounds = _segment_bounds(validate_params(params), kind, segments_per_hour)
     table = np.empty((horizon, bounds.size - 1))
     for first, means in _bid_blocks(curves, horizon, params, grid, {kind: bounds}):
-        table[first : first + means[kind].shape[1]] = np.minimum.accumulate(means[kind], axis=0).T
+        table[first : first + means[kind].shape[1]] = means[kind].T
     return BidSchedule(period_hours, params, bounds, table, kind)
 
 

@@ -122,9 +122,9 @@ def _crossings(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Crossing counts of each settlement price against its period's bid.
 
-    ``values`` holds one bid per period, SoC axis first (J, periods), each read
-    as its running minimum, so no float bump in a row decides a crossing.
-    Returns ``kd = count(price <= discharge thresholds)`` and ``kc = count(price
+    ``values`` holds one exactly non-increasing bid per period, SoC axis first
+    (J, periods), as stored schedules and :func:`_bid_blocks` make them. Returns
+    ``kd = count(price <= discharge thresholds)`` and ``kc = count(price
     < charge thresholds)`` shaped like ``prices``: prefix lengths, found by a
     branchless binary search down each column, a block of periods at a time;
     no temporary exceeds ``_BLOCK_FLOATS``.
@@ -134,9 +134,8 @@ def _crossings(
     kd, kc = np.empty((2, *prices.shape), dtype=np.intp)
     for first in range(0, values.shape[1], rows):
         block = slice(first, first + rows)
-        bids = np.minimum.accumulate(values[:, block], axis=0)
         block_prices = prices[block]
-        flat, periods = bids.ravel(), bids.shape[1]
+        flat, periods = values[:, block].ravel(), block_prices.shape[0]
         # Flat index of the segment each price's search stands on, discharge then charge
         base = np.arange(periods)[:, None] + np.zeros((2, 1, per_bid), dtype=np.intp)
         beats = np.empty(base.shape, dtype=bool)
@@ -161,7 +160,7 @@ def _settle(
     """Dispatch each interval in turn; returns discharge, charge, SoC-after and profit lists.
 
     ``kd`` and ``kc`` are each interval's crossing counts against its bid
-    (see :func:`_crossings`), counted on the running minimum of its bid, so
+    (see :func:`_crossings`), counted on its exactly non-increasing bid, so
     a price beats the discharge thresholds of the segments from ``kd`` up and
     the charge thresholds of the segments below ``kc``. So a non-negative price
     discharges the unit down to ``boundaries[kd]`` when the SoC is above it;
@@ -283,9 +282,8 @@ def run_schedule(
 
     Each schedule entry covers a whole number of settlement intervals; an
     hourly schedule against 5-minute prices applies each bid to its twelve
-    subintervals, with power limits per interval. Rows settle as their running
-    minimum (see :func:`_crossings`), which floors the rises up to 1e-9 relative
-    a hand-built row may keep.
+    subintervals, with power limits per interval. Rows settle as the schedule
+    stores them, as their running minimum (see :class:`BidSchedule`).
     """
     per_bid = _intervals_per_bid(schedule.period_hours, len(schedule), prices)
     check_soc_range(

@@ -8,14 +8,13 @@ energy, discharge at full power) and assigns the corresponding marginal
 value in closed form. Integration of the curve recovers the opportunity
 value function used for bid design.
 
-Every curve the recursion builds is exactly non-increasing: a curve handed
-in is read as its running minimum. On such a curve the charge test
-``price <= q*eta`` and the hold test ``price <= max(q/eta + c, 0)`` each hold
-for a prefix of the levels, so a step finds the two prefix lengths by
-bisection and writes its output as five slices, one per regime, with no
-full-length pass besides the writes. Float rounding can leave a 1-ulp rise
-where two slices meet; a step checks those four junctions and, only on a
-rise, floors its output to its running minimum.
+Every curve is stored as its running minimum, so it is exactly non-increasing.
+On such a curve the charge test ``price <= q*eta`` and the hold test ``price <=
+max(q/eta + c, 0)`` each hold for a prefix of the levels, so a step finds the
+two prefix lengths by bisection and writes its output as five slices, one per
+regime, with no full-length pass besides the writes. Float rounding can leave a
+1-ulp rise where two slices meet; a step checks those four junctions and, only
+on a rise, floors its output to its running minimum.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ class StepCase(IntEnum):
 class ValueCurve:
     """Marginal value of stored energy ($/MWh) at each grid SoC level.
 
-    Values must be non-increasing in SoC: the underlying opportunity value
-    function is concave.
+    Values must be non-increasing in SoC (opportunity value is concave) and
+    are stored as their running minimum, so a float-noise rise is floored.
     """
 
     grid: SoCGrid
@@ -60,8 +59,7 @@ class ValueCurve:
             raise DataValidationError(
                 f"curve has {arr.size} values for a {self.grid.num_points}-point grid"
             )
-        _require_non_increasing(arr)
-        arr = arr.copy()
+        arr = _non_increasing_rows(arr).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -75,8 +73,8 @@ class ValueSurface:
     """Value curves at every period boundary t = 0..T of a valuation horizon.
 
     Row t of ``values`` is the curve after period t's dispatch; row T is the
-    terminal condition supplied to the backward pass. Every row must be
-    non-increasing in SoC, like a ValueCurve.
+    terminal condition supplied to the backward pass. Rows are checked and
+    stored like a ValueCurve's; a table that never rises is held as it is.
     """
 
     grid: SoCGrid
@@ -89,7 +87,8 @@ class ValueSurface:
             raise DataValidationError("surface must be (T+1, num_points)")
         if self.step_hours <= 0:
             raise DataValidationError(f"step_hours must be positive, got {self.step_hours}")
-        _require_non_increasing(arr)
+        arr = _non_increasing_rows(arr).view()  # read-only without copying a year-long table
+        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property
@@ -101,26 +100,31 @@ class ValueSurface:
         return ValueCurve(self.grid, self.values[t])
 
 
-def _require_non_increasing(values: np.ndarray) -> None:
-    """Raise unless each row (last axis) of ``values`` is finite and non-increasing.
+def _non_increasing_rows(values: np.ndarray) -> np.ndarray:
+    """Each row (last axis) of ``values`` as its running minimum, once checked.
 
-    A rise within float noise passes: the tolerance scales with the row's
-    largest magnitude, so it is finite exactly when the row is. Rows are
-    checked in blocks, so no temporary spans a whole (T, J) table.
+    Raises unless each row is finite and non-increasing up to float noise, a
+    tolerance scaled by the row's largest magnitude (finite exactly when the
+    row is). Returns ``values`` itself unless a row rises, else a floored copy.
+    Rows are checked in blocks, so no temporary spans a whole (T, J) table.
     """
     rows = values.reshape(-1, values.shape[-1])
+    rises = False
     for first in range(0, rows.shape[0], 256):
         block = rows[first : first + 256]
         tol = 1e-9 * (1.0 + np.max(np.abs(block), axis=1, keepdims=True))
         (bad_rows,) = np.nonzero(~np.isfinite(tol[:, 0]))
         if bad_rows.size:
             raise DataValidationError(f"values must be finite; row {first + bad_rows[0]} is not")
-        bad_rows, bad_cols = np.nonzero(np.diff(block, axis=1) > tol)
+        steps = np.diff(block, axis=1)
+        bad_rows, bad_cols = np.nonzero(steps > tol)
         if bad_rows.size:
             raise DataValidationError(
                 f"values must be non-increasing in SoC; row {first + bad_rows[0]} "
                 f"rises at index {bad_cols[0]}"
             )
+        rises |= bool(np.any(steps > 0))
+    return np.minimum.accumulate(values, axis=-1) if rises else values
 
 
 def _nearest_shift(delta: float, direction: int) -> int:
@@ -229,23 +233,21 @@ def update_step(
     """Propagate a marginal-value curve one period backward for one price.
 
     Returns the curve at the start of the period, given the curve ``q_next``
-    at its end and the period's (predicted) price. ``q_next`` is read as its
-    running minimum; the output is exactly non-increasing.
+    at its end and the period's (predicted) price. Both curves are exactly
+    non-increasing, as every ValueCurve is.
     """
     _check_step(params, price, dt_hours)
     plan = _shift_plan(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
-    q = np.minimum.accumulate(q_next.values)
-    return ValueCurve(q_next.grid, _step_values(q, float(price), params, plan))
+    return ValueCurve(q_next.grid, _step_values(q_next.values, float(price), params, plan))
 
 
 def step_case_breakdown(
     q_next: ValueCurve, price: float, params: StorageParams, dt_hours: float
 ) -> np.ndarray:
-    """Regime label (StepCase) at each grid level for one step of ``q_next``'s running minimum."""
+    """Regime label (StepCase) at each grid level for one step of ``q_next``."""
     _check_step(params, price, dt_hours)
     plan = _shift_plan(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
-    q = np.minimum.accumulate(q_next.values)
-    _, labels = _step_values(q, float(price), params, plan, cases=True)
+    _, labels = _step_values(q_next.values, float(price), params, plan, cases=True)
     return labels
 
 
@@ -260,7 +262,7 @@ def backward_induct(
     Runs the recursion from a terminal curve (flat zero when omitted: stored
     energy is worthless after the horizon) back to the start of the series.
     Row t of the result is the curve after period t; row T is the terminal
-    curve's running minimum.
+    curve. No row rises, so the surface holds the table without a copy.
     """
     out = np.empty((len(prediction) + 1, grid.num_points))
     for t, q in _backward_curves(prediction, params, grid, terminal):
@@ -277,8 +279,8 @@ def _backward_curves(
     """Yield (t, curve values after period t) for t = T down to 0.
 
     The backward recursion behind :func:`backward_induct`, holding one curve
-    at a time; the terminal curve is flat zero when omitted and is read as
-    its running minimum.
+    at a time; the terminal curve is flat zero when omitted. Every curve
+    yielded is exactly non-increasing, as the stored terminal curve is.
     """
     validate_params(params)
     if terminal is None:
@@ -286,7 +288,7 @@ def _backward_curves(
     if terminal.grid != grid:
         raise DataValidationError("terminal curve is tabulated on a different grid")
     plan = _shift_plan(grid.num_points, params, grid.step, prediction.resolution_hours)
-    q = np.minimum.accumulate(terminal.values)
+    q = terminal.values
     for t in range(len(prediction), 0, -1):
         yield t, q
         q = _step_values(q, float(prediction.values[t - 1]), params, plan)

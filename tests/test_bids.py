@@ -21,8 +21,17 @@ from socbid import (
     make_soc_bids,
     update_step,
 )
-from socbid.bids import _BLOCK_FLOATS, booked_value, power_bid_from_average, soc_bid_boundaries
+from socbid import bids
+from socbid.bids import (
+    _BLOCK_FLOATS,
+    _bid_blocks,
+    _segment_bounds,
+    booked_value,
+    power_bid_from_average,
+    soc_bid_boundaries,
+)
 from socbid.cli import _synthetic_tapes
+from socbid.valuation import _backward_curves, _segment_means, segment_averages
 
 from conftest import START, hourly_series, random_monotone_values
 
@@ -147,6 +156,54 @@ def test_soc_bid_curve_validation():
         SoCBidCurve(np.array([0.0, 1.0]), np.array([9.0, 1.0]))
 
 
+GRID_41 = SoCGrid(0.0, 1.0, 41)
+BOUNDS_41 = np.linspace(0.0, 1.0, 42)
+SOC_MOVES = [(0.0, 1.0), (0.3, 0.71), (0.95, 0.05)]
+STORES = {
+    # kind: (build from a table of rows on 41 points, its stored values, a reading of its last row)
+    "ValueCurve": (
+        lambda rows: ValueCurve(GRID_41, rows[-1]), lambda c: c.values,
+        lambda c: segment_averages(c, GRID_41.points()[::4]),
+    ),
+    "ValueSurface": (
+        lambda rows: ValueSurface(GRID_41, 1.0, rows), lambda s: s.values,
+        lambda s: segment_averages(s.curve(-1), GRID_41.points()[::4]),
+    ),
+    "SoCBidCurve": (
+        lambda rows: SoCBidCurve(BOUNDS_41, rows[-1]), lambda c: c.segment_values,
+        lambda c: [booked_value(c, *move) for move in SOC_MOVES],
+    ),
+    "BidSchedule": (
+        lambda rows: BidSchedule(1.0, StorageParams(1.0, 1.0, 0.9, 10.0), BOUNDS_41, rows),
+        lambda s: s.values, lambda s: [booked_value(s[-1], *move) for move in SOC_MOVES],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(STORES))
+def test_curves_and_bids_are_stored_as_their_running_minimum(kind):
+    build, stored, read = STORES[kind]
+    rng = np.random.default_rng(31)
+    exact = np.round(np.stack([random_monotone_values(rng, 41) for _ in range(300)]) / 5.0) * 5.0
+    # Every level but the first of a plateau in the last row, past the first
+    # block of 256 rows a check takes, rises 1e-10 relative above it.
+    bumped = exact.copy()
+    bumped[-1] += 1e-10 * (1.0 + np.abs(exact[-1])) * np.r_[False, np.diff(exact[-1]) == 0]
+    assert np.any(np.diff(bumped[-1]) > 0)
+    given = bumped.copy()
+    floored = np.minimum.accumulate(bumped, axis=-1)
+    assert np.array_equal(floored, exact)
+    values = stored(build(given))
+    want = floored if values.ndim == 2 else floored[-1]
+    assert values.tobytes() == want.tobytes()
+    assert given.tobytes() == bumped.tobytes()  # the caller's array is not written
+    with pytest.raises(ValueError, match="read-only"):
+        values[...] = 0.0
+    if values.ndim == 2:  # a table that never rises is held as it is
+        assert np.shares_memory(stored(build(exact)), exact)
+    assert np.array_equal(read(build(bumped)), read(build(exact)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_bids_and_curves_are_rejected(bad, micro_params, unit_grid):
     # A NaN threshold loses every compare, so a bid carrying one never moves
@@ -242,14 +299,33 @@ def test_bid_tables_are_pinned_across_block_edges():
 
 
 @pytest.mark.parametrize("duration", [1, 12, 72])
-def test_clean_tape_bid_rows_are_exactly_non_increasing(duration):
+def test_clean_tape_bid_rows_are_exactly_non_increasing(duration, monkeypatch):
     # Flat runs of the curves on a noise-free tape came back from the
-    # cumulative differences with +-1-ulp rises; no row may keep one.
+    # cumulative differences with +-1-ulp rises; no row may keep one, in a
+    # stored schedule or in the unstored blocks a sweep counts crossings on.
     da, _ = _synthetic_tapes("AA", 7, 15, 45, 24, 5, 1)
     params = StorageParams(1.0, float(duration), 0.9, 10.0)
     grid = SoCGrid.for_storage(params, 1.0, max(1001, SoCGrid.min_points(params, 1.0)))
-    for schedule in (
-        bid_schedule_from_prices(da, params, grid, "soc"),
-        make_soc_bids(backward_induct(da, params, grid), params),
-    ):
-        assert np.all(np.diff(schedule.values, axis=1) <= 0)
+    tables = [
+        bid_schedule_from_prices(da, params, grid, "soc").values,
+        make_soc_bids(backward_induct(da, params, grid), params).values,
+    ]
+    raw = []
+
+    def recorded(plan, cum):
+        means = _segment_means(plan, cum)
+        raw.append(means.copy())
+        return means
+
+    monkeypatch.setattr(bids, "_segment_means", recorded)
+    bounds = {kind: _segment_bounds(params, kind, 20) for kind in ("power", "soc")}
+    curves = _backward_curves(da, params, grid)
+    for _, means in _bid_blocks(curves, len(da), params, grid, bounds):
+        tables += [block.T for block in means.values()]
+    for table in tables:
+        assert np.all(np.diff(table, axis=1) <= 0)
+    # the blocks are the raw means floored, and without the floor some would rise
+    for block, unfloored in zip(tables[2:], raw):
+        assert block.tobytes() == np.minimum.accumulate(unfloored, axis=0).T.tobytes()
+    assert len(raw) == len(tables) - 2
+    assert any(np.any(np.diff(unfloored, axis=0) > 0) for unfloored in raw)

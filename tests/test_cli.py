@@ -497,6 +497,27 @@ def test_csv_sweep_summary_is_pinned(tmp_path):
     assert digest == "d32797581b4e2837d15d0797f8796c8dd1129a8b4fac9dc03fe73dddb9720f0e"
 
 
+def test_negative_price_sweep_summary_is_pinned(tmp_path):
+    # Prices down to -15 $/MWh put negative values and crossed segments into
+    # the SoC bids, which the positive CSV tapes above never do.
+    (tmp_path / "manifest.json").write_text(json.dumps({"synthetic_low": -15}))
+    code = run(
+        [
+            "sweep",
+            "--manifest", str(tmp_path / "manifest.json"),
+            "--zones", "AA",
+            "--durations", "1", "4", "72",
+            "--synthetic-days", "7",
+            "--seed", "1",
+            "--grid-points", "301",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "out" / "summary.csv").read_bytes()).hexdigest()
+    assert digest == "f0735ff9988b9d1768c24e732dcf100b0386b00484e653f3f912f3da0b1854b3"
+
+
 def test_sweep_values_each_forecast_tape_once(tmp_path, monkeypatch):
     # Six cases per (zone, duration) value two tapes: day-ahead for the four
     # DF cases and real-time for the two PF cases.
