@@ -183,7 +183,9 @@ def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int
     return np.linspace(params.soc_min, params.soc_max, num + 1)
 
 
-_BLOCK_FLOATS = 2**16  # cap on the entries of each temporary of a block of curves or counts
+# Cap on the entries of a reduction pass's buffers of curves and of their integrals,
+# of the bid means run_cases holds before counting, and of each counting temporary.
+_BLOCK_FLOATS = 2**16
 
 
 def _segment_bounds(params: StorageParams, kind: str, segments_per_hour: int) -> np.ndarray:
@@ -197,26 +199,31 @@ def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, boun
     """Yield (first period, {key: segment means}) for each block of bid periods.
 
     ``curves`` yields (t, curve after period t) on ``grid`` for t = ``horizon``
-    down to 0, as a backward pass does, and is buffered a block of rows at a
-    time in one reused buffer: consume each block before asking for the next.
-    Period t's dispatch trades against the value of energy left after it, so
-    the bid of 0-indexed period t comes from the curve after period t+1; the
-    pre-horizon curve (t = 0) sets no bid. Each block of curves is integrated
-    once; ``means[key]`` holds its segment means over ``bounds[key]``, SoC
-    axis first: ``(J, periods)``. Cumulative differences leave +-1-ulp bumps
-    on flat runs, so each bid is floored in place to its running minimum.
+    down to 0, as a backward pass does. Period t's dispatch trades against the
+    value of energy left after it, so the bid of 0-indexed period t comes from
+    the curve after period t+1; the pre-horizon curve (t = 0) sets no bid.
+    The pass allocates two buffers once: a block of curves, weighted by cell
+    width in place when full, and its running integrals, SoC axis first, as
+    :func:`_cumulative` makes them. ``means[key]`` holds the block's segment
+    means over ``bounds[key]``, SoC axis first: ``(J, periods)``. Cumulative
+    differences leave +-1-ulp bumps on flat runs, so each bid is floored in
+    place to its running minimum. Consume each block before asking for the next.
     """
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     edges = _cell_edges(grid)
+    widths = np.diff(edges)
     plans = {key: _interp_plan(edges, b) for key, b in bounds.items()}
     rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, *(b.size for b in bounds.values())) + 1))
     block = np.empty((rows, grid.num_points))
+    cum = np.zeros((edges.size, rows))  # as _cumulative lays it out, zero row kept
     for t, q in curves:
         if t > 0:
             block[(t - 1) % rows] = q
             if (t - 1) % rows == 0:
-                cum = _cumulative(edges, block[: horizon - t + 1])
-                means = {key: _segment_means(plan, cum) for key, plan in plans.items()}
+                size = min(rows, horizon - t + 1)
+                part = np.multiply(block[:size], widths, out=block[:size])
+                np.cumsum(part.T, axis=0, out=cum[1:, :size])
+                means = {key: _segment_means(plan, cum[:, :size]) for key, plan in plans.items()}
                 yield t - 1, {key: np.minimum.accumulate(m, axis=0, out=m) for key, m in means.items()}
 
 

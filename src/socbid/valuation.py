@@ -309,6 +309,7 @@ def _cumulative(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Integral from ``edges[0]`` to each edge of each row of ``values``, SoC axis first.
 
     Returns ``(edges.size, rows)``; each column, a left fold, has the bits of a 1-D cumsum.
+    Bid reduction fills the same layout in a buffer of its own (see ``bids._bid_blocks``).
     """
     rows = values.reshape(-1, values.shape[-1])
     cum = np.zeros((edges.size, rows.shape[0]))
@@ -337,14 +338,20 @@ def _integrals(plan: tuple, cum: np.ndarray) -> np.ndarray:
     """
     as_is, at, k, after, width, offset, _ = plan
     lo = cum.take(k, axis=0)
-    out = (cum.take(after, axis=0) - lo) / width * offset + lo
+    out = cum.take(after, axis=0)
+    out -= lo  # in place, in the order of (after - lo) / width * offset + lo
+    out /= width
+    out *= offset
+    out += lo
     out[as_is] = cum.take(at, axis=0)
     return out
 
 
 def _segment_means(plan: tuple, cum: np.ndarray) -> np.ndarray:
     """Mean of each column between consecutive points of ``plan``, SoC axis first."""
-    return np.diff(_integrals(plan, cum), axis=0) / plan[-1]
+    means = np.diff(_integrals(plan, cum), axis=0)
+    means /= plan[-1]
+    return means
 
 
 def average_marginal(curve: ValueCurve, lo: float, hi: float) -> float:

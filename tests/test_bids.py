@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -296,6 +297,26 @@ def test_bid_tables_are_pinned_across_block_edges():
             (bid_schedule_from_prices(prices, params, grid, "power"), power),
         ):
             assert hashlib.sha256(schedule.values.tobytes()).hexdigest() == expected
+
+
+def test_soc_bid_reduction_peak_allocation_is_bounded():
+    # The shape of the certify benchmark: a one-week 5-minute surface on 301
+    # points, reduced to 40 segments (20 per hour of a 2 h unit). A reduction
+    # pass keeps one buffer of curves and one of their integrals. The bound,
+    # output table included, is below the peak of a pass that allocates the
+    # weighted curves and their integrals anew for every block.
+    params = StorageParams(0.5, 1.0, 0.9, 10.0)
+    _, rt = _synthetic_tapes("AA", 7, 15, 45, 24, 5, 1)
+    grid = SoCGrid.for_storage(params, rt.resolution_hours, 301)
+    surface = backward_induct(rt, params, grid)
+    tracemalloc.start()
+    try:
+        schedule = make_soc_bids(surface, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert schedule.values.shape == (2016, 40)
+    assert peak <= 2.75 * 2**20
 
 
 @pytest.mark.parametrize("duration", [1, 12, 72])

@@ -26,7 +26,7 @@ from socbid import (
 from socbid.bids import bid_thresholds, power_bid_from_average
 from socbid.cli import _synthetic_tapes
 from socbid.data_io import synthetic_tape
-from socbid import simulate
+from socbid import bids, simulate
 from socbid.model import check_initial_soc
 from socbid.simulate import (
     _clamp_soc,
@@ -550,6 +550,34 @@ def test_run_cases_settle_from_counts_as_run_schedule_does_from_tables(duration)
             assert getattr(result, name).tobytes() == getattr(table, name).tobytes()
         assert result.total_profit == table.total_profit
         assert result.discharged_energy == table.discharged_energy
+
+
+def test_run_cases_do_not_depend_on_the_block_size(monkeypatch):
+    # A 72 h unit values its 5-minute tape on 9,601 points, in blocks of a few
+    # periods that run_cases holds until J-wide. With blocks of five such rows
+    # the PF pass starts with a one-period block, spans several held blocks and
+    # ends in a partial one; every settled array must keep its bytes.
+    da, rt = _synthetic_tapes("AA", 2, 15, 45, 24, 5, 1)
+    params = StorageParams(1.0, 72.0, 0.9, 10.0)
+    grids = {
+        source: SoCGrid.for_storage(
+            params, tape.resolution_hours,
+            max(1001, SoCGrid.min_points(params, tape.resolution_hours)),
+        )
+        for source, tape in (("day_ahead", da), ("real_time", rt))
+    }
+    configs = [CaseConfig(case_id, initial_soc=36.0) for case_id in CASE_IDS]
+    expected = run_cases(configs, da, rt, params, grids)
+    small = 5 * (grids["real_time"].num_points + 1)
+    rows, held = small // (grids["real_time"].num_points + 1), small // 1440
+    assert grids["real_time"].num_points == 9601 and len(rt) % rows == 1
+    assert held < len(rt) and len(rt) % (held // rows * rows) != 0
+    monkeypatch.setattr(bids, "_BLOCK_FLOATS", small)
+    monkeypatch.setattr(simulate, "_BLOCK_FLOATS", small)
+    for one, two in zip(expected, run_cases(configs, da, rt, params, grids)):
+        assert one.case_id == two.case_id
+        for name in ("discharge", "charge", "soc", "profit"):
+            assert getattr(two, name).tobytes() == getattr(one, name).tobytes()
 
 
 @pytest.mark.parametrize("duration", [1, 12, 72])
