@@ -184,7 +184,7 @@ def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int
 
 
 # Cap on the entries of a reduction pass's buffers of curves and of their integrals,
-# of the bid means run_cases holds before counting, and of each counting temporary.
+# of each buffer of bid means a sweep counts crossings on, and of each counting temporary.
 _BLOCK_FLOATS = 2**16
 
 
@@ -195,8 +195,9 @@ def _segment_bounds(params: StorageParams, kind: str, segments_per_hour: int) ->
     return soc_bid_boundaries(params, segments_per_hour)
 
 
-def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, bounds: dict):
-    """Yield (first period, {key: segment means}) for each block of bid periods.
+def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, bounds: dict,
+                held: dict):
+    """Write the segment means of each bid shape into its caller's buffer as periods fall.
 
     ``curves`` yields (t, curve after period t) on ``grid`` for t = ``horizon``
     down to 0, as a backward pass does. Period t's dispatch trades against the
@@ -204,10 +205,12 @@ def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, boun
     the curve after period t+1; the pre-horizon curve (t = 0) sets no bid.
     The pass allocates two buffers once: a block of curves, weighted by cell
     width in place when full, and its running integrals, SoC axis first, as
-    :func:`_cumulative` makes them. ``means[key]`` holds the block's segment
-    means over ``bounds[key]``, SoC axis first: ``(J, periods)``. Cumulative
-    differences leave +-1-ulp bumps on flat runs, so each bid is floored in
-    place to its running minimum. Consume each block before asking for the next.
+    :func:`_cumulative` makes them. A block's segment means over ``bounds[key]``
+    go straight into the caller's ``(J, width)`` buffer ``held[key]``, filled from
+    its right end, and are floored there: cumulative differences leave +-1-ulp
+    bumps on flat runs. Yields (key, first period, filled view) when a block would
+    not fit, and once per key at the end; consume each view before the next. A
+    width of ``_BLOCK_FLOATS // J`` or of ``horizon`` periods always fits a block.
     """
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     edges = _cell_edges(grid)
@@ -216,6 +219,7 @@ def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, boun
     rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, *(b.size for b in bounds.values())) + 1))
     block = np.empty((rows, grid.num_points))
     cum = np.zeros((edges.size, rows))  # as _cumulative lays it out, zero row kept
+    free = {key: buffer.shape[1] for key, buffer in held.items()}
     for t, q in curves:
         if t > 0:
             block[(t - 1) % rows] = q
@@ -223,8 +227,16 @@ def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, boun
                 size = min(rows, horizon - t + 1)
                 part = np.multiply(block[:size], widths, out=block[:size])
                 np.cumsum(part.T, axis=0, out=cum[1:, :size])
-                means = {key: _segment_means(plan, cum[:, :size]) for key, plan in plans.items()}
-                yield t - 1, {key: np.minimum.accumulate(m, axis=0, out=m) for key, m in means.items()}
+                for key, plan in plans.items():
+                    if free[key] < size:
+                        yield key, t - 1 + size, held[key][:, free[key] :]
+                        free[key] = held[key].shape[1]
+                    free[key] -= size
+                    means = held[key][:, free[key] : free[key] + size]
+                    _segment_means(plan, cum[:, :size], means)
+                    np.minimum.accumulate(means, axis=0, out=means)
+    for key, buffer in held.items():
+        yield key, 0, buffer[:, free[key] :]
 
 
 def _bid_table(
@@ -233,7 +245,7 @@ def _bid_table(
 ) -> BidSchedule:
     """The ``kind`` bid schedule of a value surface's rows or a forecast tape's backward pass.
 
-    Rows come floored from :func:`_bid_blocks`, so the schedule holds the table as is.
+    :func:`_bid_blocks` writes the rows floored into the table, which the schedule holds as is.
     """
     if isinstance(source, ValueSurface):
         horizon, period_hours = source.horizon, source.step_hours
@@ -243,8 +255,8 @@ def _bid_table(
         curves = _backward_curves(source, params, grid)
     bounds = _segment_bounds(validate_params(params), kind, segments_per_hour)
     table = np.empty((horizon, bounds.size - 1))
-    for first, means in _bid_blocks(curves, horizon, params, grid, {kind: bounds}):
-        table[first : first + means[kind].shape[1]] = means[kind].T
+    for _ in _bid_blocks(curves, horizon, params, grid, {kind: bounds}, {kind: table.T}):
+        pass
     return BidSchedule(period_hours, params, bounds, table, kind)
 
 

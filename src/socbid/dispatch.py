@@ -63,13 +63,14 @@ class StorageUnit:
                 f"storage {self.name} SoC {self.soc} outside "
                 f"[{self.params.soc_min}, {self.params.soc_max}]"
             )
-        if isinstance(self.bid, PowerBid) and self.bid.charge_bid > self.bid.discharge_bid:
-            # A crossed pair would clear both directions at once in this
-            # market; the sequential backtester handles that regime itself.
-            raise DataValidationError(
-                f"storage {self.name} has crossed power bids "
-                f"(charge {self.bid.charge_bid} > discharge {self.bid.discharge_bid})"
-            )
+        bounds, discharge, charge = threshold_table(self.bid, self.params)
+        for j, (lo, hi, d, c) in enumerate(zip(bounds, bounds[1:], discharge, charge)):
+            if c > d:
+                # A crossed segment would clear both ways at once; simulate._settle handles it.
+                raise DataValidationError(
+                    f"storage {self.name} has a crossed bid in segment {j} [{lo}, {hi}] "
+                    f"(charge {c} > discharge {d})"
+                )
 
 
 @dataclass(frozen=True)

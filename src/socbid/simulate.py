@@ -294,30 +294,6 @@ def run_schedule(
     return _settled(case_id, prices, schedule.boundaries, kd, kc, params, initial_soc)
 
 
-def _held(blocks, bounds: Mapping[str, np.ndarray], horizon: int):
-    """Regroup :func:`_bid_blocks`' blocks into one buffer per key of J-segment bids.
-
-    Each buffer holds up to ``_BLOCK_FLOATS // J`` periods, filled from its
-    right end as the blocks' periods fall. Yields (key, first period, held
-    means) when a key's next block would not fit, and once per key after the
-    last block, which starts at period 0. The means are a view of the
-    buffer: consume each before asking for the next.
-    """
-    held = {key: np.empty((b.size - 1, min(horizon, max(1, _BLOCK_FLOATS // (b.size - 1)))))
-            for key, b in bounds.items()}
-    free = {key: buffer.shape[1] for key, buffer in held.items()}
-    for first, means in blocks:
-        for key, block in means.items():
-            width = block.shape[1]
-            if free[key] < width:
-                yield key, first + width, held[key][:, free[key] :]
-                free[key] = held[key].shape[1]
-            free[key] -= width
-            held[key][:, free[key] : free[key] + width] = block
-    for key, buffer in held.items():
-        yield key, 0, buffer[:, free[key] :]
-
-
 def run_cases(
     configs: Sequence[CaseConfig],
     da_prices: PriceSeries | None,
@@ -357,15 +333,17 @@ def run_cases(
         bounds = {c.bid_model: _segment_bounds(params, c.bid_model, segments_per_hour_of_duration)
                   for c in group}
         # One pair of crossing-count arrays per (bid model, settlement tape) the group
-        # settles, filled a held block of bid periods at a time; no bid table is kept.
+        # settles, counted a buffer of bid periods at a time; no bid table is kept.
         counts = {}
         for model, market in dict.fromkeys((c.bid_model, c.settlement_source) for c in group):
             per_bid = _intervals_per_bid(forecast.resolution_hours, len(forecast), series[market])
             prices = series[market].values.reshape(len(forecast), per_bid)
             counts[model, market] = (prices, *np.empty((2, *prices.shape), np.intp))
+        held = {m: np.empty((b.size - 1, min(len(forecast), max(1, _BLOCK_FLOATS // (b.size - 1)))))
+                for m, b in bounds.items()}
         curves = _backward_curves(forecast, params, grids[source])
-        blocks = _bid_blocks(curves, len(forecast), params, grids[source], bounds)
-        for model, first, means in _held(blocks, bounds, len(forecast)):
+        blocks = _bid_blocks(curves, len(forecast), params, grids[source], bounds, held)
+        for model, first, means in blocks:
             for (held_model, _), (prices, kd, kc) in counts.items():
                 if held_model == model:
                     rows = slice(first, first + means.shape[1])

@@ -168,25 +168,19 @@ def _shift_plan(
     )
 
 
-def _step_values(
-    q: np.ndarray,
-    price: float,
-    params: StorageParams,
-    plan: tuple[int, int, int, int],
-    cases: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """One backward step of the five-regime recursion, with ``plan`` from :func:`_shift_plan`.
+def _junctions(
+    q: np.ndarray, price: float, params: StorageParams, plan: tuple[int, int, int, int]
+) -> tuple[int, int, int, int]:
+    """Where one backward step's five regime slices meet: ``(m1, kc, kd, m2)``.
 
-    ``q`` must be exactly non-increasing. Levels below ``kc`` charge (``price
-    <= q*eta``) and levels below ``kd >= kc`` charge or hold (``price <= max(q/eta
-    + c, 0)``; clipped at zero so no discharge regime fires at a negative
-    price); each bisection probe evaluates that same float expression. A
-    charging level fully charges while its full-power target, which must fit
-    on the grid, still charges: the first ``m1`` levels. A discharging level
-    (from ``kd`` on) fully discharges once its full-power target, on the
-    grid, discharges too: from ``m2`` on. A step that only holds returns ``q`` itself. A rise where two
-    slices meet is floored with the running minimum. ``cases=True`` also
-    returns the StepCase labels, filled over the same five slices.
+    ``q`` must be exactly non-increasing and ``plan`` come from :func:`_shift_plan`.
+    Levels below ``kc`` charge (``price <= q*eta``) and levels below ``kd >= kc``
+    charge or hold (``price <= max(q/eta + c, 0)``; clipped at zero so no
+    discharge regime fires at a negative price); each bisection probe evaluates
+    that same float expression. A charging level fully charges while its
+    full-power target, which must fit on the grid, still charges: the first
+    ``m1`` levels. A discharging level (from ``kd`` on) fully discharges once its
+    full-power target, on the grid, discharges too: from ``m2`` on.
     """
     eta = params.efficiency_one_way
     c = params.discharge_cost
@@ -198,33 +192,42 @@ def _step_values(
     kd = n if price <= 0.0 else bisect_left(
         levels, True, lo=kc, key=lambda v: not price <= v / eta + c
     )
-    if kc == 0 and kd == n and not cases:
+    return max(0, min(up_levels, kc - up)), kc, kd, min(n, max(kd, down_from, kd + down))
+
+
+def _step_values(
+    q: np.ndarray, price: float, params: StorageParams, plan: tuple[int, int, int, int]
+) -> np.ndarray:
+    """One backward step of the five-regime recursion over the slices of :func:`_junctions`.
+
+    A step that only holds returns ``q`` itself. A rise where two slices meet
+    is floored with the running minimum.
+    """
+    eta = params.efficiency_one_way
+    up, _, down, _ = plan
+    n = q.size
+    m1, kc, kd, m2 = _junctions(q, price, params, plan)
+    if kc == 0 and kd == n:
         return q
-    m1 = max(0, min(up_levels, kc - up))
-    m2 = min(n, max(kd, down_from, kd + down))
     out = np.empty(n)
     out[:m1] = q[up : up + m1]
     out[m1:kc] = price / eta
     out[kc:kd] = q[kc:kd]
-    out[kd:m2] = (price - c) * eta
+    out[kd:m2] = (price - params.discharge_cost) * eta
     out[m2:] = q[m2 - down : n - down]
     if any(0 < j < n and out[j - 1] < out[j] for j in (m1, kc, kd, m2)):
         np.minimum.accumulate(out, out=out)
-    if not cases:
-        return out
-    labels = np.empty(n, dtype=np.int64)
-    for case, lo, hi in zip(StepCase, (0, m1, kc, kd, m2), (m1, kc, kd, m2, n)):
-        labels[lo:hi] = case
-    return out, labels
+    return out
 
 
-def _check_step(params: StorageParams, price: float, dt_hours: float) -> None:
-    """Raise DataValidationError unless one step's storage, price and length are usable."""
+def _step_plan(q_next: ValueCurve, price: float, params: StorageParams, dt_hours: float) -> tuple:
+    """One step's :func:`_shift_plan`, once its storage, price and length are checked."""
     validate_params(params)
     if not (dt_hours > 0 and np.isfinite(dt_hours)):
         raise DataValidationError(f"dt_hours must be positive and finite, got {dt_hours}")
     if not np.isfinite(price):
         raise DataValidationError(f"price must be finite, got {price}")
+    return _shift_plan(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
 
 
 def update_step(
@@ -236,8 +239,7 @@ def update_step(
     at its end and the period's (predicted) price. Both curves are exactly
     non-increasing, as every ValueCurve is.
     """
-    _check_step(params, price, dt_hours)
-    plan = _shift_plan(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
+    plan = _step_plan(q_next, price, params, dt_hours)
     return ValueCurve(q_next.grid, _step_values(q_next.values, float(price), params, plan))
 
 
@@ -245,9 +247,12 @@ def step_case_breakdown(
     q_next: ValueCurve, price: float, params: StorageParams, dt_hours: float
 ) -> np.ndarray:
     """Regime label (StepCase) at each grid level for one step of ``q_next``."""
-    _check_step(params, price, dt_hours)
-    plan = _shift_plan(q_next.grid.num_points, params, q_next.grid.step, dt_hours)
-    _, labels = _step_values(q_next.values, float(price), params, plan, cases=True)
+    plan = _step_plan(q_next, price, params, dt_hours)
+    m1, kc, kd, m2 = _junctions(q_next.values, float(price), params, plan)
+    n = q_next.grid.num_points
+    labels = np.empty(n, dtype=np.int64)
+    for case, lo, hi in zip(StepCase, (0, m1, kc, kd, m2), (m1, kc, kd, m2, n)):
+        labels[lo:hi] = case
     return labels
 
 
@@ -347,11 +352,12 @@ def _integrals(plan: tuple, cum: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_means(plan: tuple, cum: np.ndarray) -> np.ndarray:
-    """Mean of each column between consecutive points of ``plan``, SoC axis first."""
-    means = np.diff(_integrals(plan, cum), axis=0)
-    means /= plan[-1]
-    return means
+def _segment_means(plan: tuple, cum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mean of each column between consecutive points of ``plan`` into ``out``, SoC axis first."""
+    ends = _integrals(plan, cum)
+    np.subtract(ends[1:], ends[:-1], out=out)  # np.diff's bits, without its array
+    out /= plan[-1]
+    return out
 
 
 def average_marginal(curve: ValueCurve, lo: float, hi: float) -> float:
@@ -380,4 +386,6 @@ def segment_averages(curve: ValueCurve, boundaries: np.ndarray) -> np.ndarray:
             f"range [{bounds[0]}, {bounds[-1]}] leaves the grid [{grid.soc_min}, {grid.soc_max}]"
         )
     edges = _cell_edges(grid)
-    return _segment_means(_interp_plan(edges, bounds), _cumulative(edges, curve.values))[:, 0]
+    means = np.empty(bounds.size - 1)
+    _segment_means(_interp_plan(edges, bounds), _cumulative(edges, curve.values), means[:, None])
+    return means

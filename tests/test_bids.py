@@ -323,7 +323,7 @@ def test_soc_bid_reduction_peak_allocation_is_bounded():
 def test_clean_tape_bid_rows_are_exactly_non_increasing(duration, monkeypatch):
     # Flat runs of the curves on a noise-free tape came back from the
     # cumulative differences with +-1-ulp rises; no row may keep one, in a
-    # stored schedule or in the unstored blocks a sweep counts crossings on.
+    # stored schedule or in the buffers of bids a sweep counts crossings on.
     da, _ = _synthetic_tapes("AA", 7, 15, 45, 24, 5, 1)
     params = StorageParams(1.0, float(duration), 0.9, 10.0)
     grid = SoCGrid.for_storage(params, 1.0, max(1001, SoCGrid.min_points(params, 1.0)))
@@ -331,22 +331,29 @@ def test_clean_tape_bid_rows_are_exactly_non_increasing(duration, monkeypatch):
         bid_schedule_from_prices(da, params, grid, "soc").values,
         make_soc_bids(backward_induct(da, params, grid), params).values,
     ]
-    raw = []
+    raw = {}  # each bid shape's (J, periods) blocks as written, before the in-place floor
 
-    def recorded(plan, cum):
-        means = _segment_means(plan, cum)
-        raw.append(means.copy())
+    def recorded(plan, cum, out):
+        means = _segment_means(plan, cum, out)
+        raw.setdefault(out.shape[0], []).append(means.copy())
         return means
 
     monkeypatch.setattr(bids, "_segment_means", recorded)
     bounds = {kind: _segment_bounds(params, kind, 20) for kind in ("power", "soc")}
+    held = {kind: np.empty((b.size - 1, len(da))) for kind, b in bounds.items()}
     curves = _backward_curves(da, params, grid)
-    for _, means in _bid_blocks(curves, len(da), params, grid, bounds):
-        tables += [block.T for block in means.values()]
+    views = list(_bid_blocks(curves, len(da), params, grid, bounds, held))
+    # a buffer spanning the horizon is written whole and yielded once, at the end
+    assert [(key, first, means.shape[1]) for key, first, means in views] == [
+        ("power", 0, len(da)), ("soc", 0, len(da))
+    ]
+    tables += [means.T for _, _, means in views]
     for table in tables:
         assert np.all(np.diff(table, axis=1) <= 0)
     # the blocks are the raw means floored, and without the floor some would rise
-    for block, unfloored in zip(tables[2:], raw):
-        assert block.tobytes() == np.minimum.accumulate(unfloored, axis=0).T.tobytes()
-    assert len(raw) == len(tables) - 2
-    assert any(np.any(np.diff(unfloored, axis=0) > 0) for unfloored in raw)
+    for _, _, means in views:
+        blocks = raw[means.shape[0]]
+        assert sum(block.shape[1] for block in blocks) == len(da)
+        unfloored = np.concatenate(blocks[::-1], axis=1)  # periods fall block by block
+        assert means.tobytes() == np.minimum.accumulate(unfloored, axis=0).tobytes()
+    assert any(np.any(np.diff(block, axis=0) > 0) for blocks in raw.values() for block in blocks)

@@ -220,6 +220,16 @@ def test_dispatch_demo(tmp_path, capsys):
     assert "G1" in out and "S1" in out
 
 
+def test_dispatch_demo_rejects_a_crossed_soc_bid_naming_the_unit(tmp_path, capsys):
+    scenario = tmp_path / "crossed.csv"
+    scenario.write_text(
+        "generator,G1,100,15\ndemand,,0\nstorage,S1,5,30,0.7,0,20\nsocbid,S1,0,30,-4\n"
+    )
+    assert run(["dispatch-demo", "--scenario", str(scenario)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "S1" in err and "crossed" in err
+
+
 def test_dispatch_demo_infeasible(tmp_path):
     scenario = tmp_path / "overload.csv"
     scenario.write_text("generator,G1,100,15\ndemand,,500\n")

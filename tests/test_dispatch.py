@@ -76,6 +76,16 @@ def test_crossed_power_bids_rejected_by_market():
         StorageUnit("S", BIG_STORAGE, 30.0, PowerBid(7.0, 16.0))
 
 
+def test_crossed_soc_bid_segment_rejected_by_market():
+    # A negative stored value puts the charge threshold q*eta above the
+    # discharge threshold c + q/eta; only the crossed segment is named.
+    params = StorageParams(5.0, 30.0, 0.7, 0.0)
+    curve = SoCBidCurve(np.array([0.0, 10.0, 30.0]), np.array([8.0, -4.0]))
+    with pytest.raises(DataValidationError, match=r"storage S1 has a crossed bid in segment 1 \[10"):
+        StorageUnit("S1", params, 20.0, curve)
+    StorageUnit("S1", params, 20.0, SoCBidCurve(curve.boundaries, np.array([8.0, 0.0])))
+
+
 def test_clearing_price_monotone_in_demand():
     prices = []
     for demand in (10.0, 60.0, 101.0, 140.0, 190.0):

@@ -307,10 +307,12 @@ def test_block_segment_means_repeat_interp_bit_for_bit():
             for row in rows
         ]
     )
-    # The block is integrated and reduced with the SoC axis first: one column per row.
-    means = _segment_means(_interp_plan(edges, boundaries), _cumulative(edges, rows))
+    # The block is integrated and reduced with the SoC axis first: one column per row,
+    # written here into the transpose of a row-per-period table, as a bid table is.
+    table = np.empty_like(expected)
+    means = _segment_means(_interp_plan(edges, boundaries), _cumulative(edges, rows), table.T)
     assert means.shape == (boundaries.size - 1, rows.shape[0])
-    assert means.T.tobytes() == expected.tobytes()
+    assert table.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +446,14 @@ def test_slice_step_repeats_the_gather_step_byte_for_byte():
         plan = _shift_plan(n, params, grid.step, dt)
         for price in ties + [0.0, -0.0, rng.uniform(-60.0, 150.0)]:
             want_values, want_labels = reference_step(q, float(price), params, grid.step, dt)
-            values, labels = _step_values(q, float(price), params, plan, cases=True)
+            values = _step_values(q, float(price), params, plan)
+            labels = step_case_breakdown(ValueCurve(grid, q), float(price), params, dt)
             # the gather step can rise by an ulp where two regimes meet
             assert values.tobytes() == np.minimum.accumulate(want_values).tobytes()
             assert labels.dtype == want_labels.dtype
             assert labels.tobytes() == want_labels.tobytes()
-            assert _step_values(q, float(price), params, plan).tobytes() == values.tobytes()
+            curve = update_step(ValueCurve(grid, q), float(price), params, dt)
+            assert curve.values.tobytes() == values.tobytes()
     assert wide > 10
 
 
