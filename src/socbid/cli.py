@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
@@ -27,7 +28,6 @@ from .dispatch import (
     InfeasibleMarketError,
     MarketInstance,
     StorageUnit,
-    clear_power_bid_ed,
     clear_soc_bid_ed,
 )
 from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams, validate_params
@@ -157,6 +157,8 @@ def _synthetic_tapes(
     depends on character order: zones get different tapes ("AB" and "BA"
     included), and reruns reproduce them.
     """
+    if not 0 < days < math.inf:
+        raise UsageError(f"--synthetic-days (synth --days) must be positive and finite, got {days}")
     start = datetime(2019, 1, 1, tzinfo=timezone.utc)
     hours = int(round(days * 24))
     wave = {"low": low, "high": high, "period_hours": period_hours}
@@ -173,7 +175,7 @@ def _zone_series(
 ) -> tuple[PriceSeries | None, PriceSeries | None]:
     """Load or synthesize the day-ahead and real-time tapes for one zone; with
     ``only`` naming one source, the other's CSV is not read and its tape is None."""
-    if manifest.synthetic_days and not (manifest.da_prices or manifest.rt_prices):
+    if manifest.synthetic_days is not None and not (manifest.da_prices or manifest.rt_prices):
         return _synthetic_tapes(
             zone, manifest.synthetic_days, manifest.synthetic_low, manifest.synthetic_high,
             manifest.synthetic_period_hours, manifest.synthetic_noise, manifest.seed,
@@ -245,7 +247,8 @@ def _simulate(manifest: RunManifest) -> list[dict]:
         for zone in manifest.zones
     ]
     if manifest.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=manifest.workers) as pool:
+        # A pool forks all max_workers processes at its first submit
+        with ProcessPoolExecutor(max_workers=min(manifest.workers, len(jobs))) as pool:
             results = list(pool.map(_run_zone_duration, jobs))
     else:
         results = [_run_zone_duration(job) for job in jobs]
@@ -335,13 +338,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_scenario(path: str) -> tuple[MarketInstance, str]:
+def _read_scenario(path: str) -> MarketInstance:
     """Parse a dispatch scenario CSV into a market instance.
 
     Row kinds: ``generator,<name>,<capacity>,<cost>`` (repeat for segments),
-    one ``demand,,<mw>``, ``storage,<name>,<P>,<E>,<eta>,<cost>,<soc>`` and
-    ``powerbid,<name>,<discharge_bid>,<charge_bid>`` (at most one each per name),
-    ``socbid,<name>,<soc_lo>,<soc_hi>,<value>`` (repeat for segments).
+    one ``demand,,<mw>``, one ``storage,<name>,<P>,<E>,<eta>,<cost>,<soc>`` per
+    name, and for each storage either one ``powerbid,<name>,<discharge_bid>,<charge_bid>``
+    or ``socbid,<name>,<soc_lo>,<soc_hi>,<value>`` rows (repeat for segments).
     """
     gens: dict[str, list[tuple[float, float]]] = {}
     demand = None
@@ -387,6 +390,8 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
         raise DataValidationError(f"bid rows name no storage row: {', '.join(orphans)}")
     storages = []
     for name, (params, soc) in storage_rows.items():
+        if name in power_bids and name in soc_rows:
+            raise DataValidationError(f"storage {name} has both powerbid and socbid rows")
         if name in power_bids:
             bid = power_bids[name]
         elif name in soc_rows:
@@ -400,15 +405,12 @@ def _read_scenario(path: str) -> tuple[MarketInstance, str]:
             raise DataValidationError(f"storage {name} has no bid rows")
         storages.append(StorageUnit(name, params, soc, bid))
     offers = tuple(GeneratorOffer(name, tuple(segs)) for name, segs in gens.items())
-    instance = MarketInstance(offers, demand, tuple(storages))
-    model = "soc" if soc_rows else "power"
-    return instance, model
+    return MarketInstance(offers, demand, tuple(storages))
 
 
 def cmd_dispatch_demo(args: argparse.Namespace) -> int:
-    instance, model = _read_scenario(args.scenario)
-    clear = clear_soc_bid_ed if model == "soc" else clear_power_bid_ed
-    result = clear(instance)
+    instance = _read_scenario(args.scenario)
+    result = clear_soc_bid_ed(instance)
     print(f"clearing price: {result.price:.2f} $/MWh")
     for name, mw in sorted(result.generation.items()):
         print(f"  generator {name:<12} {mw:10.3f} MW")

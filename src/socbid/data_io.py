@@ -164,6 +164,10 @@ def synthetic_tape(
     """
     if num_values < 1:
         raise DataValidationError("num_values must be at least 1")
+    if not (0 < period_hours < math.inf and 0 <= noise_std < math.inf):
+        raise DataValidationError(
+            f"need finite period_hours > 0 and noise_std >= 0, got {period_hours}, {noise_std}"
+        )
     dt_hours = resolution.total_seconds() / 3600.0
     hours = np.arange(num_values) * dt_hours
     phase = np.mod(hours, period_hours) / period_hours

@@ -65,8 +65,11 @@ class StorageUnit:
             )
         bounds, discharge, charge = threshold_table(self.bid, self.params)
         for j, (lo, hi, d, c) in enumerate(zip(bounds, bounds[1:], discharge, charge)):
+            d = max(d, 0.0)  # the price its supply step enters at, see _bid_rows
             if c > d:
-                # A crossed segment would clear both ways at once; simulate._settle handles it.
+                # A crossed segment would clear both ways at once. A stored value v
+                # has c + v/eta >= v*eta if v >= 0 and v*eta < 0 if not: only a
+                # hand-given power pair crosses.
                 raise DataValidationError(
                     f"storage {self.name} has a crossed bid in segment {j} [{lo}, {hi}] "
                     f"(charge {c} > discharge {d})"
@@ -113,17 +116,19 @@ class ClearingResult:
 def _bid_rows(unit: StorageUnit) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """``(price, MW)`` supply steps for segments below the SoC, demand blocks above it.
 
-    A power bid is one segment over the whole SoC range. Capacities are the
-    segments' energy in grid power, cut to the unit's power rating in the
-    order the market takes them: supply steps by cost, then segment order;
-    demand blocks in segment order, dearest first as charge thresholds are
-    non-increasing. A step the rating empties stays at 0 MW, as its cost is
-    still a candidate price.
+    A power bid is one segment over the whole SoC range. As in settlement, no
+    unit discharges below a price of 0: supply steps enter at no less than
+    0 $/MWh. Capacities are the segments' energy in grid power, cut to the
+    unit's power rating in the order the market takes them: supply steps by
+    cost, then segment order; demand blocks in segment order, dearest first as
+    charge thresholds are non-increasing. A step the rating empties stays at
+    0 MW, as its cost is still a candidate price.
     """
     bounds, discharge, charge = threshold_table(unit.bid, unit.params)
     eta = unit.params.efficiency_one_way
     segments = list(zip(bounds, bounds[1:], discharge, charge))
-    below = [(d, (min(unit.soc, hi) - lo) * eta) for lo, hi, d, _ in segments if unit.soc > lo]
+    below = [(max(d, 0.0), (min(unit.soc, hi) - lo) * eta)
+             for lo, hi, d, _ in segments if unit.soc > lo]
     above = [(c, (hi - max(unit.soc, lo)) / eta) for lo, hi, _, c in segments if hi > unit.soc]
     below.sort(key=lambda row: row[0])
     rating = unit.params.power_rating
@@ -142,7 +147,7 @@ def _cut(rows: list[tuple[float, float]], rating: float):
 def _clear(
     demand: float, supply: list[tuple], demand_blocks: list[tuple]
 ) -> tuple[float, dict[str, float], dict[str, float]]:
-    """Uniform-price clearing of the stack that :func:`_assemble_and_clear` builds.
+    """Uniform-price clearing of the stack that :func:`clear_soc_bid_ed` builds.
 
     The clearing price is the lowest supply-step cost at which cumulative
     willing supply covers fixed demand plus the elastic blocks still willing
@@ -193,17 +198,19 @@ def _clear(
     return price, dispatch, charge
 
 
-def _assemble_and_clear(instance: MarketInstance, bid_type: type) -> ClearingResult:
+def clear_soc_bid_ed(instance: MarketInstance) -> ClearingResult:
+    """Merit-order clearing with SoC-dependent piecewise bids.
+
+    Each SoC segment below the current SoC contributes a supply step at
+    cost + value/eta, each segment above a demand block at value * eta, with
+    capacities set by the segment's energy and the power rating. A power bid
+    is one segment over the SoC range that carries its own price pair.
+    """
     supply = []  # (cost, order, MW, owner); generators come first, so they win cost ties
     demand_blocks = []  # (bid, MW, owner)
     for order, offer in enumerate(instance.offers):
         supply += [(cost, order, cap, offer.name) for cap, cost in offer.segments]
     for order, unit in enumerate(instance.storages, start=len(instance.offers)):
-        if not isinstance(unit.bid, bid_type):
-            raise DataValidationError(
-                f"storage {unit.name} carries a {type(unit.bid).__name__}, "
-                f"expected {bid_type.__name__}"
-            )
         steps, blocks = _bid_rows(unit)
         supply += [(cost, order, mw, unit.name) for cost, mw in steps]
         demand_blocks += [(bid, mw, unit.name) for bid, mw in blocks]
@@ -227,20 +234,5 @@ def _assemble_and_clear(instance: MarketInstance, bid_type: type) -> ClearingRes
     return ClearingResult(price, generation, storage, cleared_charge)
 
 
-def clear_power_bid_ed(instance: MarketInstance) -> ClearingResult:
-    """Merit-order clearing with SoC-blind storage power bids.
-
-    Storage discharge enters the stack at its discharge bid with SoC-limited
-    capacity; charge enters as an elastic demand block at the charge bid.
-    """
-    return _assemble_and_clear(instance, PowerBid)
-
-
-def clear_soc_bid_ed(instance: MarketInstance) -> ClearingResult:
-    """Merit-order clearing with SoC-dependent piecewise bids.
-
-    Each SoC segment below the current SoC contributes a supply step at
-    cost + value/eta, each segment above a demand block at value * eta, with
-    capacities set by the segment's energy and the power rating.
-    """
-    return _assemble_and_clear(instance, SoCBidCurve)
+# A power bid clears as its one-segment SoC bid (see threshold_table).
+clear_power_bid_ed = clear_soc_bid_ed

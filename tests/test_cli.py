@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,33 @@ def test_sweep_jobs_are_submitted_longest_first(tmp_path, monkeypatch):
     assert received == [(4, "AA"), (4, "BB"), (2, "AA"), (2, "BB"), (1, "AA"), (1, "BB")]
 
 
+def test_sweep_pool_forks_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code = run(
+        [
+            "sweep", "--zones", "AA", "--durations", "1", "2", "--synthetic-days", "1",
+            "--grid-points", "101", "--workers", "64", "--output-dir", str(tmp_path),
+        ]
+    )
+    assert code == EXIT_OK
+    assert asked == [2]
+
+
 def test_value_writes_surface(tmp_path):
     code = run(
         [
@@ -198,6 +226,42 @@ def test_usage_errors(tmp_path):
     assert run(["simulate", "--bogus-flag"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, manifest, code, message",
+    [
+        (["sweep", "--synthetic-days", "nan"], {}, EXIT_USAGE, "--synthetic-days"),
+        (["sweep", "--synthetic-days", "inf"], {}, EXIT_USAGE, "--synthetic-days"),
+        (["sweep", "--synthetic-days", "0"], {}, EXIT_USAGE, "--synthetic-days"),
+        (["synth", "--days", "nan"], None, EXIT_USAGE, "--days"),
+        (["synth", "--days", "inf"], None, EXIT_USAGE, "--days"),
+        (["synth", "--days", "-1"], None, EXIT_USAGE, "--days"),
+        (["sweep", "--synthetic-days", "1"], {"synthetic_period_hours": 0}, EXIT_DATA,
+         "period_hours"),
+        (["synth", "--period-hours", "0"], None, EXIT_DATA, "period_hours"),
+        (["sweep", "--synthetic-days", "1"], {"synthetic_period_hours": math.inf}, EXIT_DATA,
+         "period_hours"),
+        (["sweep", "--synthetic-days", "1"], {"synthetic_noise": -1.0}, EXIT_DATA, "noise_std"),
+        (["synth", "--noise", "nan"], None, EXIT_DATA, "noise_std"),
+    ],
+    ids=[
+        "sweep-days-nan", "sweep-days-inf", "sweep-days-0", "synth-days-nan", "synth-days-inf",
+        "synth-days-negative", "sweep-period-0", "synth-period-0", "sweep-period-inf",
+        "sweep-noise-negative", "synth-noise-nan",
+    ],
+)
+def test_bad_synthetic_tape_settings_exit_with_a_documented_code(
+    tmp_path, capsys, argv, manifest, code, message
+):
+    if manifest is not None:  # sweep settings without a flag of their own
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(manifest))
+        argv = [*argv, "--durations", "1", "--manifest", str(path)]
+    out = tmp_path / "out"
+    assert run([*argv, "--zones", "AA", "--output-dir", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_price_file_is_data_error(tmp_path):
     code = run(
         [
@@ -220,14 +284,47 @@ def test_dispatch_demo(tmp_path, capsys):
     assert "G1" in out and "S1" in out
 
 
-def test_dispatch_demo_rejects_a_crossed_soc_bid_naming_the_unit(tmp_path, capsys):
-    scenario = tmp_path / "crossed.csv"
+@pytest.mark.parametrize(
+    "rows, printed",
+    [
+        # c = 0: the charge threshold -2.8 sits above the discharge threshold
+        # -5.71, but below the 0 $/MWh its supply step enters at
+        (
+            "generator,G1,100,15\ndemand,,0\nstorage,S1,5,30,0.7,0,20\nsocbid,S1,0,30,-4\n",
+            "clearing price: 0.00",
+        ),
+        (
+            "generator,G1,10000,-3\ndemand,,5000\nstorage,S1,5,30,0.7,0,30\nsocbid,S1,0,30,-4\n",
+            "clearing price: -3.00",
+        ),
+        # c = 10: the discharge threshold -12.2 is not crossed, but is below 0
+        (
+            "generator,G1,10000,-5\ndemand,,5000\nstorage,S1,5,30,0.9,10,30\n"
+            "socbid,S1,0,30,-20\n",
+            "clearing price: -5.00",
+        ),
+    ],
+    ids=["crossed-at-c0", "negative-price-c0", "negative-price-c10"],
+)
+def test_dispatch_demo_never_discharges_below_a_price_of_0(tmp_path, capsys, rows, printed):
+    scenario = tmp_path / "negative.csv"
+    scenario.write_text(rows)
+    assert run(["dispatch-demo", "--scenario", str(scenario)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert printed in out and "S1           discharge=0.000" in out
+
+
+def test_dispatch_demo_clears_power_and_soc_bid_units_together(tmp_path, capsys):
+    scenario = tmp_path / "mixed.csv"
     scenario.write_text(
-        "generator,G1,100,15\ndemand,,0\nstorage,S1,5,30,0.7,0,20\nsocbid,S1,0,30,-4\n"
+        "generator,G1,200,20\ndemand,,100\n"
+        "storage,S1,10,60,0.9,10,60\npowerbid,S1,25,5\n"
+        "storage,S2,10,20,0.9,10,14\nsocbid,S2,0,10,30\nsocbid,S2,10,20,2\n"
     )
-    assert run(["dispatch-demo", "--scenario", str(scenario)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert "S1" in err and "crossed" in err
+    assert run(["dispatch-demo", "--scenario", str(scenario)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "clearing price: 20.00" in out
+    assert "S1           discharge=0.000" in out and "S2           discharge=3.600" in out
 
 
 def test_dispatch_demo_infeasible(tmp_path):
@@ -335,15 +432,17 @@ def test_dispatch_demo_soc_bids(tmp_path, capsys):
             "row 5: second 'powerbid' row for S1",
         ),
         ("demand,,50\n", "row 3: second 'demand' row"),
+        # the socbid rows must not be silently ignored
         (
-            "storage,S1,10,60,0.9,10,60\npowerbid,S1,25,5\n"
-            "storage,S2,10,20,0.9,10,14\nsocbid,S2,0,20,3\n",
-            "storage S1 carries a PowerBid, expected SoCBidCurve",
+            "storage,S1,10,60,0.9,10,60\npowerbid,S1,25,5\nsocbid,S1,0,60,3\n",
+            "storage S1 has both powerbid and socbid rows",
         ),
+        ("storage,S1,5,30,0.7,0,20\npowerbid,S1,7,16\n", "storage S1 has a crossed bid"),
     ],
     ids=[
         "short-storage-row", "hole", "overlap", "orphan-powerbid", "orphan-socbid",
-        "second-storage", "second-powerbid", "second-demand", "mixed-bids",
+        "second-storage", "second-powerbid", "second-demand", "powerbid-and-socbid",
+        "crossed-power-pair",
     ],
 )
 def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, message):

@@ -1,5 +1,9 @@
+import itertools
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from conftest import START
 
 from socbid import (
     DataValidationError,
@@ -8,6 +12,7 @@ from socbid import (
     MarketInstance,
     PowerBid,
     SoCBidCurve,
+    SoCGrid,
     StorageParams,
     StorageUnit,
     clear_power_bid_ed,
@@ -15,7 +20,8 @@ from socbid import (
     step_power_bid,
     step_soc_bid,
 )
-from socbid.bids import power_bid_from_average
+from socbid.bids import bid_schedule_from_prices, power_bid_from_average, threshold_table
+from socbid.data_io import synthetic_tape
 
 G1 = GeneratorOffer("G1", ((100.0, 15.0),))
 G2 = GeneratorOffer("G2", ((100.0, 40.0),))
@@ -76,14 +82,49 @@ def test_crossed_power_bids_rejected_by_market():
         StorageUnit("S", BIG_STORAGE, 30.0, PowerBid(7.0, 16.0))
 
 
-def test_crossed_soc_bid_segment_rejected_by_market():
-    # A negative stored value puts the charge threshold q*eta above the
-    # discharge threshold c + q/eta; only the crossed segment is named.
+def test_negative_soc_bid_values_never_discharge_below_a_price_of_0():
+    # Segment 1's stored value -4 gives a discharge threshold of -5.71, so its
+    # supply step enters at 0 $/MWh and its charge threshold -2.8 crosses nothing.
     params = StorageParams(5.0, 30.0, 0.7, 0.0)
     curve = SoCBidCurve(np.array([0.0, 10.0, 30.0]), np.array([8.0, -4.0]))
-    with pytest.raises(DataValidationError, match=r"storage S1 has a crossed bid in segment 1 \[10"):
-        StorageUnit("S1", params, 20.0, curve)
-    StorageUnit("S1", params, 20.0, SoCBidCurve(curve.boundaries, np.array([8.0, 0.0])))
+    unit = StorageUnit("S1", params, 20.0, curve)
+    for cost, discharge in ((-3.0, 0.0), (5.0, 5.0)):
+        gen = GeneratorOffer("G", ((100.0, cost),))
+        result = clear_soc_bid_ed(MarketInstance((gen,), 50.0, (unit,)))
+        assert result.price == cost
+        assert result.storage["S1"].discharge_power == discharge
+        assert step_soc_bid(20.0, cost, curve, params, 1.0).discharge_power == discharge
+
+
+def test_market_agrees_with_the_step_on_engine_bids_at_negative_prices():
+    """The engine's bids on a negative-price tape clear as step_soc_bid settles them."""
+    tape = synthetic_tape("Z", START, timedelta(hours=1), 200, low=-15.0, noise_std=5.0, seed=3)
+    rng = np.random.default_rng(19)
+    demand = 2500.0
+    checked = 0
+    for cost, duration, model in itertools.product((0.0, 10.0), (1.0, 4.0), ("power", "soc")):
+        params = StorageParams(1.0, duration, 0.9, cost)
+        grid = SoCGrid.for_storage(params, 1.0, 301)
+        schedule = bid_schedule_from_prices(tape, params, grid, model)
+        for _ in range(400):
+            bid = schedule[int(rng.integers(len(schedule)))]
+            soc = float(rng.uniform(0.0, duration))
+            price = float(rng.uniform(-40.0, 60.0))
+            _, discharge, charge = threshold_table(bid, params)
+            clipped = np.maximum(discharge, 0.0)
+            if np.min(np.abs(np.concatenate([clipped, charge]) - price)) < 1e-6:
+                continue  # the price sits on a bid: partial dispatch, excluded
+            unit = StorageUnit("S", params, soc, bid)
+            gen = GeneratorOffer("G", ((2 * demand, price),))
+            result = clear_soc_bid_ed(MarketInstance((gen,), demand, (unit,)))
+            assert result.price == price
+            cleared = result.storage["S"]
+            step = step_soc_bid(soc, price, bid, params, 1.0)
+            assert cleared.discharge_power == pytest.approx(step.discharge_power, abs=1e-9)
+            assert cleared.charge_power == pytest.approx(step.charge_power, abs=1e-9)
+            assert cleared.soc_after == pytest.approx(step.soc_after, abs=1e-9)
+            checked += 1
+    assert checked > 3000
 
 
 def test_clearing_price_monotone_in_demand():
@@ -255,10 +296,19 @@ def test_price_taker_equivalence_random_instances(micro_params):
         checked += 1
 
 
-def test_mixed_bid_types_rejected():
-    unit = full_storage(PowerBid(25.0, 5.0))
-    with pytest.raises(DataValidationError, match="PowerBid"):
-        clear_soc_bid_ed(MarketInstance((G1,), 50.0, (unit,)))
+def test_power_and_soc_bid_units_clear_in_one_market():
+    assert clear_power_bid_ed is clear_soc_bid_ed
+    soc_unit = StorageUnit(
+        "S2", StorageParams(10.0, 20.0, 0.9, 10.0), 14.0,
+        SoCBidCurve(np.array([0.0, 10.0, 20.0]), np.array([30.0, 2.0])),
+    )
+    gen = GeneratorOffer("G", ((200.0, 20.0),))
+    result = clear_soc_bid_ed(
+        MarketInstance((gen,), 100.0, (full_storage(PowerBid(25.0, 5.0)), soc_unit))
+    )
+    assert result.price == 20.0
+    assert result.storage["S"].discharge_power == 0.0
+    assert result.storage["S2"].discharge_power == pytest.approx(4.0 * 0.9, abs=1e-9)
 
 
 def test_generator_offer_validation():
