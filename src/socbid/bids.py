@@ -22,16 +22,7 @@ from .model import (
     check_soc_range,
     validate_params,
 )
-from .valuation import (
-    ValueSurface,
-    _backward_curves,
-    _cell_edges,
-    _cumulative,
-    _integrals,
-    _interp_plan,
-    _non_increasing_rows,
-    _segment_means,
-)
+from .valuation import ValueSurface, _backward_curves, _cell_edges, _non_increasing_rows
 
 
 @dataclass(frozen=True)
@@ -124,8 +115,8 @@ def booked_value(bid: PowerBid | SoCBidCurve, e_from: float, e_to: float) -> flo
     """
     if isinstance(bid, PowerBid):
         return 0.0
-    plan = _interp_plan(bid.boundaries, np.array([e_from, e_to]))
-    (start,), (end,) = _integrals(plan, _cumulative(bid.boundaries, bid.segment_values))
+    cum = np.r_[0.0, np.cumsum(bid.segment_values * np.diff(bid.boundaries))]
+    start, end = np.interp([e_from, e_to], bid.boundaries, cum)
     return float(end - start)
 
 
@@ -195,6 +186,39 @@ def _segment_bounds(params: StorageParams, kind: str, segments_per_hour: int) ->
     return soc_bid_boundaries(params, segments_per_hour)
 
 
+def _interp_plan(edges: np.ndarray, points: np.ndarray) -> tuple:
+    """Where np.interp reads each point on ``edges``; a pass builds it once per bid kind.
+
+    The points taken as they are (on an edge or past an end) and their edges,
+    cells k and k + 1, and as columns the cell widths, offsets and point gaps.
+    """
+    j = np.clip(np.searchsorted(edges, points, side="right") - 1, 0, edges.size - 1)
+    as_is = np.flatnonzero((edges[j] == points) | (j == edges.size - 1) | (points < edges[0]))
+    k = np.minimum(j, edges.size - 2)
+    width, offset = edges[k + 1] - edges[k], points - edges[k]
+    return as_is, j[as_is], k, k + 1, width[:, None], offset[:, None], np.diff(points)[:, None]
+
+
+def _segment_means(plan: tuple, cum: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mean of each column of ``cum`` between consecutive points of ``plan`` into ``out``.
+
+    ``cum`` holds running integrals over the edges, SoC axis first. Its columns are
+    read at the points with np.interp's arithmetic, so each gets np.interp's bits:
+    the integral as it is, else ``slope * (x - edges[k]) + cum[k]``.
+    """
+    as_is, at, k, after, width, offset, gaps = plan
+    lo = cum.take(k, axis=0)
+    ends = cum.take(after, axis=0)
+    ends -= lo  # in place, in the order of (after - lo) / width * offset + lo
+    ends /= width
+    ends *= offset
+    ends += lo
+    ends[as_is] = cum.take(at, axis=0)
+    np.subtract(ends[1:], ends[:-1], out=out)  # np.diff's bits, without its array
+    out /= gaps
+    return out
+
+
 def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, bounds: dict,
                 held: dict):
     """Write the segment means of each bid shape into its caller's buffer as periods fall.
@@ -204,8 +228,8 @@ def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, boun
     value of energy left after it, so the bid of 0-indexed period t comes from
     the curve after period t+1; the pre-horizon curve (t = 0) sets no bid.
     The pass allocates two buffers once: a block of curves, weighted by cell
-    width in place when full, and its running integrals, SoC axis first, as
-    :func:`_cumulative` makes them. A block's segment means over ``bounds[key]``
+    width in place when full, and its running integrals, SoC axis first, each
+    column a 1-D cumsum's bits. A block's segment means over ``bounds[key]``
     go straight into the caller's ``(J, width)`` buffer ``held[key]``, filled from
     its right end, and are floored there: cumulative differences leave +-1-ulp
     bumps on flat runs. Yields (key, first period, filled view) when a block would
@@ -218,7 +242,7 @@ def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, boun
     plans = {key: _interp_plan(edges, b) for key, b in bounds.items()}
     rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, *(b.size for b in bounds.values())) + 1))
     block = np.empty((rows, grid.num_points))
-    cum = np.zeros((edges.size, rows))  # as _cumulative lays it out, zero row kept
+    cum = np.zeros((edges.size, rows))  # zero row kept, the integral at edges[0]
     free = {key: buffer.shape[1] for key, buffer in held.items()}
     for t, q in curves:
         if t > 0:

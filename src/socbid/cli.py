@@ -157,10 +157,12 @@ def _synthetic_tapes(
     depends on character order: zones get different tapes ("AB" and "BA"
     included), and reruns reproduce them.
     """
-    if not 0 < days < math.inf:
-        raise UsageError(f"--synthetic-days (synth --days) must be positive and finite, got {days}")
+    hours = int(round(days * 24)) if 0 < days < math.inf else 0
+    if hours < 1:
+        raise UsageError(
+            f"--synthetic-days (synth --days) must be finite and round to 1 h or more, got {days}"
+        )
     start = datetime(2019, 1, 1, tzinfo=timezone.utc)
-    hours = int(round(days * 24))
     wave = {"low": low, "high": high, "period_hours": period_hours}
     da = data_io.synthetic_tape(zone, start, timedelta(hours=1), hours, noise_std=0.0, **wave)
     rt = data_io.synthetic_tape(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .bids import PowerBid, SoCBidCurve, booked_value, threshold_table
 from .model import (
+    SOC_EPS,
     DataValidationError,
     DispatchDecision,
     StorageParams,
@@ -58,7 +59,7 @@ class StorageUnit:
 
     def __post_init__(self) -> None:
         validate_params(self.params)
-        if not self.params.soc_min <= self.soc <= self.params.soc_max:
+        if not self.params.soc_min - SOC_EPS <= self.soc <= self.params.soc_max + SOC_EPS:
             raise DataValidationError(
                 f"storage {self.name} SoC {self.soc} outside "
                 f"[{self.params.soc_min}, {self.params.soc_max}]"
@@ -118,10 +119,11 @@ def _bid_rows(unit: StorageUnit) -> tuple[list[tuple[float, float]], list[tuple[
 
     A power bid is one segment over the whole SoC range. As in settlement, no
     unit discharges below a price of 0: supply steps enter at no less than
-    0 $/MWh. Capacities are the segments' energy in grid power, cut to the
-    unit's power rating in the order the market takes them: supply steps by
-    cost, then segment order; demand blocks in segment order, dearest first as
-    charge thresholds are non-increasing. A step the rating empties stays at
+    0 $/MWh, so at a price of 0 a step clears only if demand needs it.
+    Capacities are the segments' energy in grid power, cut to the unit's power
+    rating in the order the market takes them: supply steps by cost, then
+    segment order; demand blocks in segment order, dearest first as charge
+    thresholds are non-increasing. A step the rating empties stays at
     0 MW, as its cost is still a candidate price.
     """
     bounds, discharge, charge = threshold_table(unit.bid, unit.params)

@@ -162,12 +162,12 @@ def _settle(
     ``kd`` and ``kc`` are each interval's crossing counts against its bid
     (see :func:`_crossings`), counted on its exactly non-increasing bid, so
     a price beats the discharge thresholds of the segments from ``kd`` up and
-    the charge thresholds of the segments below ``kc``. So a non-negative price
+    the charge thresholds of the segments below ``kc``. So a positive price
     discharges the unit down to ``boundaries[kd]`` when the SoC is above it;
     otherwise the unit charges up to ``boundaries[kc]`` when the SoC is below
-    it. A non-negative price that beats every discharge threshold
-    (``kd == 0``) never charges, even at ``soc_min``. The power rating and
-    the SoC bounds cap the move.
+    it. A positive price that beats every discharge threshold (``kd == 0``)
+    never charges, even at ``soc_min``. The power rating and the SoC bounds
+    cap the move.
     """
     check_initial_soc(e, params)
     eta = params.efficiency_one_way
@@ -184,9 +184,9 @@ def _settle(
     profit = [0.0] * n
     for k, (price, down, up) in enumerate(zip(prices, kd, kc)):
         p = b = 0.0
-        if price >= 0.0 and e > floors[down]:
+        if price > 0.0 and e > floors[down]:
             p = min(big_p, (e - floors[down]) * eta / dt)
-        elif (down or price < 0.0) and e < ceilings[up]:
+        elif (down or price <= 0.0) and e < ceilings[up]:
             b = min(big_p, (ceilings[up] - e) / (eta * dt))
         after = e - p * dt / eta + b * eta * dt
         if not lo <= after <= hi:
@@ -213,7 +213,7 @@ def step_soc_bid(
     while the stored value beats the price; movement stops at the first
     failing segment boundary, the power rating, or an SoC bound. With
     non-increasing segment values this greedy sweep solves the one-interval
-    problem exactly. Discharge is disabled at negative prices. A power bid
+    problem exactly. Discharge is disabled at or below a price of 0. A power bid
     settles as one segment carrying its own price pair.
     """
     boundaries, dis, chg = threshold_table(curve, params)
@@ -319,9 +319,10 @@ def run_cases(
             if series[source] is None:
                 raise DataValidationError(f"case {config.case_id} needs {source} prices")
     if da_prices is not None and rt_prices is not None:
-        if abs((da_prices.span - rt_prices.span).total_seconds()) > 1e-6:
+        if (da_prices.start, da_prices.span) != (rt_prices.start, rt_prices.span):
             raise DataValidationError(
-                f"day-ahead span {da_prices.span} != real-time span {rt_prices.span}"
+                f"day-ahead tape (start {da_prices.start}, span {da_prices.span}) and real-time "
+                f"tape (start {rt_prices.start}, span {rt_prices.span}) must cover one horizon"
             )
     for config in configs:
         check_initial_soc(config.initial_soc, params)

@@ -176,7 +176,7 @@ def _junctions(
     ``q`` must be exactly non-increasing and ``plan`` come from :func:`_shift_plan`.
     Levels below ``kc`` charge (``price <= q*eta``) and levels below ``kd >= kc``
     charge or hold (``price <= max(q/eta + c, 0)``; clipped at zero so no
-    discharge regime fires at a negative price); each bisection probe evaluates
+    discharge regime fires at or below a price of 0); each bisection probe evaluates
     that same float expression. A charging level fully charges while its
     full-power target, which must fit on the grid, still charges: the first
     ``m1`` levels. A discharging level (from ``kd`` on) fully discharges once its
@@ -310,56 +310,6 @@ def _cell_edges(grid: SoCGrid) -> np.ndarray:
     return edges
 
 
-def _cumulative(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Integral from ``edges[0]`` to each edge of each row of ``values``, SoC axis first.
-
-    Returns ``(edges.size, rows)``; each column, a left fold, has the bits of a 1-D cumsum.
-    Bid reduction fills the same layout in a buffer of its own (see ``bids._bid_blocks``).
-    """
-    rows = values.reshape(-1, values.shape[-1])
-    cum = np.zeros((edges.size, rows.shape[0]))
-    np.cumsum((rows * np.diff(edges)).T, axis=0, out=cum[1:])
-    return cum
-
-
-def _interp_plan(edges: np.ndarray, points: np.ndarray) -> tuple:
-    """Where np.interp reads each point on ``edges``; a pass builds it once per bid kind.
-
-    The points taken as they are (on an edge or past an end) and their edges,
-    cells k and k + 1, and as columns the cell widths, offsets and point gaps.
-    """
-    j = np.clip(np.searchsorted(edges, points, side="right") - 1, 0, edges.size - 1)
-    as_is = np.flatnonzero((edges[j] == points) | (j == edges.size - 1) | (points < edges[0]))
-    k = np.minimum(j, edges.size - 2)
-    width, offset = edges[k + 1] - edges[k], points - edges[k]
-    return as_is, j[as_is], k, k + 1, width[:, None], offset[:, None], np.diff(points)[:, None]
-
-
-def _integrals(plan: tuple, cum: np.ndarray) -> np.ndarray:
-    """Each column of ``cum`` from :func:`_cumulative` at the points of ``plan``.
-
-    Repeats np.interp's arithmetic on whole rows of ``cum``, so each column gets
-    its bits: the integral as it is, else ``slope * (x - edges[k]) + cum[k]``.
-    """
-    as_is, at, k, after, width, offset, _ = plan
-    lo = cum.take(k, axis=0)
-    out = cum.take(after, axis=0)
-    out -= lo  # in place, in the order of (after - lo) / width * offset + lo
-    out /= width
-    out *= offset
-    out += lo
-    out[as_is] = cum.take(at, axis=0)
-    return out
-
-
-def _segment_means(plan: tuple, cum: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Mean of each column between consecutive points of ``plan`` into ``out``, SoC axis first."""
-    ends = _integrals(plan, cum)
-    np.subtract(ends[1:], ends[:-1], out=out)  # np.diff's bits, without its array
-    out /= plan[-1]
-    return out
-
-
 def average_marginal(curve: ValueCurve, lo: float, hi: float) -> float:
     """Mean marginal value over the SoC range [lo, hi], in $/MWh.
 
@@ -386,6 +336,5 @@ def segment_averages(curve: ValueCurve, boundaries: np.ndarray) -> np.ndarray:
             f"range [{bounds[0]}, {bounds[-1]}] leaves the grid [{grid.soc_min}, {grid.soc_max}]"
         )
     edges = _cell_edges(grid)
-    means = np.empty(bounds.size - 1)
-    _segment_means(_interp_plan(edges, bounds), _cumulative(edges, curve.values), means[:, None])
-    return means
+    cum = np.r_[0.0, np.cumsum(curve.values * np.diff(edges))]
+    return np.diff(np.interp(bounds, edges, cum)) / np.diff(bounds)

@@ -27,12 +27,13 @@ from socbid.bids import (
     _BLOCK_FLOATS,
     _bid_blocks,
     _segment_bounds,
+    _segment_means,
     booked_value,
     power_bid_from_average,
     soc_bid_boundaries,
 )
 from socbid.cli import _synthetic_tapes
-from socbid.valuation import _backward_curves, _segment_means, segment_averages
+from socbid.valuation import _backward_curves, segment_averages
 
 from conftest import START, hourly_series, random_monotone_values
 

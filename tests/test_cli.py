@@ -232,6 +232,8 @@ def test_usage_errors(tmp_path):
         (["sweep", "--synthetic-days", "nan"], {}, EXIT_USAGE, "--synthetic-days"),
         (["sweep", "--synthetic-days", "inf"], {}, EXIT_USAGE, "--synthetic-days"),
         (["sweep", "--synthetic-days", "0"], {}, EXIT_USAGE, "--synthetic-days"),
+        (["sweep", "--synthetic-days", "0.01"], {}, EXIT_USAGE, "--synthetic-days"),
+        (["synth", "--days", "0.01"], None, EXIT_USAGE, "--days"),
         (["synth", "--days", "nan"], None, EXIT_USAGE, "--days"),
         (["synth", "--days", "inf"], None, EXIT_USAGE, "--days"),
         (["synth", "--days", "-1"], None, EXIT_USAGE, "--days"),
@@ -244,9 +246,9 @@ def test_usage_errors(tmp_path):
         (["synth", "--noise", "nan"], None, EXIT_DATA, "noise_std"),
     ],
     ids=[
-        "sweep-days-nan", "sweep-days-inf", "sweep-days-0", "synth-days-nan", "synth-days-inf",
-        "synth-days-negative", "sweep-period-0", "synth-period-0", "sweep-period-inf",
-        "sweep-noise-negative", "synth-noise-nan",
+        "sweep-days-nan", "sweep-days-inf", "sweep-days-0", "sweep-days-0.01", "synth-days-0.01",
+        "synth-days-nan", "synth-days-inf", "synth-days-negative", "sweep-period-0",
+        "synth-period-0", "sweep-period-inf", "sweep-noise-negative", "synth-noise-nan",
     ],
 )
 def test_bad_synthetic_tape_settings_exit_with_a_documented_code(
@@ -260,6 +262,26 @@ def test_bad_synthetic_tape_settings_exit_with_a_documented_code(
     assert run([*argv, "--zones", "AA", "--output-dir", str(out)]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_rejects_a_real_time_csv_that_starts_an_hour_late(tmp_path, capsys):
+    # two days of each tape, the real-time one cut from an hour later
+    assert run(["synth", "--zones", "AA", "--days", "3", "--output-dir", str(tmp_path)]) == EXIT_OK
+    da = (tmp_path / "AA_da.csv").read_text().splitlines(keepends=True)
+    rt = (tmp_path / "AA_rt.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "da.csv").write_text("".join(da[: 1 + 48]))
+    (tmp_path / "rt.csv").write_text("".join(rt[:1] + rt[1 + 12 : 1 + 12 + 48 * 12]))
+    capsys.readouterr()
+    code = run(
+        [
+            "sweep", "--zones", "AA", "--durations", "1", "--grid-points", "301",
+            "--da-prices", str(tmp_path / "da.csv"), "--rt-prices", str(tmp_path / "rt.csv"),
+            "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "2019-01-01 00:00:00+00:00" in err and "2019-01-01 01:00:00+00:00" in err
 
 
 def test_missing_price_file_is_data_error(tmp_path):

@@ -96,6 +96,34 @@ def test_negative_soc_bid_values_never_discharge_below_a_price_of_0():
         assert step_soc_bid(20.0, cost, curve, params, 1.0).discharge_power == discharge
 
 
+def test_market_and_step_hold_at_a_price_of_exactly_0():
+    # The discharge threshold -5.71 is below 0, where the supply step enters and
+    # sets the price with no demand to serve; the step must not discharge at 0.
+    params = StorageParams(5.0, 30.0, 0.7, 0.0)
+    curve = SoCBidCurve(np.array([0.0, 30.0]), np.array([-4.0]))
+    result = clear_soc_bid_ed(MarketInstance((G1,), 0.0, (StorageUnit("S1", params, 20.0, curve),)))
+    assert result.price == 0.0
+    assert result.storage["S1"].discharge_power == 0.0
+    step = step_soc_bid(20.0, 0.0, curve, params, 1.0)
+    assert (step.discharge_power, step.charge_power, step.soc_after) == (0.0, 0.0, 20.0)
+
+
+def test_storage_soc_within_the_float_tolerance_of_a_bound_is_accepted():
+    # A market takes the SoC that step_soc_bid settles, within SOC_EPS of a
+    # bound, and clears it the same way; past the tolerance it is rejected.
+    params = StorageParams(5.0, 30.0, 0.7, 0.0)
+    curve = SoCBidCurve(np.array([0.0, 30.0]), np.array([8.0]))
+    for soc in (30.0 + 1e-12, -1e-12):
+        unit = StorageUnit("S1", params, soc, curve)
+        cleared = clear_soc_bid_ed(MarketInstance((G1,), 50.0, (unit,))).storage["S1"]
+        step = step_soc_bid(soc, 15.0, curve, params, 1.0)
+        assert cleared.discharge_power == pytest.approx(step.discharge_power, abs=1e-9)
+        assert cleared.charge_power == pytest.approx(step.charge_power, abs=1e-9)
+    for soc in (30.0 + 1e-6, -1e-6):
+        with pytest.raises(DataValidationError, match="S1 SoC"):
+            StorageUnit("S1", params, soc, curve)
+
+
 def test_market_agrees_with_the_step_on_engine_bids_at_negative_prices():
     """The engine's bids on a negative-price tape clear as step_soc_bid settles them."""
     tape = synthetic_tape("Z", START, timedelta(hours=1), 200, low=-15.0, noise_std=5.0, seed=3)

@@ -217,6 +217,18 @@ def test_run_case_horizon_mismatch(micro_params, unit_grid):
         run_case(CaseConfig("RT-PB-DF"), da, rt, micro_params, unit_grid)
 
 
+def test_run_cases_reject_tapes_that_start_apart(micro_params, unit_grid):
+    # equal spans, but the real-time tape starts six hours late
+    da = hourly_series([5.0, 30.0] * 12)
+    rt = five_min_series(np.repeat(da.values, 12))
+    late = PriceSeries("Z", START + timedelta(hours=6), rt.resolution, rt.values)
+    assert late.span == da.span
+    with pytest.raises(DataValidationError, match="start") as raised:
+        run_case(CaseConfig("RT-SB-DF"), da, late, micro_params, unit_grid)
+    assert str(da.start) in str(raised.value) and str(late.start) in str(raised.value)
+    run_case(CaseConfig("RT-SB-DF"), da, rt, micro_params, unit_grid)
+
+
 def test_run_case_missing_series(micro_params, unit_grid):
     prices = hourly_series([5.0, 30.0])
     with pytest.raises(DataValidationError, match="day_ahead"):
@@ -370,7 +382,7 @@ def reference_settle(
         for price in prices[k : k + per_bid]:
             p = b = 0.0
             j = min(bisect_left(boundaries, e), top) - 1
-            if price >= 0.0 and price > dis[max(j, 0)]:
+            if price > 0.0 and price > dis[max(j, 0)]:
                 stop = e
                 # Past the power-limited reach, deeper segments change nothing.
                 while j >= 0 and price > dis[j] and (e - stop) * eta / dt < big_p:

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from socbid import DataValidationError, PriceSeries, SoCGrid, StorageParams
+from socbid.bids import _interp_plan, _segment_means
 from socbid.valuation import (
     StepCase,
     ValueCurve,
     _cell_edges,
-    _cumulative,
-    _interp_plan,
-    _segment_means,
     _shift_plan,
     _step_values,
     average_marginal,
@@ -309,10 +307,15 @@ def test_block_segment_means_repeat_interp_bit_for_bit():
     )
     # The block is integrated and reduced with the SoC axis first: one column per row,
     # written here into the transpose of a row-per-period table, as a bid table is.
+    cum = np.zeros((edges.size, rows.shape[0]))
+    np.cumsum((rows * np.diff(edges)).T, axis=0, out=cum[1:])
     table = np.empty_like(expected)
-    means = _segment_means(_interp_plan(edges, boundaries), _cumulative(edges, rows), table.T)
+    means = _segment_means(_interp_plan(edges, boundaries), cum, table.T)
     assert means.shape == (boundaries.size - 1, rows.shape[0])
     assert table.tobytes() == expected.tobytes()
+    # segment_averages reads one curve with np.interp itself: the same bits
+    for row, row_means in zip(rows[10:], table[10:]):
+        assert segment_averages(ValueCurve(grid, row), boundaries).tobytes() == row_means.tobytes()
 
 
 # ---------------------------------------------------------------------------
