@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DataValidationError,
-    PriceSeries,
-    SoCGrid,
-    StorageParams,
-    check_soc_range,
-    validate_params,
-)
+from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams, check_soc_range
 from .valuation import ValueSurface, _backward_curves, _cell_edges, _non_increasing_rows
 
 
@@ -138,8 +131,8 @@ class BidSchedule:
     kind: str = "soc"
 
     def __post_init__(self) -> None:
-        if self.period_hours <= 0:
-            raise DataValidationError(f"period_hours must be positive, got {self.period_hours}")
+        if not 0 < self.period_hours < np.inf:
+            raise DataValidationError(f"period_hours must lie in (0, inf), got {self.period_hours}")
         if self.kind not in ("power", "soc"):
             raise DataValidationError(f"unknown bid kind {self.kind!r}")
         bounds, vals = _check_segments(self.boundaries, self.values, 2)
@@ -277,7 +270,7 @@ def _bid_table(
     else:
         horizon, period_hours = len(source), source.resolution_hours
         curves = _backward_curves(source, params, grid)
-    bounds = _segment_bounds(validate_params(params), kind, segments_per_hour)
+    bounds = _segment_bounds(params, kind, segments_per_hour)
     table = np.empty((horizon, bounds.size - 1))
     for _ in _bid_blocks(curves, horizon, params, grid, {kind: bounds}, {kind: table.T}):
         pass

@@ -30,7 +30,7 @@ from .dispatch import (
     StorageUnit,
     clear_soc_bid_ed,
 )
-from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams, validate_params
+from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams
 from .simulate import CASE_IDS, CaseConfig, run_cases, utilization
 from .simulate import run_case  # noqa: F401 - unused here; bench/spans.py wraps cli.run_case
 from .valuation import backward_induct
@@ -80,10 +80,15 @@ class RunManifest:
     write_traces: bool = False
 
     def validate(self) -> None:
-        if not self.zones:
-            raise UsageError("no zones given (set --zones or the manifest 'zones' field)")
+        for name in ("zones", "durations", "cases"):
+            items = getattr(self, name)
+            if not items or len(set(items)) != len(items):
+                raise UsageError(
+                    f"{name} must be non-empty, without repeats (set --{name} or the manifest "
+                    f"field), got {items}"
+                )
         _check_zone_names(self.zones)
-        if not self.durations or any(d <= 0 for d in self.durations):
+        if any(d <= 0 for d in self.durations):
             raise UsageError("durations must be positive numbers of hours")
         for case in self.cases:
             if case not in CASE_IDS:
@@ -134,17 +139,16 @@ def _load_manifest(args: argparse.Namespace) -> RunManifest:
         value = getattr(args, key, None)
         if value is not None:
             setattr(manifest, key, value)
+    manifest.validate()
     return manifest
 
 
 def _storage_params(manifest: RunManifest, duration_hours: float) -> StorageParams:
-    return validate_params(
-        StorageParams(
-            power_rating=manifest.power_rating,
-            energy_capacity=manifest.power_rating * duration_hours,
-            efficiency_one_way=manifest.efficiency_one_way,
-            discharge_cost=manifest.discharge_cost,
-        )
+    return StorageParams(
+        power_rating=manifest.power_rating,
+        energy_capacity=manifest.power_rating * duration_hours,
+        efficiency_one_way=manifest.efficiency_one_way,
+        discharge_cost=manifest.discharge_cost,
     )
 
 
@@ -162,6 +166,8 @@ def _synthetic_tapes(
         raise UsageError(
             f"--synthetic-days (synth --days) must be finite and round to 1 h or more, got {days}"
         )
+    if seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {seed}")
     start = datetime(2019, 1, 1, tzinfo=timezone.utc)
     wave = {"low": low, "high": high, "period_hours": period_hours}
     da = data_io.synthetic_tape(zone, start, timedelta(hours=1), hours, noise_std=0.0, **wave)
@@ -239,7 +245,6 @@ def _run_zone_duration(job: tuple) -> list[dict]:
 
 
 def _simulate(manifest: RunManifest) -> list[dict]:
-    manifest.validate()
     tapes = {zone: _zone_series(manifest, zone) for zone in manifest.zones}
     # Longest duration first: its grids are the finest, so no worker is
     # left running a long job alone at the end
@@ -289,7 +294,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _valuation_inputs(args: argparse.Namespace):
     """Yield (manifest, zone, duration, price tape, params, grid) for ``value`` and ``bids``."""
     manifest = _load_manifest(args)
-    manifest.validate()
     for zone in manifest.zones:
         da, rt = _zone_series(manifest, zone, only=args.source)
         source = da if args.source == "day_ahead" else rt
@@ -350,7 +354,7 @@ def _read_scenario(path: str) -> MarketInstance:
     """
     gens: dict[str, list[tuple[float, float]]] = {}
     demand = None
-    storage_rows: dict[str, tuple[StorageParams, float]] = {}
+    storage_rows: dict[str, tuple[float, ...]] = {}
     power_bids: dict[str, PowerBid] = {}
     soc_rows: dict[str, list[tuple[float, float, float, int]]] = {}
     for row_num, row in enumerate(data_io._read_csv(path), start=1):
@@ -369,7 +373,7 @@ def _read_scenario(path: str) -> MarketInstance:
                 demand = float(row[2])
             elif kind == "storage":
                 p, e, eta, cost, soc = map(float, row[2:7])
-                once = storage_rows, (StorageParams(p, e, eta, cost), soc)
+                once = storage_rows, (p, e, eta, cost, soc)
             elif kind == "powerbid":
                 thresholds = float(row[2]), float(row[3])
             else:
@@ -391,7 +395,7 @@ def _read_scenario(path: str) -> MarketInstance:
     if orphans:
         raise DataValidationError(f"bid rows name no storage row: {', '.join(orphans)}")
     storages = []
-    for name, (params, soc) in storage_rows.items():
+    for name, (p, e, eta, cost, soc) in storage_rows.items():
         if name in power_bids and name in soc_rows:
             raise DataValidationError(f"storage {name} has both powerbid and socbid rows")
         if name in power_bids:
@@ -402,10 +406,13 @@ def _read_scenario(path: str) -> MarketInstance:
             gaps = [row_num for (lo, _, _, row_num), hi in zip(rows, bounds) if lo != hi]
             if gaps:
                 raise DataValidationError(f"row {gaps[0]}: socbid rows of {name} do not tile")
-            bid = SoCBidCurve(np.asarray(bounds), np.asarray([r[2] for r in rows]))
+            try:
+                bid = SoCBidCurve(np.asarray(bounds), np.asarray([r[2] for r in rows]))
+            except DataValidationError as exc:
+                raise DataValidationError(f"storage {name}: {exc}") from exc
         else:
             raise DataValidationError(f"storage {name} has no bid rows")
-        storages.append(StorageUnit(name, params, soc, bid))
+        storages.append(StorageUnit(name, StorageParams(p, e, eta, cost), soc, bid))
     offers = tuple(GeneratorOffer(name, tuple(segs)) for name, segs in gens.items())
     return MarketInstance(offers, demand, tuple(storages))
 

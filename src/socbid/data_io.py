@@ -81,9 +81,12 @@ def load_prices(
             continue
         stamps.append(_parse_timestamp(row[0], row_num))
         try:
-            prices.append(float(row[2]))
+            price = float(row[2])
         except ValueError as exc:
             raise DataValidationError(f"row {row_num}: unparseable price {row[2]!r}") from exc
+        if not math.isfinite(price):
+            raise DataValidationError(f"row {row_num}: price {row[2]!r} is not finite")
+        prices.append(price)
     if not stamps:
         raise DataValidationError(f"no rows for zone {zone!r} in {path}")
     # Whole microseconds from the first row: the lattice test is exact.

@@ -14,13 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .bids import PowerBid, SoCBidCurve, booked_value, threshold_table
-from .model import (
-    SOC_EPS,
-    DataValidationError,
-    DispatchDecision,
-    StorageParams,
-    validate_params,
-)
+from .model import DataValidationError, DispatchDecision, StorageParams, check_initial_soc
 
 
 class InfeasibleMarketError(RuntimeError):
@@ -58,12 +52,7 @@ class StorageUnit:
     bid: PowerBid | SoCBidCurve
 
     def __post_init__(self) -> None:
-        validate_params(self.params)
-        if not self.params.soc_min - SOC_EPS <= self.soc <= self.params.soc_max + SOC_EPS:
-            raise DataValidationError(
-                f"storage {self.name} SoC {self.soc} outside "
-                f"[{self.params.soc_min}, {self.params.soc_max}]"
-            )
+        check_initial_soc(self.soc, self.params, f"storage {self.name} SoC")
         bounds, discharge, charge = threshold_table(self.bid, self.params)
         for j, (lo, hi, d, c) in enumerate(zip(bounds, bounds[1:], discharge, charge)):
             d = max(d, 0.0)  # the price its supply step enters at, see _bid_rows

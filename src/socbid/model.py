@@ -29,6 +29,7 @@ class StorageParams:
     ``efficiency_one_way`` applies once per direction: charging at grid power
     b stores b*eta MWh per hour, discharging at grid power p drains p/eta MWh
     per hour. ``discharge_cost`` is charged per MWh delivered to the grid.
+    An instance is valid: construction raises DataValidationError naming a bad field.
     """
 
     power_rating: float
@@ -41,6 +42,7 @@ class StorageParams:
     def __post_init__(self) -> None:
         if self.soc_max is None:
             object.__setattr__(self, "soc_max", float(self.energy_capacity))
+        validate_params(self)
 
     @property
     def duration_hours(self) -> float:
@@ -71,9 +73,9 @@ def validate_params(params: StorageParams) -> StorageParams:
         raise DataValidationError(
             f"discharge_cost must be non-negative, got {params.discharge_cost}"
         )
-    if not params.soc_min < params.soc_max:
+    if not (math.isfinite(params.soc_min) and params.soc_min < params.soc_max):
         raise DataValidationError(
-            f"soc_min must be below soc_max, got [{params.soc_min}, {params.soc_max}]"
+            f"soc_min must be finite and below soc_max, got [{params.soc_min}, {params.soc_max}]"
         )
     if params.soc_max > params.energy_capacity + SOC_EPS:
         raise DataValidationError(
@@ -95,10 +97,10 @@ def check_soc_range(lo: float, hi: float, params: StorageParams, what: str) -> N
         )
 
 
-def check_initial_soc(e: float, params: StorageParams) -> None:
-    """Require that the initial SoC ``e`` lies in the storage's SoC range, up to SOC_EPS."""
+def check_initial_soc(e: float, params: StorageParams, what: str = "initial SoC") -> None:
+    """Require that ``e`` lies in the storage's SoC range, up to SOC_EPS; ``what`` names it."""
     if not params.soc_min - SOC_EPS <= e <= params.soc_max + SOC_EPS:
-        raise DataValidationError(f"initial SoC {e} outside [{params.soc_min}, {params.soc_max}]")
+        raise DataValidationError(f"{what} {e} outside [{params.soc_min}, {params.soc_max}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +183,6 @@ class SoCGrid:
         Enforces step <= P*eta*dt/10 so at least ten grid points span one
         full-power interval of SoC movement.
         """
-        validate_params(params)
         if dt_hours <= 0:
             raise DataValidationError(f"dt_hours must be positive, got {dt_hours}")
         grid = cls(params.soc_min, params.soc_max, num_points)

@@ -32,7 +32,6 @@ from .model import (
     StorageParams,
     check_initial_soc,
     check_soc_range,
-    validate_params,
 )
 
 
@@ -81,7 +80,6 @@ def grid_dp_oracle(
     (T+1) x num_points for the stored value functions, plus one padded row
     and one row per move. The grid must span the storage's SoC range.
     """
-    validate_params(params)
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     if action_points < 3:
         raise DataValidationError(f"action_points must be at least 3, got {action_points}")
@@ -220,7 +218,6 @@ def enumerate_tiny(
     Ground truth for the DP oracle on horizons of at most four periods; the
     guard exists because the search is exponential in the horizon.
     """
-    validate_params(params)
     horizon = len(prices)
     if horizon > 4:
         raise DataValidationError(f"horizon {horizon} too long to enumerate (max 4)")

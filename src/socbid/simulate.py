@@ -36,7 +36,6 @@ from .model import (
     StorageParams,
     check_initial_soc,
     check_soc_range,
-    validate_params,
 )
 from .valuation import _backward_curves
 
@@ -312,7 +311,6 @@ def run_cases(
     the order of ``configs``. With perfect foresight and SoC bids this
     reproduces the multi-period optimum up to discretization.
     """
-    validate_params(params)
     series = {"day_ahead": da_prices, "real_time": rt_prices}
     for config in configs:
         for source in (config.valuation_source, config.settlement_source):

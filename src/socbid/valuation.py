@@ -25,7 +25,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams, validate_params
+from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams
 
 # Tolerance (in grid-index units) when deciding whether a full-power SoC
 # shift stays inside the grid; absorbs float noise in step arithmetic.
@@ -85,8 +85,8 @@ class ValueSurface:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != self.grid.num_points:
             raise DataValidationError("surface must be (T+1, num_points)")
-        if self.step_hours <= 0:
-            raise DataValidationError(f"step_hours must be positive, got {self.step_hours}")
+        if not 0 < self.step_hours < np.inf:
+            raise DataValidationError(f"step_hours must lie in (0, inf), got {self.step_hours}")
         arr = _non_increasing_rows(arr).view()  # read-only without copying a year-long table
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -221,8 +221,7 @@ def _step_values(
 
 
 def _step_plan(q_next: ValueCurve, price: float, params: StorageParams, dt_hours: float) -> tuple:
-    """One step's :func:`_shift_plan`, once its storage, price and length are checked."""
-    validate_params(params)
+    """One step's :func:`_shift_plan`, once its price and length are checked."""
     if not (dt_hours > 0 and np.isfinite(dt_hours)):
         raise DataValidationError(f"dt_hours must be positive and finite, got {dt_hours}")
     if not np.isfinite(price):
@@ -287,7 +286,6 @@ def _backward_curves(
     at a time; the terminal curve is flat zero when omitted. Every curve
     yielded is exactly non-increasing, as the stored terminal curve is.
     """
-    validate_params(params)
     if terminal is None:
         terminal = ValueCurve.flat(grid)
     if terminal.grid != grid:

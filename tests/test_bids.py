@@ -226,6 +226,12 @@ def test_non_finite_bids_and_curves_are_rejected(bad, micro_params, unit_grid):
         ValueSurface(unit_grid, 1.0, surface)
 
 
+@pytest.mark.parametrize("hours", [np.nan, np.inf, 0.0])
+def test_bid_schedule_period_must_be_positive_and_finite(hours, micro_params):
+    with pytest.raises(DataValidationError, match="period_hours"):
+        BidSchedule(hours, micro_params, np.array([0.0, 1.0]), np.zeros((3, 1)), "power")
+
+
 def test_zero_segments_rejected(micro_params):
     with pytest.raises(DataValidationError, match="segments_per_hour"):
         soc_bid_boundaries(micro_params, 0)

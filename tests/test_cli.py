@@ -244,11 +244,14 @@ def test_usage_errors(tmp_path):
          "period_hours"),
         (["sweep", "--synthetic-days", "1"], {"synthetic_noise": -1.0}, EXIT_DATA, "noise_std"),
         (["synth", "--noise", "nan"], None, EXIT_DATA, "noise_std"),
+        (["sweep", "--synthetic-days", "1", "--seed", "-9999999999"], {}, EXIT_USAGE, "--seed"),
+        (["synth", "--seed", "-1"], None, EXIT_USAGE, "--seed"),
     ],
     ids=[
         "sweep-days-nan", "sweep-days-inf", "sweep-days-0", "sweep-days-0.01", "synth-days-0.01",
         "synth-days-nan", "synth-days-inf", "synth-days-negative", "sweep-period-0",
         "synth-period-0", "sweep-period-inf", "sweep-noise-negative", "synth-noise-nan",
+        "sweep-seed-negative", "synth-seed-negative",
     ],
 )
 def test_bad_synthetic_tape_settings_exit_with_a_documented_code(
@@ -261,6 +264,28 @@ def test_bad_synthetic_tape_settings_exit_with_a_documented_code(
     out = tmp_path / "out"
     assert run([*argv, "--zones", "AA", "--output-dir", str(out)]) == code
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, manifest, field",
+    [
+        (["--zones", "AA", "AA"], {}, "zones"),
+        (["--zones", "AA", "--durations", "1", "1.0"], {}, "durations"),
+        (["--zones", "AA"], {"durations": []}, "durations"),
+        (["--zones", "AA"], {"cases": []}, "cases"),
+        (["--zones", "AA"], {"cases": ["RT-SB-PF", "RT-SB-PF"]}, "cases"),
+    ],
+    ids=["zones-repeated", "durations-repeated", "durations-empty", "cases-empty",
+         "cases-repeated"],
+)
+def test_empty_or_repeated_run_lists_are_usage_errors(tmp_path, capsys, flags, manifest, field):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"durations": [1], **manifest}))
+    out = tmp_path / "out"
+    argv = ["simulate", "--manifest", str(path), "--synthetic-days", "1", "--output-dir", str(out)]
+    assert run([*argv, *flags]) == EXIT_USAGE
+    assert f"{field} must be non-empty, without repeats" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -513,6 +538,25 @@ def test_dispatch_demo_rejects_non_finite_numbers_and_unknown_kinds(
     captured = capsys.readouterr()
     assert message in captured.err
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("storage,S1,10,60,1.5,10,60\npowerbid,S1,25,5\n",
+         "efficiency_one_way must lie in (0, 1], got 1.5"),
+        ("storage,S1,10,60,0.9,10,60.0000001\npowerbid,S1,25,5\n",
+         "storage S1 SoC 60.0000001 outside [0.0, 60.0]"),
+        ("storage,S1,10,60,0.9,10,30\nsocbid,S1,0,30,5\nsocbid,S1,30,60,9\n",
+         "storage S1: values must be non-increasing in SoC; row 0 rises at index 0"),
+    ],
+    ids=["efficiency-1.5", "soc-past-capacity", "rising-socbid"],
+)
+def test_dispatch_demo_storage_errors_name_the_fault(tmp_path, capsys, rows, message):
+    scenario = tmp_path / "bad.csv"
+    scenario.write_text("generator,G1,100,15\ndemand,,105\n" + rows)
+    assert run(["dispatch-demo", "--scenario", str(scenario)]) == EXIT_DATA
+    assert f"error: {message}\n" == capsys.readouterr().err
 
 
 def test_nan_initial_soc_is_rejected_before_valuation(tmp_path, capsys, monkeypatch):

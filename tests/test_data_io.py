@@ -160,6 +160,14 @@ def test_load_unparseable_row_reports_row_number(tmp_path):
         load_prices(path, "Z", timedelta(hours=1))
 
 
+@pytest.mark.parametrize("price", ["nan", "1e400", "-inf"])
+def test_load_non_finite_price_names_its_row(tmp_path, price):
+    path = tmp_path / "bad.csv"
+    write_rows(path, ["2019-01-01T00:00:00Z,Z,10", f"2019-01-01T01:00:00Z,Z,{price}"])
+    with pytest.raises(DataValidationError, match=f"^row 3: price '{price}' is not finite$"):
+        load_prices(path, "Z", timedelta(hours=1))
+
+
 def test_round_trip_is_bit_identical(tmp_path):
     rng = np.random.default_rng(61)
     series = PriceSeries("LONGIL", START, timedelta(minutes=5), rng.normal(30, 20, 288))

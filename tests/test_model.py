@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from socbid import (
@@ -38,6 +40,21 @@ def test_efficiency_above_one_rejected():
 def test_invalid_params_name_the_field(kwargs, field):
     with pytest.raises(DataValidationError, match=field):
         validate_params(StorageParams(**kwargs))
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(soc_min=-math.inf), "soc_min"),
+        (dict(soc_min=math.nan), "soc_min"),
+        (dict(efficiency_one_way=1.5), "efficiency_one_way"),
+        (dict(discharge_cost=math.inf), "discharge_cost"),
+    ],
+)
+def test_storage_params_are_checked_when_built(kwargs, field):
+    # no invalid StorageParams exists for a consumer to re-check
+    with pytest.raises(DataValidationError, match=field):
+        StorageParams(1.0, 1.0, **kwargs)
 
 
 def test_grid_step_limit_enforced_at_construction():

@@ -9,6 +9,7 @@ from socbid.bids import _interp_plan, _segment_means
 from socbid.valuation import (
     StepCase,
     ValueCurve,
+    ValueSurface,
     _cell_edges,
     _shift_plan,
     _step_values,
@@ -123,10 +124,15 @@ def test_update_step_rejects_non_monotone_input(unit_grid, micro_params):
 )
 def test_step_functions_share_their_input_checks(price, dt, power):
     curve = ValueCurve.flat(SoCGrid(0.0, 4.0, 41), 20.0)
-    params = StorageParams(power, 4.0, 0.9, 10.0)
     for step in (update_step, step_case_breakdown):
-        with pytest.raises(DataValidationError):
-            step(curve, price, params, dt)
+        with pytest.raises(DataValidationError):  # a negative power fails in StorageParams
+            step(curve, price, StorageParams(power, 4.0, 0.9, 10.0), dt)
+
+
+@pytest.mark.parametrize("hours", [np.nan, np.inf, 0.0])
+def test_value_surface_step_must_be_positive_and_finite(hours, unit_grid):
+    with pytest.raises(DataValidationError, match="step_hours"):
+        ValueSurface(unit_grid, hours, np.zeros((2, unit_grid.num_points)))
 
 
 def test_update_step_case_boundaries_prefer_charging(micro_params, unit_grid):
