@@ -88,8 +88,8 @@ class RunManifest:
                     f"field), got {items}"
                 )
         _check_zone_names(self.zones)
-        if any(d <= 0 for d in self.durations):
-            raise UsageError("durations must be positive numbers of hours")
+        if not all(0 < d < math.inf for d in self.durations):
+            raise UsageError(f"durations must be positive, finite hours, got {self.durations}")
         for case in self.cases:
             if case not in CASE_IDS:
                 raise UsageError(f"unknown case id {case!r}; valid: {', '.join(CASE_IDS)}")
@@ -201,18 +201,13 @@ def _zone_series(
     return tuple(tapes)
 
 
-def _grid_for(manifest: RunManifest, params: StorageParams, dt_hours: float) -> SoCGrid:
-    points = max(manifest.grid_points, SoCGrid.min_points(params, dt_hours))
-    return SoCGrid.for_storage(params, dt_hours, points)
-
-
 def _run_zone_duration(job: tuple) -> list[dict]:
     """Worker: run every requested case for one (manifest, zone, duration, da, rt) job."""
     manifest, zone, duration, da, rt = job
     params = _storage_params(manifest, duration)
 
     grids = {
-        source: _grid_for(manifest, params, series.resolution_hours)
+        source: SoCGrid.for_storage(params, series.resolution_hours, manifest.grid_points)
         for source, series in (("day_ahead", da), ("real_time", rt))
         if series is not None
     }
@@ -301,7 +296,7 @@ def _valuation_inputs(args: argparse.Namespace):
             raise DataValidationError(f"no {args.source} prices available for zone {zone}")
         for duration in manifest.durations:
             params = _storage_params(manifest, duration)
-            grid = _grid_for(manifest, params, source.resolution_hours)
+            grid = SoCGrid.for_storage(params, source.resolution_hours, manifest.grid_points)
             yield manifest, zone, duration, source, params, grid
 
 
@@ -449,7 +444,8 @@ def _add_common(parser: argparse.ArgumentParser, sweeping: bool = False) -> None
     parser.add_argument("--efficiency", dest="efficiency_one_way", type=float, metavar="ETA",
                         help="one-way efficiency in (0, 1]")
     parser.add_argument("--discharge-cost", dest="discharge_cost", type=float)
-    parser.add_argument("--grid-points", dest="grid_points", type=int)
+    parser.add_argument("--grid-points", dest="grid_points", type=int,
+                        help="fewest SoC grid points (default 1001); the time step may raise it")
     parser.add_argument("--segments-per-hour", dest="segments_per_hour", type=int)
     parser.add_argument("--da-prices", dest="da_prices", help="day-ahead price CSV (hourly)")
     parser.add_argument("--rt-prices", dest="rt_prices", help="real-time price CSV (5-minute)")

@@ -180,23 +180,21 @@ class SoCGrid:
     ) -> SoCGrid:
         """Grid over the storage's SoC range, fine enough for time step ``dt_hours``.
 
-        Enforces step <= P*eta*dt/10 so at least ten grid points span one
-        full-power interval of SoC movement.
+        ``num_points`` is a lower bound: the grid gets ``min_points`` points
+        when the time step needs more.
         """
-        if dt_hours <= 0:
-            raise DataValidationError(f"dt_hours must be positive, got {dt_hours}")
-        grid = cls(params.soc_min, params.soc_max, num_points)
-        limit = params.power_rating * params.efficiency_one_way * dt_hours / 10.0
-        if grid.step > limit * (1 + 1e-12):
-            raise DataValidationError(
-                f"grid step {grid.step:.6g} MWh exceeds limit {limit:.6g} MWh for "
-                f"dt={dt_hours} h; need at least {cls.min_points(params, dt_hours)} points"
-            )
-        return grid
+        points = max(num_points, cls.min_points(params, dt_hours))
+        return cls(params.soc_min, params.soc_max, points)
 
     @classmethod
     def min_points(cls, params: StorageParams, dt_hours: float) -> int:
-        """Smallest point count satisfying the step limit for ``dt_hours``."""
+        """Smallest point count with step <= P*eta*dt/10, for ``dt_hours`` in (0, inf).
+
+        At least ten grid points then span one full-power interval of SoC
+        movement. ``for_storage`` never builds a grid with fewer points.
+        """
+        if not 0 < dt_hours < math.inf:
+            raise DataValidationError(f"dt_hours must be positive and finite, got {dt_hours}")
         limit = params.power_rating * params.efficiency_one_way * dt_hours / 10.0
         return int(math.ceil(params.soc_span / limit)) + 1
 

@@ -297,10 +297,8 @@ def test_criterion_09_historical_utilization():
         rt = load_prices(rt_path, zone, timedelta(minutes=5))
         zone_da_utils = []
         for duration, params in params_by_duration.items():
-            grid_h = SoCGrid.for_storage(params, 1.0, max(1001, SoCGrid.min_points(params, 1.0)))
-            grid_5 = SoCGrid.for_storage(
-                params, 1 / 12, max(1001, SoCGrid.min_points(params, 1 / 12))
-            )
+            grid_h = SoCGrid.for_storage(params, 1.0, 1001)
+            grid_5 = SoCGrid.for_storage(params, 1 / 12, 1001)
             results = {}
             for case_id in CASE_IDS:
                 config = CaseConfig(case_id)

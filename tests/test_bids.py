@@ -95,7 +95,8 @@ def test_soc_bids_two_segment_example(micro_params, unit_grid):
 def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
     rng = np.random.default_rng(12)
     surface = random_surface(rng, unit_grid, horizon=5)
-    # duration is 2 h; half a segment per duration-hour gives J = 1
+    # duration is 2 h; one segment per duration-hour gives J = 2, whose
+    # width-weighted mean is the one-segment (power-bid) average
     ones = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=1)
     assert ones[0].segment_values.size == 2
     boundaries = soc_bid_boundaries(micro_params, 1)
@@ -333,7 +334,7 @@ def test_clean_tape_bid_rows_are_exactly_non_increasing(duration, monkeypatch):
     # stored schedule or in the buffers of bids a sweep counts crossings on.
     da, _ = _synthetic_tapes("AA", 7, 15, 45, 24, 5, 1)
     params = StorageParams(1.0, float(duration), 0.9, 10.0)
-    grid = SoCGrid.for_storage(params, 1.0, max(1001, SoCGrid.min_points(params, 1.0)))
+    grid = SoCGrid.for_storage(params, 1.0, 1001)
     tables = [
         bid_schedule_from_prices(da, params, grid, "soc").values,
         make_soc_bids(backward_induct(da, params, grid), params).values,

@@ -289,6 +289,24 @@ def test_empty_or_repeated_run_lists_are_usage_errors(tmp_path, capsys, flags, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "manifest"])
+@pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
+def test_durations_that_are_not_positive_and_finite_are_usage_errors(
+    tmp_path, capsys, via, duration
+):
+    out = tmp_path / "out"
+    argv = ["sweep", "--zones", "AA", "--synthetic-days", "1", "--output-dir", str(out)]
+    if via == "flag":
+        argv += ["--durations", duration]
+    else:  # json writes and reads nan and inf as NaN and Infinity
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"durations": [float(duration)]}))
+        argv += ["--manifest", str(path)]
+    assert run(argv) == EXIT_USAGE
+    assert "durations must be positive, finite hours" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_a_real_time_csv_that_starts_an_hour_late(tmp_path, capsys):
     # two days of each tape, the real-time one cut from an hour later
     assert run(["synth", "--zones", "AA", "--days", "3", "--output-dir", str(tmp_path)]) == EXIT_OK

@@ -61,11 +61,11 @@ def test_grid_step_limit_enforced_at_construction():
     params = StorageParams(0.5, 1.0, 0.9, 10.0)
     # at hourly steps the rule asks for step <= 0.045 MWh, i.e. >= 24 points
     grid = SoCGrid.for_storage(params, 1.0, 1001)
+    assert grid.num_points == 1001
     assert grid.step <= params.power_rating * params.efficiency_one_way / 10 + 1e-15
-    with pytest.raises(DataValidationError, match="grid step"):
-        SoCGrid.for_storage(params, 1.0, 20)
+    # the point count asked for is a lower bound the step limit raises
     assert SoCGrid.min_points(params, 1.0) == 24
-    SoCGrid.for_storage(params, 1.0, SoCGrid.min_points(params, 1.0))
+    assert SoCGrid.for_storage(params, 1.0, 20).num_points == 24
 
 
 def test_grid_spans_ten_points_per_full_power_interval():
@@ -74,6 +74,15 @@ def test_grid_spans_ten_points_per_full_power_interval():
         grid = SoCGrid.for_storage(params, dt, SoCGrid.min_points(params, dt))
         moved = params.power_rating * params.efficiency_one_way * dt
         assert moved / grid.step >= 10.0 - 1e-9
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_grid_time_step_must_be_positive_and_finite(dt):
+    params = StorageParams(1.0, 1.0)
+    with pytest.raises(DataValidationError, match="dt_hours"):
+        SoCGrid.min_points(params, dt)
+    with pytest.raises(DataValidationError, match="dt_hours"):
+        SoCGrid.for_storage(params, dt)
 
 
 def test_dispatch_decision_rejects_simultaneous_action():

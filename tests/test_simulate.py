@@ -543,10 +543,7 @@ def test_run_cases_settle_from_counts_as_run_schedule_does_from_tables(duration)
     params = StorageParams(1.0, float(duration), 0.9, 10.0)
     series = {"day_ahead": da, "real_time": rt}
     grids = {
-        source: SoCGrid.for_storage(
-            params, tape.resolution_hours,
-            max(301, SoCGrid.min_points(params, tape.resolution_hours)),
-        )
+        source: SoCGrid.for_storage(params, tape.resolution_hours, 301)
         for source, tape in series.items()
     }
     configs = [CaseConfig(case_id, initial_soc=0.5 * duration) for case_id in CASE_IDS]
@@ -572,10 +569,7 @@ def test_run_cases_do_not_depend_on_the_block_size(monkeypatch):
     da, rt = _synthetic_tapes("AA", 2, 15, 45, 24, 5, 1)
     params = StorageParams(1.0, 72.0, 0.9, 10.0)
     grids = {
-        source: SoCGrid.for_storage(
-            params, tape.resolution_hours,
-            max(1001, SoCGrid.min_points(params, tape.resolution_hours)),
-        )
+        source: SoCGrid.for_storage(params, tape.resolution_hours, 1001)
         for source, tape in (("day_ahead", da), ("real_time", rt))
     }
     configs = [CaseConfig(case_id, initial_soc=36.0) for case_id in CASE_IDS]
@@ -607,12 +601,10 @@ def test_doubling_prices_and_discharge_cost_doubles_every_profit(duration):
         for scale in (1.0, 2.0):
             params = StorageParams(1.0, float(duration), 0.9, 10.0 * scale)
             tapes = [hourly_series(da.values * scale), five_min_series(rt.values * scale)]
-            grids = {}
-            for source, tape in zip(("day_ahead", "real_time"), tapes):
-                dt = tape.resolution_hours
-                grids[source] = SoCGrid.for_storage(
-                    params, dt, max(1001, SoCGrid.min_points(params, dt))
-                )
+            grids = {
+                source: SoCGrid.for_storage(params, tape.resolution_hours, 1001)
+                for source, tape in zip(("day_ahead", "real_time"), tapes)
+            }
             oracle = grid_dp_oracle(tapes[1], params, SoCGrid(0.0, float(duration), 301))
             runs.append((run_cases(configs, *tapes, params, grids), oracle.optimal_profit))
         (base, base_optimum), (doubled, doubled_optimum) = runs
