@@ -14,7 +14,6 @@ from .dispatch import (
     InfeasibleMarketError,
     MarketInstance,
     StorageUnit,
-    clear_power_bid_ed,
     clear_soc_bid_ed,
 )
 from .model import (
@@ -23,7 +22,6 @@ from .model import (
     PriceSeries,
     SoCGrid,
     StorageParams,
-    validate_params,
 )
 from .oracle import OracleResult, enumerate_tiny, grid_dp_oracle
 from .simulate import (
@@ -33,7 +31,6 @@ from .simulate import (
     run_case,
     run_cases,
     run_schedule,
-    step_power_bid,
     step_soc_bid,
     utilization,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "average_marginal",
     "backward_induct",
     "bid_schedule_from_prices",
-    "clear_power_bid_ed",
     "clear_soc_bid_ed",
     "enumerate_tiny",
     "grid_dp_oracle",
@@ -77,11 +73,9 @@ __all__ = [
     "run_case",
     "run_cases",
     "run_schedule",
-    "step_power_bid",
     "step_soc_bid",
     "update_step",
     "utilization",
-    "validate_params",
 ]
 
 __version__ = "0.1.0"

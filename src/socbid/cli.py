@@ -95,8 +95,13 @@ class RunManifest:
                 raise UsageError(f"unknown case id {case!r}; valid: {', '.join(CASE_IDS)}")
         if self.da_prices is None and self.rt_prices is None and self.synthetic_days is None:
             raise UsageError("supply --da-prices/--rt-prices or --synthetic-days")
-        if self.workers < 1:
-            raise UsageError("workers must be at least 1")
+        for name, least in (("workers", 1), ("grid_points", 2), ("segments_per_hour", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise UsageError(
+                    f"{name} must be at least {least} (set --{name.replace('_', '-')} or the "
+                    f"manifest field), got {value}"
+                )
 
 
 def _check_zone_names(zones: list[str]) -> None:
@@ -445,7 +450,8 @@ def _add_common(parser: argparse.ArgumentParser, sweeping: bool = False) -> None
                         help="one-way efficiency in (0, 1]")
     parser.add_argument("--discharge-cost", dest="discharge_cost", type=float)
     parser.add_argument("--grid-points", dest="grid_points", type=int,
-                        help="fewest SoC grid points (default 1001); the time step may raise it")
+                        help="fewest SoC grid points, at least 2 (default 1001); the time step may "
+                             "raise it")
     parser.add_argument("--segments-per-hour", dest="segments_per_hour", type=int)
     parser.add_argument("--da-prices", dest="da_prices", help="day-ahead price CSV (hourly)")
     parser.add_argument("--rt-prices", dest="rt_prices", help="real-time price CSV (5-minute)")

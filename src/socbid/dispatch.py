@@ -223,7 +223,3 @@ def clear_soc_bid_ed(instance: MarketInstance) -> ClearingResult:
         storage[unit.name] = DispatchDecision(p, b, soc_after, profit, value_delta)
     cleared_charge = sum(d.charge_power for d in storage.values())
     return ClearingResult(price, generation, storage, cleared_charge)
-
-
-# A power bid clears as its one-segment SoC bid (see threshold_table).
-clear_power_bid_ed = clear_soc_bid_ed

@@ -42,7 +42,28 @@ class StorageParams:
     def __post_init__(self) -> None:
         if self.soc_max is None:
             object.__setattr__(self, "soc_max", float(self.energy_capacity))
-        validate_params(self)
+        if not (self.power_rating > 0 and math.isfinite(self.power_rating)):
+            raise DataValidationError(f"power_rating must be positive, got {self.power_rating}")
+        if not (self.energy_capacity > 0 and math.isfinite(self.energy_capacity)):
+            raise DataValidationError(
+                f"energy_capacity must be positive, got {self.energy_capacity}"
+            )
+        if not (0.0 < self.efficiency_one_way <= 1.0):
+            raise DataValidationError(
+                f"efficiency_one_way must lie in (0, 1], got {self.efficiency_one_way}"
+            )
+        if not (self.discharge_cost >= 0 and math.isfinite(self.discharge_cost)):
+            raise DataValidationError(
+                f"discharge_cost must be non-negative, got {self.discharge_cost}"
+            )
+        if not (math.isfinite(self.soc_min) and self.soc_min < self.soc_max):
+            raise DataValidationError(
+                f"soc_min must be finite and below soc_max, got [{self.soc_min}, {self.soc_max}]"
+            )
+        if self.soc_max > self.energy_capacity + SOC_EPS:
+            raise DataValidationError(
+                f"soc_max {self.soc_max} exceeds energy_capacity {self.energy_capacity}"
+            )
 
     @property
     def duration_hours(self) -> float:
@@ -52,36 +73,6 @@ class StorageParams:
     @property
     def soc_span(self) -> float:
         return self.soc_max - self.soc_min
-
-
-def validate_params(params: StorageParams) -> StorageParams:
-    """Check every StorageParams invariant, returning the object unchanged.
-
-    Raises DataValidationError naming the offending field.
-    """
-    if not (params.power_rating > 0 and math.isfinite(params.power_rating)):
-        raise DataValidationError(f"power_rating must be positive, got {params.power_rating}")
-    if not (params.energy_capacity > 0 and math.isfinite(params.energy_capacity)):
-        raise DataValidationError(
-            f"energy_capacity must be positive, got {params.energy_capacity}"
-        )
-    if not (0.0 < params.efficiency_one_way <= 1.0):
-        raise DataValidationError(
-            f"efficiency_one_way must lie in (0, 1], got {params.efficiency_one_way}"
-        )
-    if not (params.discharge_cost >= 0 and math.isfinite(params.discharge_cost)):
-        raise DataValidationError(
-            f"discharge_cost must be non-negative, got {params.discharge_cost}"
-        )
-    if not (math.isfinite(params.soc_min) and params.soc_min < params.soc_max):
-        raise DataValidationError(
-            f"soc_min must be finite and below soc_max, got [{params.soc_min}, {params.soc_max}]"
-        )
-    if params.soc_max > params.energy_capacity + SOC_EPS:
-        raise DataValidationError(
-            f"soc_max {params.soc_max} exceeds energy_capacity {params.energy_capacity}"
-        )
-    return params
 
 
 def check_soc_range(lo: float, hi: float, params: StorageParams, what: str) -> None:
@@ -205,8 +196,7 @@ class DispatchDecision:
 
     ``realized_profit`` is cash at the settlement price minus the true
     discharge cost; ``opportunity_value_delta`` is the value-function change
-    booked by single-step SoC-bid dispatch (zero under power bids, and in the
-    records of a settled tape).
+    booked by single-step SoC-bid dispatch (zero under power bids).
     """
 
     discharge_power: float

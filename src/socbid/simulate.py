@@ -91,17 +91,6 @@ class SimulationResult:
     discharged_energy: float
     cycles: float
 
-    @property
-    def decisions(self) -> tuple[DispatchDecision, ...]:
-        """The intervals as DispatchDecision records.
-
-        They book no opportunity value delta (0.0): settlement keeps only the
-        crossing counts of each interval, not its bid. :func:`step_soc_bid`
-        books it for a single interval.
-        """
-        columns = (self.discharge, self.charge, self.soc, self.profit)
-        return tuple(DispatchDecision(*row) for row in zip(*(c.tolist() for c in columns)))
-
     def soc_trajectory(self) -> np.ndarray:
         """SoC after each interval, preceded by the initial SoC."""
         return np.concatenate(([self.initial_soc], self.soc))
@@ -221,10 +210,6 @@ def step_soc_bid(
     settled = _settle([price], boundaries, [kd], [kc], params, dt_hours, e_prev)
     p, b, soc_after, profit = (column[0] for column in settled)
     return DispatchDecision(p, b, soc_after, profit, booked_value(curve, e_prev, soc_after))
-
-
-# A power bid settles as its one-segment SoC bid (see threshold_table).
-step_power_bid = step_soc_bid
 
 
 def _intervals_per_bid(period_hours: float, periods: int, prices: PriceSeries) -> int:

@@ -96,9 +96,6 @@ class ValueSurface:
         """Number of periods T covered by the surface."""
         return self.values.shape[0] - 1
 
-    def curve(self, t: int) -> ValueCurve:
-        return ValueCurve(self.grid, self.values[t])
-
 
 def _non_increasing_rows(values: np.ndarray) -> np.ndarray:
     """Each row (last axis) of ``values`` as its running minimum, once checked.

@@ -30,7 +30,6 @@ from socbid import (
     make_power_bids,
     make_soc_bids,
     run_case,
-    step_power_bid,
     step_soc_bid,
     update_step,
     utilization,
@@ -38,7 +37,7 @@ from socbid import (
 from socbid.bids import power_bid_from_average
 from socbid.cli import main as cli_main
 from socbid.data_io import load_prices, synthetic_tape
-from socbid.dispatch import GeneratorOffer, MarketInstance, StorageUnit, clear_power_bid_ed, clear_soc_bid_ed
+from socbid.dispatch import GeneratorOffer, MarketInstance, StorageUnit, clear_soc_bid_ed
 from socbid.valuation import StepCase, average_marginal, step_case_breakdown
 
 from conftest import hourly_series, random_monotone_values
@@ -143,7 +142,7 @@ def test_criterion_04_single_segment_equivalence():
         e = float(rng.uniform(0.0, 1.0))
         price = float(rng.uniform(-50.0, 150.0))
         dt = float(rng.choice([1.0, 1.0 / 12.0]))
-        pb = step_power_bid(e, price, power_bid_from_average(q_bar, MICRO), MICRO, dt)
+        pb = step_soc_bid(e, price, power_bid_from_average(q_bar, MICRO), MICRO, dt)
         sb = step_soc_bid(e, price, SoCBidCurve(bounds, np.array([q_bar])), MICRO, dt)
         if (
             pb.discharge_power != sb.discharge_power
@@ -174,7 +173,8 @@ def test_criterion_05_bid_algebra():
             curve = soc[t]
             rises = np.diff(curve.segment_values)
             monotone_ok &= bool(np.all(rises <= 1e-9 * (1 + np.abs(curve.segment_values).max())))
-            q_bar = average_marginal(surface.curve(t + 1), grid.soc_min, grid.soc_max)
+            next_curve = ValueCurve(grid, surface.values[t + 1])
+            q_bar = average_marginal(next_curve, grid.soc_min, grid.soc_max)
             widths = np.diff(curve.boundaries)
             weighted = float(np.sum(curve.segment_values * widths) / widths.sum())
             worst_weighted = max(worst_weighted, abs(weighted - q_bar))
@@ -221,18 +221,19 @@ def test_criterion_07_conservation_full_year():
     da, rt = synthetic_pair(7, hours=365 * 24)
     grid = SoCGrid.for_storage(MICRO, 1.0, 1001)
     result = run_case(CaseConfig("RT-SB-DF"), da, rt, MICRO, grid)
-    assert len(result.decisions) == 365 * 24 * 12
+    assert len(result.discharge) == 365 * 24 * 12
     eta = MICRO.efficiency_one_way
     dt = 1.0 / 12.0
     e = result.initial_soc
     worst_evolution = 0.0
     bounds_ok = True
-    for d in result.decisions:
-        expected = e - d.discharge_power * dt / eta + d.charge_power * eta * dt
-        worst_evolution = max(worst_evolution, abs(d.soc_after - expected))
-        bounds_ok &= MICRO.soc_min <= d.soc_after <= MICRO.soc_max
-        e = d.soc_after
-    resummed = math.fsum(d.realized_profit for d in result.decisions)
+    columns = (result.discharge, result.charge, result.soc)
+    for p, b, soc_after in zip(*(c.tolist() for c in columns)):
+        expected = e - p * dt / eta + b * eta * dt
+        worst_evolution = max(worst_evolution, abs(soc_after - expected))
+        bounds_ok &= MICRO.soc_min <= soc_after <= MICRO.soc_max
+        e = soc_after
+    resummed = math.fsum(result.profit.tolist())
     profit_gap = abs(result.total_profit - resummed)
     report(
         7,
@@ -258,15 +259,14 @@ def test_criterion_08_price_taker_equivalence():
             vals = np.sort(rng.uniform(0.0, 90.0, size=5))[::-1]
             bid = SoCBidCurve(np.linspace(0.0, 1.0, 6), vals)
             thresholds = np.concatenate([10.0 + vals / 0.9, vals * 0.9])
-            clear, step = clear_soc_bid_ed, step_soc_bid
         else:
             bid = power_bid_from_average(float(rng.uniform(0.0, 80.0)), MICRO)
             thresholds = np.array([bid.discharge_bid, bid.charge_bid])
-            clear, step = clear_power_bid_ed, step_power_bid
-        result = clear(MarketInstance(offers, demand, (StorageUnit("S", MICRO, soc, bid),)))
+        unit = StorageUnit("S", MICRO, soc, bid)
+        result = clear_soc_bid_ed(MarketInstance(offers, demand, (unit,)))
         if float(np.min(np.abs(thresholds - result.price))) < 1e-6:
             continue  # clearing price touches a bid: excluded by the criterion
-        arb = step(soc, result.price, bid, MICRO, 1.0)
+        arb = step_soc_bid(soc, result.price, bid, MICRO, 1.0)
         cleared = result.storage["S"]
         if (
             abs(cleared.discharge_power - arb.discharge_power) > 1e-9

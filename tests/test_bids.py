@@ -102,7 +102,7 @@ def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
     boundaries = soc_bid_boundaries(micro_params, 1)
     assert boundaries.size == 3
     for t in range(5):
-        q_bar = average_marginal(surface.curve(t + 1), 0.0, 1.0)
+        q_bar = average_marginal(ValueCurve(surface.grid, surface.values[t + 1]), 0.0, 1.0)
         widths = np.diff(ones[t].boundaries)
         weighted = float(np.sum(ones[t].segment_values * widths) / widths.sum())
         assert weighted == pytest.approx(q_bar, abs=1e-9)
@@ -129,7 +129,7 @@ def test_segment_values_monotone_on_random_surfaces(micro_params, unit_grid):
 def test_refinement_consistency(micro_params, unit_grid):
     rng = np.random.default_rng(14)
     surface = random_surface(rng, unit_grid, horizon=3)
-    q_bars = [average_marginal(surface.curve(t + 1), 0.0, 1.0) for t in range(3)]
+    q_bars = [average_marginal(ValueCurve(unit_grid, row), 0.0, 1.0) for row in surface.values[1:]]
     for segments_per_hour in (1, 3, 10, 20):
         schedule = make_soc_bids(surface, micro_params, segments_per_hour)
         for t, entry in enumerate(schedule):
@@ -170,7 +170,7 @@ STORES = {
     ),
     "ValueSurface": (
         lambda rows: ValueSurface(GRID_41, 1.0, rows), lambda s: s.values,
-        lambda s: segment_averages(s.curve(-1), GRID_41.points()[::4]),
+        lambda s: segment_averages(ValueCurve(s.grid, s.values[-1]), GRID_41.points()[::4]),
     ),
     "SoCBidCurve": (
         lambda rows: SoCBidCurve(BOUNDS_41, rows[-1]), lambda c: c.segment_values,

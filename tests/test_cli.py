@@ -246,12 +246,21 @@ def test_usage_errors(tmp_path):
         (["synth", "--noise", "nan"], None, EXIT_DATA, "noise_std"),
         (["sweep", "--synthetic-days", "1", "--seed", "-9999999999"], {}, EXIT_USAGE, "--seed"),
         (["synth", "--seed", "-1"], None, EXIT_USAGE, "--seed"),
+        (["sweep", "--synthetic-days", "1", "--grid-points", "-3"], {}, EXIT_USAGE,
+         "grid_points must be at least 2 (set --grid-points"),
+        (["sweep", "--synthetic-days", "1"], {"grid_points": 1}, EXIT_USAGE,
+         "grid_points must be at least 2"),
+        (["sweep", "--synthetic-days", "1", "--segments-per-hour", "0"], {}, EXIT_USAGE,
+         "segments_per_hour must be at least 1 (set --segments-per-hour"),
+        (["sweep", "--synthetic-days", "1"], {"segments_per_hour": -2}, EXIT_USAGE,
+         "segments_per_hour must be at least 1"),
     ],
     ids=[
         "sweep-days-nan", "sweep-days-inf", "sweep-days-0", "sweep-days-0.01", "synth-days-0.01",
         "synth-days-nan", "synth-days-inf", "synth-days-negative", "sweep-period-0",
         "synth-period-0", "sweep-period-inf", "sweep-noise-negative", "synth-noise-nan",
-        "sweep-seed-negative", "synth-seed-negative",
+        "sweep-seed-negative", "synth-seed-negative", "sweep-grid-points-flag",
+        "sweep-grid-points-manifest", "sweep-segments-flag", "sweep-segments-manifest",
     ],
 )
 def test_bad_synthetic_tape_settings_exit_with_a_documented_code(

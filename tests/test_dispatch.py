@@ -15,9 +15,7 @@ from socbid import (
     SoCGrid,
     StorageParams,
     StorageUnit,
-    clear_power_bid_ed,
     clear_soc_bid_ed,
-    step_power_bid,
     step_soc_bid,
 )
 from socbid.bids import bid_schedule_from_prices, power_bid_from_average, threshold_table
@@ -34,7 +32,7 @@ def full_storage(bid):
 
 def test_storage_sets_the_margin():
     instance = MarketInstance((G1, G2), 105.0, (full_storage(PowerBid(25.0, 5.0)),))
-    result = clear_power_bid_ed(instance)
+    result = clear_soc_bid_ed(instance)
     assert result.price == 25.0
     assert result.generation == {"G1": 100.0, "G2": 0.0}
     assert result.storage["S"].discharge_power == pytest.approx(5.0)
@@ -42,7 +40,7 @@ def test_storage_sets_the_margin():
 
 def test_storage_inframarginal_under_high_demand():
     instance = MarketInstance((G1, G2), 150.0, (full_storage(PowerBid(25.0, 5.0)),))
-    result = clear_power_bid_ed(instance)
+    result = clear_soc_bid_ed(instance)
     assert result.price == 40.0
     assert result.generation == {"G1": 100.0, "G2": 40.0}
     assert result.storage["S"].discharge_power == pytest.approx(10.0)
@@ -50,14 +48,14 @@ def test_storage_inframarginal_under_high_demand():
 
 def test_storage_charges_from_cheap_generation():
     empty = StorageUnit("S", BIG_STORAGE, 0.0, PowerBid(25.0, 20.0))
-    result = clear_power_bid_ed(MarketInstance((G1, G2), 90.0, (empty,)))
+    result = clear_soc_bid_ed(MarketInstance((G1, G2), 90.0, (empty,)))
     assert result.price == 15.0
     assert result.generation["G1"] == pytest.approx(100.0)
     assert result.storage["S"].charge_power == pytest.approx(10.0)
 
 
 def test_classic_merit_order_without_storage():
-    result = clear_power_bid_ed(MarketInstance((G1, G2), 130.0, ()))
+    result = clear_soc_bid_ed(MarketInstance((G1, G2), 130.0, ()))
     assert result.price == 40.0
     assert result.generation == {"G1": 100.0, "G2": 30.0}
 
@@ -72,7 +70,7 @@ def test_supply_demand_balance_exact():
         instance = MarketInstance(
             (G1, G2), demand, (StorageUnit("S", BIG_STORAGE, soc, PowerBid(discharge_bid, charge_bid)),)
         )
-        result = clear_power_bid_ed(instance)
+        result = clear_soc_bid_ed(instance)
         supplied = result.total_generation + result.total_storage_discharge
         assert supplied == pytest.approx(demand + result.cleared_charge, abs=1e-9)
 
@@ -158,7 +156,7 @@ def test_market_agrees_with_the_step_on_engine_bids_at_negative_prices():
 def test_clearing_price_monotone_in_demand():
     prices = []
     for demand in (10.0, 60.0, 101.0, 140.0, 190.0):
-        result = clear_power_bid_ed(
+        result = clear_soc_bid_ed(
             MarketInstance((G1, G2), demand, (full_storage(PowerBid(25.0, 5.0)),))
         )
         prices.append(result.price)
@@ -167,7 +165,7 @@ def test_clearing_price_monotone_in_demand():
 
 def test_infeasible_demand_raises():
     with pytest.raises(InfeasibleMarketError):
-        clear_power_bid_ed(MarketInstance((G1, G2), 250.0, ()))
+        clear_soc_bid_ed(MarketInstance((G1, G2), 250.0, ()))
 
 
 def test_rationed_charge_block_sets_the_price():
@@ -175,7 +173,7 @@ def test_rationed_charge_block_sets_the_price():
     # the partially served block becomes marginal and prices the market
     gen = GeneratorOffer("G", ((100.0, 15.0),))
     hungry = StorageUnit("S", StorageParams(60.0, 500.0, 0.9, 10.0), 0.0, PowerBid(2000.0, 1000.0))
-    result = clear_power_bid_ed(MarketInstance((gen,), 50.0, (hungry,)))
+    result = clear_soc_bid_ed(MarketInstance((gen,), 50.0, (hungry,)))
     assert result.price == 1000.0
     assert result.storage["S"].charge_power == pytest.approx(50.0)
     assert result.total_generation == pytest.approx(50.0 + result.cleared_charge)
@@ -222,7 +220,7 @@ def test_two_units_each_clear_at_most_their_rating():
         StorageUnit(name, StorageParams(p, 500.0, 0.9, 10.0), 0.0, PowerBid(2000.0, 1000.0))
         for name, p in (("H1", 8.0), ("H2", 6.0))
     ]
-    result = clear_power_bid_ed(MarketInstance((G1,), 90.0, tuple(hungry)))
+    result = clear_soc_bid_ed(MarketInstance((G1,), 90.0, tuple(hungry)))
     assert result.price == 1000.0
     assert result.storage["H1"].charge_power == 8.0
     assert result.storage["H2"].charge_power == pytest.approx(2.0)
@@ -235,12 +233,12 @@ def test_two_units_each_clear_at_most_their_rating():
 )
 def test_market_without_supply_steps_is_infeasible(storages):
     with pytest.raises(InfeasibleMarketError, match="no supply step sets a price"):
-        clear_power_bid_ed(MarketInstance((), 0.0, storages))
+        clear_soc_bid_ed(MarketInstance((), 0.0, storages))
 
 
 def test_generator_wins_cost_ties():
     storage = full_storage(PowerBid(15.0, 0.0))  # same cost as G1
-    result = clear_power_bid_ed(MarketInstance((G1, G2), 50.0, (storage,)))
+    result = clear_soc_bid_ed(MarketInstance((G1, G2), 50.0, (storage,)))
     assert result.generation["G1"] == pytest.approx(50.0)
     assert result.storage["S"].discharge_power == 0.0
 
@@ -251,7 +249,7 @@ def test_soc_bid_single_segment_equals_power_bid_clearing():
     pb = power_bid_from_average(q_bar, params)
     curve = SoCBidCurve(np.array([0.0, 60.0]), np.array([q_bar]))
     for demand, soc in ((105.0, 60.0), (150.0, 30.0), (90.0, 0.0), (40.0, 10.0)):
-        r_power = clear_power_bid_ed(
+        r_power = clear_soc_bid_ed(
             MarketInstance((G1, G2), demand, (StorageUnit("S", params, soc, pb),))
         )
         r_soc = clear_soc_bid_ed(
@@ -306,17 +304,15 @@ def test_price_taker_equivalence_random_instances(micro_params):
             thresholds = np.concatenate(
                 [10.0 + vals / 0.9, vals * 0.9]
             )
-            result = clear_soc_bid_ed(MarketInstance(offers, demand, (unit,)))
         else:
             q_bar = float(rng.uniform(0.0, 80.0))
             bid = power_bid_from_average(q_bar, micro_params)
             unit = StorageUnit("S", micro_params, soc, bid)
             thresholds = np.array([bid.discharge_bid, bid.charge_bid])
-            result = clear_power_bid_ed(MarketInstance(offers, demand, (unit,)))
+        result = clear_soc_bid_ed(MarketInstance(offers, demand, (unit,)))
         if np.min(np.abs(thresholds - result.price)) < 1e-6:
             continue  # price coincides with a bid: partial dispatch, excluded
-        step = step_soc_bid if use_soc_bid else step_power_bid
-        arb = step(soc, result.price, bid, micro_params, 1.0)
+        arb = step_soc_bid(soc, result.price, bid, micro_params, 1.0)
         cleared = result.storage["S"]
         assert cleared.discharge_power == pytest.approx(arb.discharge_power, abs=1e-9)
         assert cleared.charge_power == pytest.approx(arb.charge_power, abs=1e-9)
@@ -325,7 +321,6 @@ def test_price_taker_equivalence_random_instances(micro_params):
 
 
 def test_power_and_soc_bid_units_clear_in_one_market():
-    assert clear_power_bid_ed is clear_soc_bid_ed
     soc_unit = StorageUnit(
         "S2", StorageParams(10.0, 20.0, 0.9, 10.0), 14.0,
         SoCBidCurve(np.array([0.0, 10.0, 20.0]), np.array([30.0, 2.0])),

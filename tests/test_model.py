@@ -7,24 +7,22 @@ from socbid import (
     DispatchDecision,
     SoCGrid,
     StorageParams,
-    validate_params,
 )
 
 
 def test_six_hour_unit_params_are_valid():
     params = StorageParams(power_rating=1.0, energy_capacity=6.0)
-    assert validate_params(params) is params
     assert params.duration_hours == 6.0
     assert params.soc_max == 6.0  # defaults to the energy capacity
 
 
 def test_lossless_free_storage_is_valid():
-    validate_params(StorageParams(1.0, 1.0, efficiency_one_way=1.0, discharge_cost=0.0))
+    StorageParams(1.0, 1.0, efficiency_one_way=1.0, discharge_cost=0.0)
 
 
 def test_efficiency_above_one_rejected():
     with pytest.raises(DataValidationError, match="efficiency"):
-        validate_params(StorageParams(1.0, 1.0, efficiency_one_way=1.2))
+        StorageParams(1.0, 1.0, efficiency_one_way=1.2)
 
 
 @pytest.mark.parametrize(
@@ -39,7 +37,7 @@ def test_efficiency_above_one_rejected():
 )
 def test_invalid_params_name_the_field(kwargs, field):
     with pytest.raises(DataValidationError, match=field):
-        validate_params(StorageParams(**kwargs))
+        StorageParams(**kwargs)
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from socbid import (
     make_soc_bids,
     run_case,
     run_schedule,
-    step_power_bid,
     step_soc_bid,
     utilization,
 )
@@ -45,25 +44,25 @@ TWO_SEG = SoCBidCurve(np.array([0.0, 0.5, 1.0]), np.array([9.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
-# step_power_bid
+# step_soc_bid on a power bid
 # ---------------------------------------------------------------------------
 
 def test_power_step_soc_limited_discharge(micro_params):
-    d = step_power_bid(0.3, 30.0, MICRO_BID, micro_params, 1.0)
+    d = step_soc_bid(0.3, 30.0, MICRO_BID, micro_params, 1.0)
     assert d.discharge_power == pytest.approx(0.27, abs=1e-12)
     assert d.soc_after == pytest.approx(0.0, abs=1e-12)
     assert d.realized_profit == pytest.approx(5.4, abs=1e-9)
 
 
 def test_power_step_idle_between_bids(micro_params):
-    d = step_power_bid(0.3, 10.0, MICRO_BID, micro_params, 1.0)
+    d = step_soc_bid(0.3, 10.0, MICRO_BID, micro_params, 1.0)
     assert d.discharge_power == 0.0 and d.charge_power == 0.0
     assert d.realized_profit == 0.0
     assert d.soc_after == 0.3
 
 
 def test_power_step_power_limited_charge(micro_params):
-    d = step_power_bid(0.3, 2.0, MICRO_BID, micro_params, 1.0)
+    d = step_soc_bid(0.3, 2.0, MICRO_BID, micro_params, 1.0)
     assert d.charge_power == pytest.approx(0.5, abs=1e-12)
     assert d.soc_after == pytest.approx(0.75, abs=1e-12)
     assert d.realized_profit == pytest.approx(-1.0, abs=1e-12)
@@ -71,19 +70,19 @@ def test_power_step_power_limited_charge(micro_params):
 
 def test_power_step_tie_resolves_to_idle(micro_params):
     for price in (MICRO_BID.discharge_bid, MICRO_BID.charge_bid):
-        d = step_power_bid(0.5, price, MICRO_BID, micro_params, 1.0)
+        d = step_soc_bid(0.5, price, MICRO_BID, micro_params, 1.0)
         assert d.discharge_power == d.charge_power == 0.0
 
 
 def test_power_step_no_discharge_at_negative_price(micro_params):
     bid = PowerBid(-20.0, -30.0)  # deeply negative thresholds
-    d = step_power_bid(1.0, -5.0, bid, micro_params, 1.0)
+    d = step_soc_bid(1.0, -5.0, bid, micro_params, 1.0)
     assert d.discharge_power == 0.0
 
 
 def test_power_step_out_of_bounds_soc(micro_params):
     with pytest.raises(DataValidationError, match="SoC"):
-        step_power_bid(1.5, 30.0, MICRO_BID, micro_params, 1.0)
+        step_soc_bid(1.5, 30.0, MICRO_BID, micro_params, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,7 @@ def test_single_segment_equivalence_sample(micro_params):
         q_bar = rng.uniform(-30.0, 80.0)
         e = rng.uniform(0.0, 1.0)
         price = rng.uniform(-50.0, 150.0)
-        pb = step_power_bid(e, price, power_bid_from_average(q_bar, micro_params), micro_params, 1.0)
+        pb = step_soc_bid(e, price, power_bid_from_average(q_bar, micro_params), micro_params, 1.0)
         sb = step_soc_bid(
             e, price, SoCBidCurve(np.array([0.0, 1.0]), np.array([q_bar])), micro_params, 1.0
         )
@@ -177,8 +176,8 @@ def test_run_case_two_period_optimum(micro_params, unit_grid):
     prices = hourly_series([5.0, 30.0])
     result = run_case(CaseConfig("RT-SB-PF"), prices, prices, micro_params, unit_grid)
     assert result.total_profit == pytest.approx(5.6, abs=1e-9)
-    assert result.decisions[0].charge_power == pytest.approx(0.5)
-    assert result.decisions[1].discharge_power == pytest.approx(0.405)
+    assert result.charge[0] == pytest.approx(0.5)
+    assert result.discharge[1] == pytest.approx(0.405)
     assert result.cycles == pytest.approx(0.405)
 
 
@@ -187,7 +186,7 @@ def test_run_case_constant_prices_no_dispatch(micro_params, unit_grid):
     for case_id in CASE_IDS:
         result = run_case(CaseConfig(case_id), prices, prices, micro_params, unit_grid)
         assert result.total_profit == 0.0
-        assert all(d.discharge_power == d.charge_power == 0.0 for d in result.decisions)
+        assert all(p == b == 0.0 for p, b in zip(result.discharge, result.charge))
 
 
 def test_soc_bids_dominate_power_bids_with_perfect_foresight(micro_params, unit_grid):
@@ -205,7 +204,7 @@ def test_run_case_hourly_bids_cover_five_minute_settlement(micro_params):
     rt = five_min_series(np.repeat(da.values, 12))
     grid = SoCGrid.for_storage(micro_params, 1.0, 1001)
     result = run_case(CaseConfig("RT-SB-DF"), da, rt, micro_params, grid)
-    assert len(result.decisions) == 24
+    assert len(result.discharge) == 24
     # same prices at 12x resolution: same energy moves, same profit
     assert result.total_profit == pytest.approx(5.6, abs=1e-6)
 
@@ -259,11 +258,11 @@ def test_soc_conservation_and_bounds(micro_params, unit_grid):
     result = run_case(CaseConfig("RT-SB-DF"), da, rt, micro_params, unit_grid)
     e = result.initial_soc
     eta = micro_params.efficiency_one_way
-    for d in result.decisions:
-        expected = e - d.discharge_power / eta / 12 + d.charge_power * eta / 12
-        assert abs(d.soc_after - expected) <= 1e-9
-        assert micro_params.soc_min <= d.soc_after <= micro_params.soc_max
-        e = d.soc_after
+    for p, b, soc_after in zip(result.discharge, result.charge, result.soc):
+        expected = e - p / eta / 12 + b * eta / 12
+        assert abs(soc_after - expected) <= 1e-9
+        assert micro_params.soc_min <= soc_after <= micro_params.soc_max
+        e = soc_after
 
 
 def test_run_case_honors_initial_soc(micro_params, unit_grid):
@@ -273,7 +272,7 @@ def test_run_case_honors_initial_soc(micro_params, unit_grid):
     )
     # starts full: one power-limited discharge into the high price
     assert result.initial_soc == 1.0
-    assert result.decisions[0].discharge_power == pytest.approx(0.5)
+    assert result.discharge[0] == pytest.approx(0.5)
     assert result.total_profit == pytest.approx((50.0 - 10.0) * 0.5, abs=1e-9)
     with pytest.raises(DataValidationError, match="initial SoC"):
         run_case(CaseConfig("RT-SB-PF", initial_soc=2.0), prices, prices, micro_params, unit_grid)
@@ -297,21 +296,21 @@ def test_utilization_rejects_degenerate_reference(micro_params, unit_grid):
 def test_power_step_crossed_pair_at_either_bound(micro_params):
     crossed = PowerBid(7.0, 16.0)  # charge threshold above the discharge threshold
     # a price above the discharge bid discharges, however crossed the pair
-    assert step_power_bid(0.5, 10.0, crossed, micro_params, 1.0).discharge_power > 0.0
-    assert step_power_bid(1.0, 10.0, crossed, micro_params, 1.0).discharge_power == 0.5
+    assert step_soc_bid(0.5, 10.0, crossed, micro_params, 1.0).discharge_power > 0.0
+    assert step_soc_bid(1.0, 10.0, crossed, micro_params, 1.0).discharge_power == 0.5
     # empty: the discharge rule still wins, so no charge either
-    empty = step_power_bid(0.0, 10.0, crossed, micro_params, 1.0)
+    empty = step_soc_bid(0.0, 10.0, crossed, micro_params, 1.0)
     assert empty.discharge_power == empty.charge_power == 0.0 and empty.soc_after == 0.0
     # below both bids: charge, except when full
-    assert step_power_bid(0.0, 5.0, crossed, micro_params, 1.0).charge_power == 0.5
-    full = step_power_bid(1.0, 5.0, crossed, micro_params, 1.0)
+    assert step_soc_bid(0.0, 5.0, crossed, micro_params, 1.0).charge_power == 0.5
+    full = step_soc_bid(1.0, 5.0, crossed, micro_params, 1.0)
     assert full.discharge_power == full.charge_power == 0.0 and full.soc_after == 1.0
 
 
 def test_soc_clamp_tolerance_scales_with_soc_magnitude():
     huge = StorageParams(1e11, 1e11, 0.9, 10.0)
     # draining this state overshoots soc_min by ~2e-6 MWh of rounding
-    d = step_power_bid(9237717256.743671, 100.0, PowerBid(50.0, 5.0), huge, 1 / 12)
+    d = step_soc_bid(9237717256.743671, 100.0, PowerBid(50.0, 5.0), huge, 1 / 12)
     assert d.soc_after == huge.soc_min
     with pytest.raises(DataValidationError, match="SoC"):
         _clamp_soc(-1.0, StorageParams(1.0, 1.0))

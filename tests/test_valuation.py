@@ -198,7 +198,7 @@ def test_backward_two_period_tape(micro_params, unit_grid):
     full_shift = micro_params.power_rating / micro_params.efficiency_one_way
     expected1 = np.where(pts < full_shift - 1e-12, 18.0, 0.0)
     np.testing.assert_allclose(surface.values[1], expected1, atol=1e-12)
-    expected0 = update_step(surface.curve(1), 5.0, micro_params, 1.0).values
+    expected0 = update_step(ValueCurve(unit_grid, surface.values[1]), 5.0, micro_params, 1.0).values
     np.testing.assert_array_equal(surface.values[0], expected0)
 
 
@@ -388,7 +388,8 @@ def test_recursion_bits_are_pinned_on_edge_cases(name):
     end = ValueCurve(grid, terminal)
     surface = backward_induct(series, params, grid, terminal=end)
     digest = hashlib.sha256(surface.values.tobytes())
-    for curve in (end, surface.curve(len(series) - 1), surface.curve(0)):
+    rows = (surface.values[len(series) - 1], surface.values[0])
+    for curve in (end, *(ValueCurve(grid, row) for row in rows)):
         for price in _edge_tape(params, curve.values, rng)[24:]:
             labels = step_case_breakdown(curve, price, params, series.resolution_hours)
             digest.update(labels.tobytes())
