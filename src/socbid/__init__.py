@@ -2,11 +2,11 @@
 
 from .bids import (
     BidSchedule,
-    PowerBid,
     SoCBidCurve,
     bid_schedule_from_prices,
     make_power_bids,
     make_soc_bids,
+    soc_bid,
 )
 from .dispatch import (
     ClearingResult,
@@ -53,7 +53,6 @@ __all__ = [
     "InfeasibleMarketError",
     "MarketInstance",
     "OracleResult",
-    "PowerBid",
     "PriceSeries",
     "SimulationResult",
     "SoCBidCurve",
@@ -73,6 +72,7 @@ __all__ = [
     "run_case",
     "run_cases",
     "run_schedule",
+    "soc_bid",
     "step_soc_bid",
     "update_step",
     "utilization",

@@ -1,11 +1,11 @@
 """Turning marginal-value surfaces into market bids.
 
-Two bid shapes are supported. An SoC bid is a piecewise-constant
-marginal-value curve over equal-width SoC segments, so dispatch depends on
-where the storage currently sits. A power bid is the one-segment SoC bid
-over the whole SoC range, built from the SoC-average marginal value: one
-discharge/charge price threshold pair per period, so the dispatcher needs
-no SoC information.
+A bid is one type, :class:`SoCBidCurve`: a discharge and a charge price
+threshold per SoC segment, so dispatch depends on where the storage
+currently sits. An SoC bid averages the marginal-value curve over
+equal-width SoC segments. A power bid is the one-segment bid over the whole
+SoC range, built from the SoC-average marginal value: one discharge/charge
+price threshold pair per period, so the dispatcher needs no SoC information.
 """
 
 from __future__ import annotations
@@ -16,18 +16,6 @@ import numpy as np
 
 from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams, check_soc_range
 from .valuation import ValueSurface, _backward_curves, _cell_edges, _non_increasing_rows
-
-
-@dataclass(frozen=True)
-class PowerBid:
-    """SoC-blind price thresholds: discharge above the first, charge below the second."""
-
-    discharge_bid: float
-    charge_bid: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite([self.discharge_bid, self.charge_bid]).all():
-            raise DataValidationError(f"power bid thresholds must be finite: {self}")
 
 
 def _check_segments(boundaries, values, ndim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -45,24 +33,27 @@ def _check_segments(boundaries, values, ndim: int) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class SoCBidCurve:
-    """Marginal stored-energy value ($/MWh) per SoC segment.
+    """Discharge and charge price thresholds ($/MWh) per SoC segment.
 
-    ``boundaries`` has one more entry than ``segment_values`` and spans the
-    bid's SoC range; values, non-increasing (concave opportunity value) and
-    stored as their running minimum, make greedy segment dispatch optimal.
+    ``boundaries`` has one more entry than each threshold array and spans the
+    bid's SoC range. A price at or above a segment's ``discharge`` threshold
+    discharges it, one below its ``charge`` threshold charges it. Thresholds
+    are stored as their running minimum, so they never rise with SoC and
+    greedy segment dispatch is optimal. A power bid is the one-segment curve
+    over [soc_min, soc_max].
     """
 
     boundaries: np.ndarray
-    segment_values: np.ndarray
+    discharge: np.ndarray
+    charge: np.ndarray
 
     def __post_init__(self) -> None:
-        bounds, vals = _check_segments(self.boundaries, self.segment_values, 1)
-        bounds = bounds.copy()
-        vals = vals.copy()
-        bounds.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "boundaries", bounds)
-        object.__setattr__(self, "segment_values", vals)
+        bounds, discharge = _check_segments(self.boundaries, self.discharge, 1)
+        _, charge = _check_segments(bounds, self.charge, 1)
+        for name, array in (("boundaries", bounds), ("discharge", discharge), ("charge", charge)):
+            array = array.copy()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def bid_thresholds(values, params: StorageParams):
@@ -76,41 +67,10 @@ def bid_thresholds(values, params: StorageParams):
     return params.discharge_cost + values / eta, values * eta
 
 
-def power_bid_from_average(q_bar: float, params: StorageParams) -> PowerBid:
-    """Bid pair for one period given the SoC-average marginal value q_bar.
-
-    The pair always satisfies charge_bid = eta^2 * (discharge_bid - c).
-    """
-    discharge, charge = bid_thresholds(q_bar, params)
-    return PowerBid(discharge_bid=discharge, charge_bid=charge)
-
-
-def threshold_table(
-    bid: PowerBid | SoCBidCurve, params: StorageParams
-) -> tuple[list[float], list[float], list[float]]:
-    """Segment boundaries and per-segment (discharge, charge) price thresholds.
-
-    A power bid is one segment over the SoC range carrying its own pair; an
-    SoC bid curve must span that range, and its stored values never rise.
-    """
-    if isinstance(bid, PowerBid):
-        return [params.soc_min, params.soc_max], [bid.discharge_bid], [bid.charge_bid]
-    boundaries = bid.boundaries.tolist()
-    check_soc_range(boundaries[0], boundaries[-1], params, "bid curve")
-    discharge, charge = bid_thresholds(bid.segment_values, params)
-    return boundaries, discharge.tolist(), charge.tolist()
-
-
-def booked_value(bid: PowerBid | SoCBidCurve, e_from: float, e_to: float) -> float:
-    """Opportunity value ($) an SoC bid books when SoC moves from e_from to e_to.
-
-    Power bids book none.
-    """
-    if isinstance(bid, PowerBid):
-        return 0.0
-    cum = np.r_[0.0, np.cumsum(bid.segment_values * np.diff(bid.boundaries))]
-    start, end = np.interp([e_from, e_to], bid.boundaries, cum)
-    return float(end - start)
+def soc_bid(boundaries, values, params: StorageParams) -> SoCBidCurve:
+    """The bid of per-segment stored-energy values ($/MWh), floored, as price thresholds."""
+    bounds, vals = _check_segments(boundaries, values, 1)
+    return SoCBidCurve(bounds, *bid_thresholds(vals, params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +80,9 @@ class BidSchedule:
     ``values[t, j]`` is the stored-energy value ($/MWh) period t bids for
     segment j, between ``boundaries[j]`` and ``boundaries[j + 1]``; prices
     follow from ``params`` via :func:`bid_thresholds`. A power schedule
-    (``kind="power"``) has the single segment [soc_min, soc_max] and books
-    no opportunity value. Rows are stored as their running minimum.
+    (``kind="power"``, the tag its CSV is written by) has the single segment
+    [soc_min, soc_max], so its rows are one-segment curves. Rows are stored
+    as their running minimum.
     """
 
     period_hours: float
@@ -141,30 +102,16 @@ class BidSchedule:
         if self.kind == "power" and vals.shape[1] != 1:
             raise DataValidationError("a power schedule has exactly one segment")
         check_soc_range(float(bounds[0]), float(bounds[-1]), self.params, "bid curve")
-        bounds = bounds.copy()
-        vals = vals.view()  # read-only without copying a year-long table
-        bounds.flags.writeable = False
-        vals.flags.writeable = False
-        object.__setattr__(self, "boundaries", bounds)
-        object.__setattr__(self, "values", vals)
+        # read-only, the table as a view: no copy of a year-long table
+        for name, array in (("boundaries", bounds.copy()), ("values", vals.view())):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def __getitem__(self, t: int) -> PowerBid | SoCBidCurve:
-        if self.kind == "power":
-            return power_bid_from_average(float(self.values[t, 0]), self.params)
-        return SoCBidCurve(self.boundaries, self.values[t])
-
-
-def soc_bid_boundaries(params: StorageParams, segments_per_hour_of_duration: int = 20) -> np.ndarray:
-    """Equal-width segment boundaries covering the storage's SoC range."""
-    if segments_per_hour_of_duration < 1:
-        raise DataValidationError(
-            f"segments_per_hour_of_duration must be >= 1, got {segments_per_hour_of_duration}"
-        )
-    num = max(1, int(round(segments_per_hour_of_duration * params.duration_hours)))
-    return np.linspace(params.soc_min, params.soc_max, num + 1)
+    def __getitem__(self, t: int) -> SoCBidCurve:
+        return SoCBidCurve(self.boundaries, *bid_thresholds(self.values[t], self.params))
 
 
 # Cap on the entries of a reduction pass's buffers of curves and of their integrals,
@@ -173,10 +120,19 @@ _BLOCK_FLOATS = 2**16
 
 
 def _segment_bounds(params: StorageParams, kind: str, segments_per_hour: int) -> np.ndarray:
-    """Segment boundaries of a ``kind`` bid: a power bid is one segment over the SoC range."""
-    if kind == "power":
-        return np.array([params.soc_min, params.soc_max])
-    return soc_bid_boundaries(params, segments_per_hour)
+    """Equal-width segment boundaries of a ``kind`` bid over the storage's SoC range.
+
+    A power bid is one segment; an SoC bid has ``segments_per_hour`` per hour of
+    duration, at least one.
+    """
+    if segments_per_hour < 1:
+        raise DataValidationError(
+            f"segments_per_hour_of_duration must be >= 1, got {segments_per_hour}"
+        )
+    segments = 1
+    if kind != "power":
+        segments = max(1, int(round(segments_per_hour * params.duration_hours)))
+    return np.linspace(params.soc_min, params.soc_max, segments + 1)
 
 
 def _interp_plan(edges: np.ndarray, points: np.ndarray) -> tuple:

@@ -19,10 +19,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import data_io
-from .bids import PowerBid, SoCBidCurve, bid_schedule_from_prices
+from .bids import SoCBidCurve, bid_schedule_from_prices, soc_bid
 from .dispatch import (
     GeneratorOffer,
     InfeasibleMarketError,
@@ -355,7 +353,7 @@ def _read_scenario(path: str) -> MarketInstance:
     gens: dict[str, list[tuple[float, float]]] = {}
     demand = None
     storage_rows: dict[str, tuple[float, ...]] = {}
-    power_bids: dict[str, PowerBid] = {}
+    power_bids: dict[str, tuple[float, float]] = {}
     soc_rows: dict[str, list[tuple[float, float, float, int]]] = {}
     for row_num, row in enumerate(data_io._read_csv(path), start=1):
         if not row or row[0].strip().startswith("#"):
@@ -375,15 +373,13 @@ def _read_scenario(path: str) -> MarketInstance:
                 p, e, eta, cost, soc = map(float, row[2:7])
                 once = storage_rows, (p, e, eta, cost, soc)
             elif kind == "powerbid":
-                thresholds = float(row[2]), float(row[3])
+                once = power_bids, (float(row[2]), float(row[3]))
             else:
                 soc_rows.setdefault(row[1], []).append(
                     (float(row[2]), float(row[3]), float(row[4]), row_num)
                 )
         except (IndexError, ValueError) as exc:
             raise DataValidationError(f"row {row_num}: malformed {kind!r} row") from exc
-        if kind == "powerbid":  # outside the try, so a rejected bid says why
-            once = power_bids, PowerBid(*thresholds)
         if once:
             table, entry = once
             if row[1] in table:
@@ -398,8 +394,12 @@ def _read_scenario(path: str) -> MarketInstance:
     for name, (p, e, eta, cost, soc) in storage_rows.items():
         if name in power_bids and name in soc_rows:
             raise DataValidationError(f"storage {name} has both powerbid and socbid rows")
+        params = StorageParams(p, e, eta, cost)
         if name in power_bids:
-            bid = power_bids[name]
+            discharge, charge = power_bids[name]
+            if not math.isfinite(discharge) or not math.isfinite(charge):
+                raise DataValidationError(f"storage {name}: power bid thresholds must be finite")
+            bid = SoCBidCurve([params.soc_min, params.soc_max], [discharge], [charge])
         elif name in soc_rows:
             rows = sorted(soc_rows[name])
             bounds = [rows[0][0]] + [r[1] for r in rows]
@@ -407,12 +407,12 @@ def _read_scenario(path: str) -> MarketInstance:
             if gaps:
                 raise DataValidationError(f"row {gaps[0]}: socbid rows of {name} do not tile")
             try:
-                bid = SoCBidCurve(np.asarray(bounds), np.asarray([r[2] for r in rows]))
+                bid = soc_bid(bounds, [r[2] for r in rows], params)
             except DataValidationError as exc:
                 raise DataValidationError(f"storage {name}: {exc}") from exc
         else:
             raise DataValidationError(f"storage {name} has no bid rows")
-        storages.append(StorageUnit(name, StorageParams(p, e, eta, cost), soc, bid))
+        storages.append(StorageUnit(name, params, soc, bid))
     offers = tuple(GeneratorOffer(name, tuple(segs)) for name, segs in gens.items())
     return MarketInstance(offers, demand, tuple(storages))
 

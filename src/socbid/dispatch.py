@@ -13,8 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bids import PowerBid, SoCBidCurve, booked_value, threshold_table
-from .model import DataValidationError, DispatchDecision, StorageParams, check_initial_soc
+from .bids import SoCBidCurve
+from .model import (
+    DataValidationError,
+    DispatchDecision,
+    StorageParams,
+    check_initial_soc,
+    check_soc_range,
+)
 
 
 class InfeasibleMarketError(RuntimeError):
@@ -49,17 +55,19 @@ class StorageUnit:
     name: str
     params: StorageParams
     soc: float
-    bid: PowerBid | SoCBidCurve
+    bid: SoCBidCurve
 
     def __post_init__(self) -> None:
         check_initial_soc(self.soc, self.params, f"storage {self.name} SoC")
-        bounds, discharge, charge = threshold_table(self.bid, self.params)
-        for j, (lo, hi, d, c) in enumerate(zip(bounds, bounds[1:], discharge, charge)):
+        bounds = self.bid.boundaries.tolist()
+        check_soc_range(bounds[0], bounds[-1], self.params, "bid curve")
+        thresholds = zip(bounds, bounds[1:], self.bid.discharge.tolist(), self.bid.charge.tolist())
+        for j, (lo, hi, d, c) in enumerate(thresholds):
             d = max(d, 0.0)  # the price its supply step enters at, see _bid_rows
             if c > d:
                 # A crossed segment would clear both ways at once. A stored value v
-                # has c + v/eta >= v*eta if v >= 0 and v*eta < 0 if not: only a
-                # hand-given power pair crosses.
+                # has c + v/eta >= v*eta if v >= 0 and v*eta < 0 if not: only
+                # hand-given thresholds, such as a scenario's power pair, cross.
                 raise DataValidationError(
                     f"storage {self.name} has a crossed bid in segment {j} [{lo}, {hi}] "
                     f"(charge {c} > discharge {d})"
@@ -106,18 +114,17 @@ class ClearingResult:
 def _bid_rows(unit: StorageUnit) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """``(price, MW)`` supply steps for segments below the SoC, demand blocks above it.
 
-    A power bid is one segment over the whole SoC range. As in settlement, no
-    unit discharges below a price of 0: supply steps enter at no less than
-    0 $/MWh, so at a price of 0 a step clears only if demand needs it.
-    Capacities are the segments' energy in grid power, cut to the unit's power
-    rating in the order the market takes them: supply steps by cost, then
-    segment order; demand blocks in segment order, dearest first as charge
-    thresholds are non-increasing. A step the rating empties stays at
-    0 MW, as its cost is still a candidate price.
+    As in settlement, no unit discharges below a price of 0: supply steps
+    enter at no less than 0 $/MWh, so at a price of 0 a step clears only if
+    demand needs it. Capacities are the segments' energy in grid power, cut
+    to the unit's power rating in the order the market takes them: supply
+    steps by cost, then segment order; demand blocks in segment order,
+    dearest first as charge thresholds are non-increasing. A step the rating
+    empties stays at 0 MW, as its cost is still a candidate price.
     """
-    bounds, discharge, charge = threshold_table(unit.bid, unit.params)
+    bounds = unit.bid.boundaries.tolist()
     eta = unit.params.efficiency_one_way
-    segments = list(zip(bounds, bounds[1:], discharge, charge))
+    segments = list(zip(bounds, bounds[1:], unit.bid.discharge.tolist(), unit.bid.charge.tolist()))
     below = [(max(d, 0.0), (min(unit.soc, hi) - lo) * eta)
              for lo, hi, d, _ in segments if unit.soc > lo]
     above = [(c, (hi - max(unit.soc, lo)) / eta) for lo, hi, _, c in segments if hi > unit.soc]
@@ -192,10 +199,10 @@ def _clear(
 def clear_soc_bid_ed(instance: MarketInstance) -> ClearingResult:
     """Merit-order clearing with SoC-dependent piecewise bids.
 
-    Each SoC segment below the current SoC contributes a supply step at
-    cost + value/eta, each segment above a demand block at value * eta, with
-    capacities set by the segment's energy and the power rating. A power bid
-    is one segment over the SoC range that carries its own price pair.
+    Each SoC segment below the current SoC contributes a supply step at its
+    discharge threshold, each segment above a demand block at its charge
+    threshold, with capacities set by the segment's energy and the power
+    rating. A power bid is the one-segment curve over the SoC range.
     """
     supply = []  # (cost, order, MW, owner); generators come first, so they win cost ties
     demand_blocks = []  # (bid, MW, owner)
@@ -218,8 +225,7 @@ def clear_soc_bid_ed(instance: MarketInstance) -> ClearingResult:
         eta = unit.params.efficiency_one_way
         soc_after = unit.soc - p / eta + b * eta
         soc_after = min(max(soc_after, unit.params.soc_min), unit.params.soc_max)
-        value_delta = booked_value(unit.bid, unit.soc, soc_after)
         profit = price * (p - b) - unit.params.discharge_cost * p
-        storage[unit.name] = DispatchDecision(p, b, soc_after, profit, value_delta)
+        storage[unit.name] = DispatchDecision(p, b, soc_after, profit)
     cleared_charge = sum(d.charge_power for d in storage.values())
     return ClearingResult(price, generation, storage, cleared_charge)

@@ -195,15 +195,13 @@ class DispatchDecision:
     """Outcome of one settlement interval for one storage unit.
 
     ``realized_profit`` is cash at the settlement price minus the true
-    discharge cost; ``opportunity_value_delta`` is the value-function change
-    booked by single-step SoC-bid dispatch (zero under power bids).
+    discharge cost.
     """
 
     discharge_power: float
     charge_power: float
     soc_after: float
     realized_profit: float
-    opportunity_value_delta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.discharge_power < -SOC_EPS or self.charge_power < -SOC_EPS:

@@ -19,14 +19,11 @@ import numpy as np
 from .bids import (
     _BLOCK_FLOATS,
     BidSchedule,
-    PowerBid,
     SoCBidCurve,
     _bid_blocks,
     _segment_bounds,
     bid_schedule_from_prices,  # noqa: F401 - unused here; bench/spans.py wraps it by this name
     bid_thresholds,
-    booked_value,
-    threshold_table,
 )
 from .model import (
     DataValidationError,
@@ -190,26 +187,25 @@ def _settle(
 def step_soc_bid(
     e_prev: float,
     price: float,
-    curve: SoCBidCurve | PowerBid,
+    curve: SoCBidCurve,
     params: StorageParams,
     dt_hours: float,
 ) -> DispatchDecision:
     """Dispatch one interval under an SoC bid by a greedy marginal sweep.
 
-    Discharges segment by segment while the price (net of discharge cost and
-    efficiency) beats the segment's stored-energy value, or charges upward
-    while the stored value beats the price; movement stops at the first
-    failing segment boundary, the power rating, or an SoC bound. With
-    non-increasing segment values this greedy sweep solves the one-interval
-    problem exactly. Discharge is disabled at or below a price of 0. A power bid
-    settles as one segment carrying its own price pair.
+    Discharges segment by segment while the price reaches the segment's
+    discharge threshold, or charges upward while it is below the segment's
+    charge threshold; movement stops at the first failing segment boundary,
+    the power rating, or an SoC bound. With non-increasing thresholds this
+    greedy sweep solves the one-interval problem exactly. Discharge is
+    disabled at or below a price of 0. A power bid is the one-segment curve.
     """
-    boundaries, dis, chg = threshold_table(curve, params)
-    kd = sum(price <= d for d in dis)
-    kc = sum(price < c for c in chg)
+    boundaries = curve.boundaries.tolist()
+    check_soc_range(boundaries[0], boundaries[-1], params, "bid curve")
+    kd = sum(price <= d for d in curve.discharge.tolist())
+    kc = sum(price < c for c in curve.charge.tolist())
     settled = _settle([price], boundaries, [kd], [kc], params, dt_hours, e_prev)
-    p, b, soc_after, profit = (column[0] for column in settled)
-    return DispatchDecision(p, b, soc_after, profit, booked_value(curve, e_prev, soc_after))
+    return DispatchDecision(*(column[0] for column in settled))
 
 
 def _intervals_per_bid(period_hours: float, periods: int, prices: PriceSeries) -> int:

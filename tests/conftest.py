@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from socbid import PriceSeries, SoCGrid, StorageParams
+from socbid import PriceSeries, SoCBidCurve, SoCGrid, StorageParams
 
 START = datetime(2019, 1, 1, tzinfo=timezone.utc)
 
@@ -31,6 +31,11 @@ def hourly_series(values, zone="Z") -> PriceSeries:
 
 def five_min_series(values, zone="Z") -> PriceSeries:
     return PriceSeries(zone, START, timedelta(minutes=5), np.asarray(values, dtype=float))
+
+
+def power_bid(discharge: float, charge: float, params: StorageParams) -> SoCBidCurve:
+    """A hand-given power bid: one segment over the SoC range carrying its price pair."""
+    return SoCBidCurve([params.soc_min, params.soc_max], [discharge], [charge])
 
 
 def random_monotone_values(rng: np.random.Generator, n: int, lo=-20.0, hi=80.0) -> np.ndarray:

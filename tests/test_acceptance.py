@@ -19,7 +19,6 @@ import pytest
 from socbid import (
     CASE_IDS,
     CaseConfig,
-    PowerBid,
     SoCBidCurve,
     SoCGrid,
     StorageParams,
@@ -30,11 +29,12 @@ from socbid import (
     make_power_bids,
     make_soc_bids,
     run_case,
+    soc_bid,
     step_soc_bid,
     update_step,
     utilization,
 )
-from socbid.bids import power_bid_from_average
+from socbid.bids import bid_thresholds
 from socbid.cli import main as cli_main
 from socbid.data_io import load_prices, synthetic_tape
 from socbid.dispatch import GeneratorOffer, MarketInstance, StorageUnit, clear_soc_bid_ed
@@ -142,8 +142,9 @@ def test_criterion_04_single_segment_equivalence():
         e = float(rng.uniform(0.0, 1.0))
         price = float(rng.uniform(-50.0, 150.0))
         dt = float(rng.choice([1.0, 1.0 / 12.0]))
-        pb = step_soc_bid(e, price, power_bid_from_average(q_bar, MICRO), MICRO, dt)
-        sb = step_soc_bid(e, price, SoCBidCurve(bounds, np.array([q_bar])), MICRO, dt)
+        discharge, charge = bid_thresholds(q_bar, MICRO)
+        pb = step_soc_bid(e, price, SoCBidCurve(bounds, [discharge], [charge]), MICRO, dt)
+        sb = step_soc_bid(e, price, soc_bid(bounds, [q_bar], MICRO), MICRO, dt)
         if (
             pb.discharge_power != sb.discharge_power
             or pb.charge_power != sb.charge_power
@@ -168,15 +169,15 @@ def test_criterion_05_bid_algebra():
         for t in range(6):
             bid = power[t]
             worst_identity = max(
-                worst_identity, abs(bid.charge_bid - eta**2 * (bid.discharge_bid - c))
+                worst_identity, abs(bid.charge[0] - eta**2 * (bid.discharge[0] - c))
             )
-            curve = soc[t]
-            rises = np.diff(curve.segment_values)
-            monotone_ok &= bool(np.all(rises <= 1e-9 * (1 + np.abs(curve.segment_values).max())))
+            row = soc.values[t]
+            rises = np.diff(row)
+            monotone_ok &= bool(np.all(rises <= 1e-9 * (1 + np.abs(row).max())))
             next_curve = ValueCurve(grid, surface.values[t + 1])
             q_bar = average_marginal(next_curve, grid.soc_min, grid.soc_max)
-            widths = np.diff(curve.boundaries)
-            weighted = float(np.sum(curve.segment_values * widths) / widths.sum())
+            widths = np.diff(soc.boundaries)
+            weighted = float(np.sum(row * widths) / widths.sum())
             worst_weighted = max(worst_weighted, abs(weighted - q_bar))
     report(
         5,
@@ -257,11 +258,11 @@ def test_criterion_08_price_taker_equivalence():
         # storage power 0.5 MW <= 0.1% of ~1000 MW demand
         if rng.random() < 0.5:
             vals = np.sort(rng.uniform(0.0, 90.0, size=5))[::-1]
-            bid = SoCBidCurve(np.linspace(0.0, 1.0, 6), vals)
+            bid = soc_bid(np.linspace(0.0, 1.0, 6), vals, MICRO)
             thresholds = np.concatenate([10.0 + vals / 0.9, vals * 0.9])
         else:
-            bid = power_bid_from_average(float(rng.uniform(0.0, 80.0)), MICRO)
-            thresholds = np.array([bid.discharge_bid, bid.charge_bid])
+            bid = soc_bid([MICRO.soc_min, MICRO.soc_max], [float(rng.uniform(0.0, 80.0))], MICRO)
+            thresholds = np.concatenate([bid.discharge, bid.charge])
         unit = StorageUnit("S", MICRO, soc, bid)
         result = clear_soc_bid_ed(MarketInstance(offers, demand, (unit,)))
         if float(np.min(np.abs(thresholds - result.price))) < 1e-6:

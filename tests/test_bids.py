@@ -8,7 +8,6 @@ import pytest
 from socbid import (
     BidSchedule,
     DataValidationError,
-    PowerBid,
     PriceSeries,
     SoCBidCurve,
     SoCGrid,
@@ -20,6 +19,7 @@ from socbid import (
     bid_schedule_from_prices,
     make_power_bids,
     make_soc_bids,
+    soc_bid,
     update_step,
 )
 from socbid import bids
@@ -28,9 +28,6 @@ from socbid.bids import (
     _bid_blocks,
     _segment_bounds,
     _segment_means,
-    booked_value,
-    power_bid_from_average,
-    soc_bid_boundaries,
 )
 from socbid.cli import _synthetic_tapes
 from socbid.valuation import _backward_curves, segment_averages
@@ -45,18 +42,27 @@ def random_surface(rng, grid, horizon) -> ValueSurface:
     return ValueSurface(grid, 1.0, rows)
 
 
+def average_bid(q_bar, params):
+    """The one-segment bid of the SoC-average marginal value ``q_bar``."""
+    return soc_bid([params.soc_min, params.soc_max], [q_bar], params)
+
+
 def test_power_bid_formulas(micro_params):
-    bid = power_bid_from_average(5.0, micro_params)
-    assert bid.discharge_bid == pytest.approx(10.0 + 5.0 / 0.9, abs=1e-12)
-    assert bid.charge_bid == pytest.approx(4.5, abs=1e-12)
+    bid = average_bid(5.0, micro_params)
+    (discharge,), (charge,) = bid.discharge, bid.charge
+    np.testing.assert_array_equal(bid.boundaries, [0.0, 1.0])
+    assert discharge == pytest.approx(10.0 + 5.0 / 0.9, abs=1e-12)
+    assert charge == pytest.approx(4.5, abs=1e-12)
     # the algebraic identity linking the two sides
-    assert bid.charge_bid == pytest.approx(0.9**2 * (bid.discharge_bid - 10.0), abs=1e-12)
+    assert charge == pytest.approx(0.9**2 * (discharge - 10.0), abs=1e-12)
 
 
 def test_power_bid_zero_and_lossless_cases(micro_params):
-    assert power_bid_from_average(0.0, micro_params) == PowerBid(10.0, 0.0)
+    bid = average_bid(0.0, micro_params)
+    assert (bid.discharge.tolist(), bid.charge.tolist()) == ([10.0], [0.0])
     free = StorageParams(1.0, 1.0, efficiency_one_way=1.0, discharge_cost=0.0)
-    assert power_bid_from_average(100.0, free) == PowerBid(100.0, 100.0)
+    bid = average_bid(100.0, free)
+    assert (bid.discharge.tolist(), bid.charge.tolist()) == ([100.0], [100.0])
 
 
 def test_power_bids_from_surface_example(micro_params, unit_grid):
@@ -66,8 +72,8 @@ def test_power_bids_from_surface_example(micro_params, unit_grid):
     schedule = make_power_bids(surface, micro_params)
     assert len(schedule) == 1 and schedule.kind == "power"
     quantization = unit_grid.step * 9.0  # one cell of the 9-valued region
-    assert schedule[0].discharge_bid == pytest.approx(10 + 5.0 / 0.9, abs=quantization)
-    assert schedule[0].charge_bid == pytest.approx(4.5, abs=quantization)
+    assert schedule[0].discharge[0] == pytest.approx(10 + 5.0 / 0.9, abs=quantization)
+    assert schedule[0].charge[0] == pytest.approx(4.5, abs=quantization)
 
 
 def test_bid_identity_on_random_surfaces(micro_params, unit_grid):
@@ -77,7 +83,7 @@ def test_bid_identity_on_random_surfaces(micro_params, unit_grid):
         surface = random_surface(rng, unit_grid, horizon=8)
         schedule = make_power_bids(surface, micro_params)
         for bid in schedule:
-            assert abs(bid.charge_bid - eta**2 * (bid.discharge_bid - c)) < 1e-9
+            assert abs(bid.charge[0] - eta**2 * (bid.discharge[0] - c)) < 1e-9
 
 
 def test_soc_bids_two_segment_example(micro_params, unit_grid):
@@ -86,10 +92,11 @@ def test_soc_bids_two_segment_example(micro_params, unit_grid):
     # 1 segment per hour of duration => J = 2 over [0, 1]
     schedule = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=1)
     entry = schedule[0]
-    assert entry.segment_values.size == 2
+    assert entry.discharge.size == entry.charge.size == 2
     np.testing.assert_allclose(entry.boundaries, [0.0, 0.5, 1.0])
-    assert entry.segment_values[0] == pytest.approx(9.0, abs=1e-9)
-    assert entry.segment_values[1] == pytest.approx(1.0, abs=2 * unit_grid.step * 9)
+    assert schedule.values[0, 0] == pytest.approx(9.0, abs=1e-9)
+    assert schedule.values[0, 1] == pytest.approx(1.0, abs=2 * unit_grid.step * 9)
+    np.testing.assert_array_equal(entry.charge, schedule.values[0] * 0.9)
 
 
 def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
@@ -98,22 +105,21 @@ def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
     # duration is 2 h; one segment per duration-hour gives J = 2, whose
     # width-weighted mean is the one-segment (power-bid) average
     ones = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=1)
-    assert ones[0].segment_values.size == 2
-    boundaries = soc_bid_boundaries(micro_params, 1)
+    assert ones[0].discharge.size == 2
+    boundaries = _segment_bounds(micro_params, "soc", 1)
     assert boundaries.size == 3
     for t in range(5):
         q_bar = average_marginal(ValueCurve(surface.grid, surface.values[t + 1]), 0.0, 1.0)
-        widths = np.diff(ones[t].boundaries)
-        weighted = float(np.sum(ones[t].segment_values * widths) / widths.sum())
+        widths = np.diff(ones.boundaries)
+        weighted = float(np.sum(ones.values[t] * widths) / widths.sum())
         assert weighted == pytest.approx(q_bar, abs=1e-9)
 
 
 def test_constant_curve_gives_constant_segments(micro_params, unit_grid):
     surface = ValueSurface(unit_grid, 1.0, np.full((3, unit_grid.num_points), 7.0))
     schedule = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=20)
-    for entry in schedule:
-        assert entry.segment_values.size == 40
-        np.testing.assert_allclose(entry.segment_values, 7.0, atol=1e-12)
+    assert schedule.values.shape == (2, 40)
+    np.testing.assert_allclose(schedule.values, 7.0, atol=1e-12)
 
 
 def test_segment_values_monotone_on_random_surfaces(micro_params, unit_grid):
@@ -121,9 +127,9 @@ def test_segment_values_monotone_on_random_surfaces(micro_params, unit_grid):
     for _ in range(10):
         surface = random_surface(rng, unit_grid, horizon=4)
         schedule = make_soc_bids(surface, micro_params)
-        for entry in schedule:
-            diffs = np.diff(entry.segment_values)
-            assert np.all(diffs <= 1e-9 * (1 + np.abs(entry.segment_values).max()))
+        for row in schedule.values:
+            diffs = np.diff(row)
+            assert np.all(diffs <= 1e-9 * (1 + np.abs(row).max()))
 
 
 def test_refinement_consistency(micro_params, unit_grid):
@@ -132,36 +138,38 @@ def test_refinement_consistency(micro_params, unit_grid):
     q_bars = [average_marginal(ValueCurve(unit_grid, row), 0.0, 1.0) for row in surface.values[1:]]
     for segments_per_hour in (1, 3, 10, 20):
         schedule = make_soc_bids(surface, micro_params, segments_per_hour)
-        for t, entry in enumerate(schedule):
-            widths = np.diff(entry.boundaries)
-            weighted = float(np.sum(entry.segment_values * widths) / widths.sum())
+        for t, row in enumerate(schedule.values):
+            widths = np.diff(schedule.boundaries)
+            weighted = float(np.sum(row * widths) / widths.sum())
             assert weighted == pytest.approx(q_bars[t], abs=1e-9)
 
 
 def test_no_self_crossing_for_nonnegative_average(micro_params):
     for q_bar in (0.0, 0.5, 7.0, 123.4):
-        bid = power_bid_from_average(q_bar, micro_params)
-        assert bid.discharge_bid >= bid.charge_bid
+        bid = average_bid(q_bar, micro_params)
+        assert bid.discharge[0] >= bid.charge[0]
 
 
 def test_negative_average_allowed(micro_params):
-    bid = power_bid_from_average(-50.0, micro_params)
-    assert bid.discharge_bid < 0
-    assert bid.charge_bid < 0
+    bid = average_bid(-50.0, micro_params)
+    assert bid.discharge[0] < 0
+    assert bid.charge[0] < 0
 
 
-def test_soc_bid_curve_validation():
-    with pytest.raises(DataValidationError, match="non-increasing"):
-        SoCBidCurve(np.array([0.0, 0.5, 1.0]), np.array([1.0, 9.0]))
-    with pytest.raises(DataValidationError, match="strictly increasing"):
-        SoCBidCurve(np.array([0.0, 0.0, 1.0]), np.array([9.0, 1.0]))
-    with pytest.raises(DataValidationError, match="J"):
-        SoCBidCurve(np.array([0.0, 1.0]), np.array([9.0, 1.0]))
+def test_soc_bid_curve_validation(micro_params):
+    for make in (lambda b, v: soc_bid(b, v, micro_params),
+                 lambda b, v: SoCBidCurve(b, v, [8.1, 0.9]),
+                 lambda b, v: SoCBidCurve(b, [20.0, 11.1], v)):
+        with pytest.raises(DataValidationError, match="non-increasing"):
+            make(np.array([0.0, 0.5, 1.0]), np.array([1.0, 9.0]))
+        with pytest.raises(DataValidationError, match="strictly increasing"):
+            make(np.array([0.0, 0.0, 1.0]), np.array([9.0, 1.0]))
+        with pytest.raises(DataValidationError, match="J"):
+            make(np.array([0.0, 1.0]), np.array([9.0, 1.0]))
 
 
 GRID_41 = SoCGrid(0.0, 1.0, 41)
 BOUNDS_41 = np.linspace(0.0, 1.0, 42)
-SOC_MOVES = [(0.0, 1.0), (0.3, 0.71), (0.95, 0.05)]
 STORES = {
     # kind: (build from a table of rows on 41 points, its stored values, a reading of its last row)
     "ValueCurve": (
@@ -173,12 +181,12 @@ STORES = {
         lambda s: segment_averages(ValueCurve(s.grid, s.values[-1]), GRID_41.points()[::4]),
     ),
     "SoCBidCurve": (
-        lambda rows: SoCBidCurve(BOUNDS_41, rows[-1]), lambda c: c.segment_values,
-        lambda c: [booked_value(c, *move) for move in SOC_MOVES],
+        lambda rows: SoCBidCurve(BOUNDS_41, rows[-1], rows[-1]), lambda c: c.discharge,
+        lambda c: c.charge,
     ),
     "BidSchedule": (
         lambda rows: BidSchedule(1.0, StorageParams(1.0, 1.0, 0.9, 10.0), BOUNDS_41, rows),
-        lambda s: s.values, lambda s: [booked_value(s[-1], *move) for move in SOC_MOVES],
+        lambda s: s.values, lambda s: np.concatenate([s[-1].discharge, s[-1].charge]),
     ),
 }
 
@@ -212,8 +220,9 @@ def test_non_finite_bids_and_curves_are_rejected(bad, micro_params, unit_grid):
     # A NaN threshold loses every compare, so a bid carrying one never moves
     # the unit; -inf in last place leaves a row non-increasing. Rows past the
     # first block of a table are checked too.
-    for make in (lambda: PowerBid(bad, 5.0), lambda: PowerBid(20.0, bad),
-                 lambda: SoCBidCurve(np.array([0.0, 0.5, 1.0]), np.array([9.0, bad])),
+    for make in (lambda: SoCBidCurve([0.0, 1.0], [bad], [5.0]),
+                 lambda: SoCBidCurve([0.0, 1.0], [20.0], [bad]),
+                 lambda: soc_bid(np.array([0.0, 0.5, 1.0]), np.array([9.0, bad]), micro_params),
                  lambda: ValueCurve(unit_grid, np.full(unit_grid.num_points, bad))):
         with pytest.raises(DataValidationError, match="finite"):
             make()
@@ -235,7 +244,7 @@ def test_bid_schedule_period_must_be_positive_and_finite(hours, micro_params):
 
 def test_zero_segments_rejected(micro_params):
     with pytest.raises(DataValidationError, match="segments_per_hour"):
-        soc_bid_boundaries(micro_params, 0)
+        _segment_bounds(micro_params, "soc", 0)
 
 
 def test_grid_must_span_the_storage_soc_range(micro_params):
@@ -255,27 +264,9 @@ def test_streaming_builder_matches_surface_route(micro_params, unit_grid):
         streamed = bid_schedule_from_prices(prices, micro_params, unit_grid, model)
         assert len(direct) == len(streamed) == 5
         for a, b in zip(direct, streamed):
-            if model == "power":
-                assert a == b  # bit-identical: same arithmetic on the same arrays
-            else:
-                np.testing.assert_array_equal(a.boundaries, b.boundaries)
-                np.testing.assert_array_equal(a.segment_values, b.segment_values)
-
-
-def test_booked_value_repeats_interp_bit_for_bit():
-    # booked_value shares the bid reduction's np.interp arithmetic; np.interp
-    # over the bid's cumulative integral is the reference. SoCs on boundaries,
-    # inside segments, equal, and rows with signed zeros.
-    rng = np.random.default_rng(12)
-    for _ in range(300):
-        segments = int(rng.integers(1, 30))
-        bounds = np.cumsum(rng.uniform(0.1, 1.0, segments + 1))
-        values = -np.sort(-rng.choice([-5.0, -0.0, 0.0, 20.0, 45.0], size=segments))
-        cum = np.concatenate(([0.0], np.cumsum(values * np.diff(bounds))))
-        points = rng.choice(np.concatenate((bounds, rng.uniform(bounds[0], bounds[-1], 4))), 2)
-        start, end = np.interp(points, bounds, cum)
-        booked = booked_value(SoCBidCurve(bounds, values), *points.tolist())
-        assert np.float64(booked).tobytes() == np.float64(end - start).tobytes()
+            for field in ("boundaries", "discharge", "charge"):
+                # bit-identical: same arithmetic on the same arrays
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 def test_bid_tables_are_pinned_across_block_edges():

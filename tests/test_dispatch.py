@@ -3,22 +3,21 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from conftest import START
+from conftest import START, power_bid
 
 from socbid import (
     DataValidationError,
     GeneratorOffer,
     InfeasibleMarketError,
     MarketInstance,
-    PowerBid,
-    SoCBidCurve,
     SoCGrid,
     StorageParams,
     StorageUnit,
     clear_soc_bid_ed,
+    soc_bid,
     step_soc_bid,
 )
-from socbid.bids import bid_schedule_from_prices, power_bid_from_average, threshold_table
+from socbid.bids import bid_schedule_from_prices, bid_thresholds
 from socbid.data_io import synthetic_tape
 
 G1 = GeneratorOffer("G1", ((100.0, 15.0),))
@@ -26,12 +25,17 @@ G2 = GeneratorOffer("G2", ((100.0, 40.0),))
 BIG_STORAGE = StorageParams(10.0, 60.0, 0.9, 10.0)
 
 
-def full_storage(bid):
-    return StorageUnit("S", BIG_STORAGE, 60.0, bid)
+def full_storage(discharge, charge):
+    """A full BIG_STORAGE unit under a hand-given power bid."""
+    return StorageUnit("S", BIG_STORAGE, 60.0, power_bid(discharge, charge, BIG_STORAGE))
+
+
+def soc_unit(name, params, soc, bounds, values):
+    return StorageUnit(name, params, soc, soc_bid(bounds, values, params))
 
 
 def test_storage_sets_the_margin():
-    instance = MarketInstance((G1, G2), 105.0, (full_storage(PowerBid(25.0, 5.0)),))
+    instance = MarketInstance((G1, G2), 105.0, (full_storage(25.0, 5.0),))
     result = clear_soc_bid_ed(instance)
     assert result.price == 25.0
     assert result.generation == {"G1": 100.0, "G2": 0.0}
@@ -39,7 +43,7 @@ def test_storage_sets_the_margin():
 
 
 def test_storage_inframarginal_under_high_demand():
-    instance = MarketInstance((G1, G2), 150.0, (full_storage(PowerBid(25.0, 5.0)),))
+    instance = MarketInstance((G1, G2), 150.0, (full_storage(25.0, 5.0),))
     result = clear_soc_bid_ed(instance)
     assert result.price == 40.0
     assert result.generation == {"G1": 100.0, "G2": 40.0}
@@ -47,7 +51,7 @@ def test_storage_inframarginal_under_high_demand():
 
 
 def test_storage_charges_from_cheap_generation():
-    empty = StorageUnit("S", BIG_STORAGE, 0.0, PowerBid(25.0, 20.0))
+    empty = StorageUnit("S", BIG_STORAGE, 0.0, power_bid(25.0, 20.0, BIG_STORAGE))
     result = clear_soc_bid_ed(MarketInstance((G1, G2), 90.0, (empty,)))
     assert result.price == 15.0
     assert result.generation["G1"] == pytest.approx(100.0)
@@ -67,9 +71,8 @@ def test_supply_demand_balance_exact():
         soc = float(rng.uniform(0.0, 60.0))
         discharge_bid = float(rng.uniform(5.0, 50.0))
         charge_bid = min(float(rng.uniform(-5.0, 20.0)), discharge_bid)
-        instance = MarketInstance(
-            (G1, G2), demand, (StorageUnit("S", BIG_STORAGE, soc, PowerBid(discharge_bid, charge_bid)),)
-        )
+        bid = power_bid(discharge_bid, charge_bid, BIG_STORAGE)
+        instance = MarketInstance((G1, G2), demand, (StorageUnit("S", BIG_STORAGE, soc, bid),))
         result = clear_soc_bid_ed(instance)
         supplied = result.total_generation + result.total_storage_discharge
         assert supplied == pytest.approx(demand + result.cleared_charge, abs=1e-9)
@@ -77,14 +80,14 @@ def test_supply_demand_balance_exact():
 
 def test_crossed_power_bids_rejected_by_market():
     with pytest.raises(DataValidationError, match="crossed"):
-        StorageUnit("S", BIG_STORAGE, 30.0, PowerBid(7.0, 16.0))
+        StorageUnit("S", BIG_STORAGE, 30.0, power_bid(7.0, 16.0, BIG_STORAGE))
 
 
 def test_negative_soc_bid_values_never_discharge_below_a_price_of_0():
     # Segment 1's stored value -4 gives a discharge threshold of -5.71, so its
     # supply step enters at 0 $/MWh and its charge threshold -2.8 crosses nothing.
     params = StorageParams(5.0, 30.0, 0.7, 0.0)
-    curve = SoCBidCurve(np.array([0.0, 10.0, 30.0]), np.array([8.0, -4.0]))
+    curve = soc_bid(np.array([0.0, 10.0, 30.0]), np.array([8.0, -4.0]), params)
     unit = StorageUnit("S1", params, 20.0, curve)
     for cost, discharge in ((-3.0, 0.0), (5.0, 5.0)):
         gen = GeneratorOffer("G", ((100.0, cost),))
@@ -98,7 +101,7 @@ def test_market_and_step_hold_at_a_price_of_exactly_0():
     # The discharge threshold -5.71 is below 0, where the supply step enters and
     # sets the price with no demand to serve; the step must not discharge at 0.
     params = StorageParams(5.0, 30.0, 0.7, 0.0)
-    curve = SoCBidCurve(np.array([0.0, 30.0]), np.array([-4.0]))
+    curve = soc_bid(np.array([0.0, 30.0]), np.array([-4.0]), params)
     result = clear_soc_bid_ed(MarketInstance((G1,), 0.0, (StorageUnit("S1", params, 20.0, curve),)))
     assert result.price == 0.0
     assert result.storage["S1"].discharge_power == 0.0
@@ -110,7 +113,7 @@ def test_storage_soc_within_the_float_tolerance_of_a_bound_is_accepted():
     # A market takes the SoC that step_soc_bid settles, within SOC_EPS of a
     # bound, and clears it the same way; past the tolerance it is rejected.
     params = StorageParams(5.0, 30.0, 0.7, 0.0)
-    curve = SoCBidCurve(np.array([0.0, 30.0]), np.array([8.0]))
+    curve = soc_bid(np.array([0.0, 30.0]), np.array([8.0]), params)
     for soc in (30.0 + 1e-12, -1e-12):
         unit = StorageUnit("S1", params, soc, curve)
         cleared = clear_soc_bid_ed(MarketInstance((G1,), 50.0, (unit,))).storage["S1"]
@@ -136,9 +139,8 @@ def test_market_agrees_with_the_step_on_engine_bids_at_negative_prices():
             bid = schedule[int(rng.integers(len(schedule)))]
             soc = float(rng.uniform(0.0, duration))
             price = float(rng.uniform(-40.0, 60.0))
-            _, discharge, charge = threshold_table(bid, params)
-            clipped = np.maximum(discharge, 0.0)
-            if np.min(np.abs(np.concatenate([clipped, charge]) - price)) < 1e-6:
+            clipped = np.maximum(bid.discharge, 0.0)
+            if np.min(np.abs(np.concatenate([clipped, bid.charge]) - price)) < 1e-6:
                 continue  # the price sits on a bid: partial dispatch, excluded
             unit = StorageUnit("S", params, soc, bid)
             gen = GeneratorOffer("G", ((2 * demand, price),))
@@ -157,7 +159,7 @@ def test_clearing_price_monotone_in_demand():
     prices = []
     for demand in (10.0, 60.0, 101.0, 140.0, 190.0):
         result = clear_soc_bid_ed(
-            MarketInstance((G1, G2), demand, (full_storage(PowerBid(25.0, 5.0)),))
+            MarketInstance((G1, G2), demand, (full_storage(25.0, 5.0),))
         )
         prices.append(result.price)
     assert prices == sorted(prices)
@@ -172,7 +174,8 @@ def test_rationed_charge_block_sets_the_price():
     # supply runs out while the charge bid still exceeds every supply step;
     # the partially served block becomes marginal and prices the market
     gen = GeneratorOffer("G", ((100.0, 15.0),))
-    hungry = StorageUnit("S", StorageParams(60.0, 500.0, 0.9, 10.0), 0.0, PowerBid(2000.0, 1000.0))
+    params = StorageParams(60.0, 500.0, 0.9, 10.0)
+    hungry = StorageUnit("S", params, 0.0, power_bid(2000.0, 1000.0, params))
     result = clear_soc_bid_ed(MarketInstance((gen,), 50.0, (hungry,)))
     assert result.price == 1000.0
     assert result.storage["S"].charge_power == pytest.approx(50.0)
@@ -183,14 +186,8 @@ def test_step_emptied_by_the_power_rating_still_sets_the_price():
     # S's cheap shallow segment uses its whole 10 MW rating, so its 50 $/MWh
     # deep segment offers 0 MW; its cost is still the price at which the
     # 105 MW of demand clears without T's 40 $/MWh charge block.
-    s = StorageUnit(
-        "S", StorageParams(10.0, 40.0, 1.0, 0.0), 40.0,
-        SoCBidCurve(np.array([0.0, 20.0, 40.0]), np.array([50.0, 10.0])),
-    )
-    t = StorageUnit(
-        "T", StorageParams(10.0, 10.0, 1.0, 0.0), 0.0,
-        SoCBidCurve(np.array([0.0, 10.0]), np.array([40.0])),
-    )
+    s = soc_unit("S", StorageParams(10.0, 40.0, 1.0, 0.0), 40.0, [0.0, 20.0, 40.0], [50.0, 10.0])
+    t = soc_unit("T", StorageParams(10.0, 10.0, 1.0, 0.0), 0.0, [0.0, 10.0], [40.0])
     gen = GeneratorOffer("G", ((100.0, 30.0),))
     result = clear_soc_bid_ed(MarketInstance((gen,), 105.0, (s, t)))
     assert result.price == 50.0
@@ -202,14 +199,8 @@ def test_step_emptied_by_the_power_rating_still_sets_the_price():
 def test_two_units_each_clear_at_most_their_rating():
     # Each unit's cheap shallow segment holds more than its rating, so the
     # rating, taken in cost order, leaves its deep segment nothing to offer.
-    s1 = StorageUnit(
-        "S1", StorageParams(10.0, 60.0, 1.0, 0.0), 60.0,
-        SoCBidCurve(np.array([0.0, 30.0, 60.0]), np.array([30.0, 5.0])),
-    )
-    s2 = StorageUnit(
-        "S2", StorageParams(4.0, 20.0, 1.0, 0.0), 20.0,
-        SoCBidCurve(np.array([0.0, 10.0, 20.0]), np.array([35.0, 8.0])),
-    )
+    s1 = soc_unit("S1", StorageParams(10.0, 60.0, 1.0, 0.0), 60.0, [0.0, 30.0, 60.0], [30.0, 5.0])
+    s2 = soc_unit("S2", StorageParams(4.0, 20.0, 1.0, 0.0), 20.0, [0.0, 10.0, 20.0], [35.0, 8.0])
     result = clear_soc_bid_ed(MarketInstance((G1, G2), 110.0, (s1, s2)))
     assert result.price == 15.0
     assert result.generation == {"G1": 96.0, "G2": 0.0}
@@ -217,8 +208,11 @@ def test_two_units_each_clear_at_most_their_rating():
     assert result.storage["S2"].discharge_power == 4.0
     # rationed charging: 10 MW of room, the first hungry unit takes its 8 MW
     hungry = [
-        StorageUnit(name, StorageParams(p, 500.0, 0.9, 10.0), 0.0, PowerBid(2000.0, 1000.0))
-        for name, p in (("H1", 8.0), ("H2", 6.0))
+        StorageUnit(name, params, 0.0, power_bid(2000.0, 1000.0, params))
+        for name, params in (
+            ("H1", StorageParams(8.0, 500.0, 0.9, 10.0)),
+            ("H2", StorageParams(6.0, 500.0, 0.9, 10.0)),
+        )
     ]
     result = clear_soc_bid_ed(MarketInstance((G1,), 90.0, tuple(hungry)))
     assert result.price == 1000.0
@@ -228,7 +222,7 @@ def test_two_units_each_clear_at_most_their_rating():
 
 @pytest.mark.parametrize(
     "storages",
-    [(), (StorageUnit("S", BIG_STORAGE, 0.0, PowerBid(25.0, 5.0)),)],
+    [(), (StorageUnit("S", BIG_STORAGE, 0.0, power_bid(25.0, 5.0, BIG_STORAGE)),)],
     ids=["empty-market", "empty-storage"],
 )
 def test_market_without_supply_steps_is_infeasible(storages):
@@ -237,7 +231,7 @@ def test_market_without_supply_steps_is_infeasible(storages):
 
 
 def test_generator_wins_cost_ties():
-    storage = full_storage(PowerBid(15.0, 0.0))  # same cost as G1
+    storage = full_storage(15.0, 0.0)  # same cost as G1
     result = clear_soc_bid_ed(MarketInstance((G1, G2), 50.0, (storage,)))
     assert result.generation["G1"] == pytest.approx(50.0)
     assert result.storage["S"].discharge_power == 0.0
@@ -246,8 +240,8 @@ def test_generator_wins_cost_ties():
 def test_soc_bid_single_segment_equals_power_bid_clearing():
     q_bar = 18.0
     params = BIG_STORAGE
-    pb = power_bid_from_average(q_bar, params)
-    curve = SoCBidCurve(np.array([0.0, 60.0]), np.array([q_bar]))
+    pb = power_bid(*bid_thresholds(q_bar, params), params)
+    curve = soc_bid(np.array([0.0, 60.0]), np.array([q_bar]), params)
     for demand, soc in ((105.0, 60.0), (150.0, 30.0), (90.0, 0.0), (40.0, 10.0)):
         r_power = clear_soc_bid_ed(
             MarketInstance((G1, G2), demand, (StorageUnit("S", params, soc, pb),))
@@ -267,8 +261,7 @@ def test_soc_bid_partial_dispatch_stops_at_segment_boundary():
     # discharge thresholds only the deep segment clears, something a single
     # power bid cannot express.
     params = StorageParams(10.0, 20.0, 0.9, 10.0)
-    curve = SoCBidCurve(np.array([0.0, 10.0, 20.0]), np.array([30.0, 2.0]))
-    unit = StorageUnit("S", params, 14.0, curve)
+    unit = soc_unit("S", params, 14.0, [0.0, 10.0, 20.0], [30.0, 2.0])
     # thresholds: deep segment 10 + 30/0.9 = 43.3, shallow 10 + 2/0.9 = 12.2
     gen = GeneratorOffer("G", ((200.0, 20.0),))
     result = clear_soc_bid_ed(MarketInstance((gen,), 100.0, (unit,)))
@@ -299,16 +292,16 @@ def test_price_taker_equivalence_random_instances(micro_params):
         use_soc_bid = rng.random() < 0.5
         if use_soc_bid:
             vals = np.sort(rng.uniform(0.0, 90.0, size=4))[::-1]
-            bid = SoCBidCurve(np.linspace(0.0, 1.0, 5), vals)
+            bid = soc_bid(np.linspace(0.0, 1.0, 5), vals, micro_params)
             unit = StorageUnit("S", micro_params, soc, bid)
             thresholds = np.concatenate(
                 [10.0 + vals / 0.9, vals * 0.9]
             )
         else:
             q_bar = float(rng.uniform(0.0, 80.0))
-            bid = power_bid_from_average(q_bar, micro_params)
+            bid = soc_bid([0.0, 1.0], [q_bar], micro_params)
             unit = StorageUnit("S", micro_params, soc, bid)
-            thresholds = np.array([bid.discharge_bid, bid.charge_bid])
+            thresholds = np.concatenate([bid.discharge, bid.charge])
         result = clear_soc_bid_ed(MarketInstance(offers, demand, (unit,)))
         if np.min(np.abs(thresholds - result.price)) < 1e-6:
             continue  # price coincides with a bid: partial dispatch, excluded
@@ -321,13 +314,10 @@ def test_price_taker_equivalence_random_instances(micro_params):
 
 
 def test_power_and_soc_bid_units_clear_in_one_market():
-    soc_unit = StorageUnit(
-        "S2", StorageParams(10.0, 20.0, 0.9, 10.0), 14.0,
-        SoCBidCurve(np.array([0.0, 10.0, 20.0]), np.array([30.0, 2.0])),
-    )
+    s2 = soc_unit("S2", StorageParams(10.0, 20.0, 0.9, 10.0), 14.0, [0.0, 10.0, 20.0], [30.0, 2.0])
     gen = GeneratorOffer("G", ((200.0, 20.0),))
     result = clear_soc_bid_ed(
-        MarketInstance((gen,), 100.0, (full_storage(PowerBid(25.0, 5.0)), soc_unit))
+        MarketInstance((gen,), 100.0, (full_storage(25.0, 5.0), s2))
     )
     assert result.price == 20.0
     assert result.storage["S"].discharge_power == 0.0

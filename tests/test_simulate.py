@@ -8,9 +8,7 @@ from socbid import (
     BidSchedule,
     CaseConfig,
     DataValidationError,
-    PowerBid,
     PriceSeries,
-    SoCBidCurve,
     SoCGrid,
     StorageParams,
     backward_induct,
@@ -19,10 +17,11 @@ from socbid import (
     make_soc_bids,
     run_case,
     run_schedule,
+    soc_bid,
     step_soc_bid,
     utilization,
 )
-from socbid.bids import bid_thresholds, power_bid_from_average
+from socbid.bids import bid_thresholds
 from socbid.cli import _synthetic_tapes
 from socbid.data_io import synthetic_tape
 from socbid import bids, simulate
@@ -34,13 +33,14 @@ from socbid.simulate import (
     run_cases,
 )
 
-from conftest import START, five_min_series, hourly_series
+from conftest import START, five_min_series, hourly_series, power_bid
 
 from datetime import timedelta
 
 
-MICRO_BID = PowerBid(10 + 5.0 / 0.9, 4.5)
-TWO_SEG = SoCBidCurve(np.array([0.0, 0.5, 1.0]), np.array([9.0, 1.0]))
+MICRO = StorageParams(0.5, 1.0, 0.9, 10.0)  # the micro_params unit
+MICRO_BID = power_bid(10 + 5.0 / 0.9, 4.5, MICRO)
+TWO_SEG = soc_bid(np.array([0.0, 0.5, 1.0]), np.array([9.0, 1.0]), MICRO)
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +69,13 @@ def test_power_step_power_limited_charge(micro_params):
 
 
 def test_power_step_tie_resolves_to_idle(micro_params):
-    for price in (MICRO_BID.discharge_bid, MICRO_BID.charge_bid):
+    for price in (*MICRO_BID.discharge.tolist(), *MICRO_BID.charge.tolist()):
         d = step_soc_bid(0.5, price, MICRO_BID, micro_params, 1.0)
         assert d.discharge_power == d.charge_power == 0.0
 
 
 def test_power_step_no_discharge_at_negative_price(micro_params):
-    bid = PowerBid(-20.0, -30.0)  # deeply negative thresholds
+    bid = power_bid(-20.0, -30.0, micro_params)  # deeply negative thresholds
     d = step_soc_bid(1.0, -5.0, bid, micro_params, 1.0)
     assert d.discharge_power == 0.0
 
@@ -94,14 +94,12 @@ def test_soc_step_power_limited_discharge_through_segments(micro_params):
     assert d.discharge_power == pytest.approx(0.5, abs=1e-12)
     assert d.soc_after == pytest.approx(1.0 - 0.5 / 0.9, abs=1e-12)
     assert d.realized_profit == pytest.approx(10.0, abs=1e-9)
-    assert d.opportunity_value_delta == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_soc_step_idle_at_boundary(micro_params):
     # (12-10)*0.9 = 1.8 beats neither 9 below nor charging against 1 above
     d = step_soc_bid(0.5, 12.0, TWO_SEG, micro_params, 1.0)
     assert d.discharge_power == d.charge_power == 0.0
-    assert d.opportunity_value_delta == 0.0
 
 
 def test_soc_step_charge_stops_at_segment_boundary(micro_params):
@@ -109,36 +107,33 @@ def test_soc_step_charge_stops_at_segment_boundary(micro_params):
     assert d.charge_power == pytest.approx(0.1 / 0.9, abs=1e-12)
     assert d.soc_after == pytest.approx(0.5, abs=1e-12)
     assert d.realized_profit == pytest.approx(-2.0 * 0.1 / 0.9, abs=1e-12)
-    assert d.opportunity_value_delta == pytest.approx(0.9, abs=1e-12)
 
 
 def test_soc_step_no_discharge_at_negative_price(micro_params):
-    low_curve = SoCBidCurve(np.array([0.0, 1.0]), np.array([-40.0]))
+    low_curve = soc_bid(np.array([0.0, 1.0]), np.array([-40.0]), micro_params)
     d = step_soc_bid(1.0, -1.0, low_curve, micro_params, 1.0)
     assert d.discharge_power == 0.0
 
 
 def test_soc_step_rejects_mismatched_curve_range(micro_params):
-    half_curve = SoCBidCurve(np.array([0.0, 0.5]), np.array([9.0]))
+    half_curve = soc_bid(np.array([0.0, 0.5]), np.array([9.0]), micro_params)
     with pytest.raises(DataValidationError, match="bid curve spans"):
         step_soc_bid(0.2, 30.0, half_curve, micro_params, 1.0)
 
 
-def test_soc_step_value_delta_sign_and_bound(micro_params):
+def test_soc_step_moves_soc_the_way_it_dispatches(micro_params):
     rng = np.random.default_rng(21)
     bounds = np.linspace(0.0, 1.0, 11)
     for _ in range(200):
         vals = np.sort(rng.uniform(0.0, 60.0, 10))[::-1]
-        curve = SoCBidCurve(bounds, vals)
+        curve = soc_bid(bounds, vals, micro_params)
         e = rng.uniform(0.0, 1.0)
         price = rng.uniform(0.0, 120.0)
         d = step_soc_bid(e, price, curve, micro_params, 1.0)
-        moved = abs(d.soc_after - e)
         if d.discharge_power > 0:
-            assert d.opportunity_value_delta < 0
+            assert d.soc_after < e
         elif d.charge_power > 0:
-            assert d.opportunity_value_delta > 0
-        assert abs(d.opportunity_value_delta) <= vals.max() * moved + 1e-9
+            assert d.soc_after > e
         assert micro_params.soc_min <= d.soc_after <= micro_params.soc_max
 
 
@@ -148,10 +143,9 @@ def test_single_segment_equivalence_sample(micro_params):
         q_bar = rng.uniform(-30.0, 80.0)
         e = rng.uniform(0.0, 1.0)
         price = rng.uniform(-50.0, 150.0)
-        pb = step_soc_bid(e, price, power_bid_from_average(q_bar, micro_params), micro_params, 1.0)
-        sb = step_soc_bid(
-            e, price, SoCBidCurve(np.array([0.0, 1.0]), np.array([q_bar])), micro_params, 1.0
-        )
+        pair = power_bid(*bid_thresholds(q_bar, micro_params), micro_params)
+        pb = step_soc_bid(e, price, pair, micro_params, 1.0)
+        sb = step_soc_bid(e, price, soc_bid([0.0, 1.0], [q_bar], micro_params), micro_params, 1.0)
         assert pb.discharge_power == sb.discharge_power
         assert pb.charge_power == sb.charge_power
         assert pb.soc_after == sb.soc_after
@@ -294,7 +288,7 @@ def test_utilization_rejects_degenerate_reference(micro_params, unit_grid):
 
 
 def test_power_step_crossed_pair_at_either_bound(micro_params):
-    crossed = PowerBid(7.0, 16.0)  # charge threshold above the discharge threshold
+    crossed = power_bid(7.0, 16.0, micro_params)  # charge threshold above the discharge threshold
     # a price above the discharge bid discharges, however crossed the pair
     assert step_soc_bid(0.5, 10.0, crossed, micro_params, 1.0).discharge_power > 0.0
     assert step_soc_bid(1.0, 10.0, crossed, micro_params, 1.0).discharge_power == 0.5
@@ -310,7 +304,7 @@ def test_power_step_crossed_pair_at_either_bound(micro_params):
 def test_soc_clamp_tolerance_scales_with_soc_magnitude():
     huge = StorageParams(1e11, 1e11, 0.9, 10.0)
     # draining this state overshoots soc_min by ~2e-6 MWh of rounding
-    d = step_soc_bid(9237717256.743671, 100.0, PowerBid(50.0, 5.0), huge, 1 / 12)
+    d = step_soc_bid(9237717256.743671, 100.0, power_bid(50.0, 5.0, huge), huge, 1 / 12)
     assert d.soc_after == huge.soc_min
     with pytest.raises(DataValidationError, match="SoC"):
         _clamp_soc(-1.0, StorageParams(1.0, 1.0))
@@ -528,7 +522,7 @@ def test_run_schedule_settles_a_rising_row_as_its_running_minimum(segments):
     ]
     for name in ("discharge", "charge", "soc", "profit"):
         assert getattr(settled[0], name).tobytes() == getattr(settled[1], name).tobytes()
-    step = step_soc_bid(params.soc_max, price, SoCBidCurve(boundaries, row), params, 1 / 12)
+    step = step_soc_bid(params.soc_max, price, soc_bid(boundaries, row, params), params, 1 / 12)
     assert step.soc_after == settled[0].soc[0]  # a single step reads the curve the same way
     kd, kc = int(np.sum(price <= discharge)), int(np.sum(price < charge))
     raw = _settle([price] * 12, boundaries.tolist(), [kd] * 12, [kc] * 12, params, 1 / 12,
