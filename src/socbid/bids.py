@@ -75,33 +75,25 @@ def soc_bid(boundaries, values, params: StorageParams) -> SoCBidCurve:
 
 @dataclass(frozen=True, eq=False)
 class BidSchedule:
-    """Every period's bid as one table over SoC segments shared by all periods.
+    """Every period's stored-energy values over SoC segments shared by all periods.
 
-    ``values[t, j]`` is the stored-energy value ($/MWh) period t bids for
-    segment j, between ``boundaries[j]`` and ``boundaries[j + 1]``; prices
-    follow from ``params`` via :func:`bid_thresholds`. A power schedule
-    (``kind="power"``, the tag its CSV is written by) has the single segment
-    [soc_min, soc_max], so its rows are one-segment curves. Rows are stored
-    as their running minimum.
+    ``values[t, j]`` is the value ($/MWh) period t bids for segment j, between
+    ``boundaries[j]`` and ``boundaries[j + 1]``. A storage prices period t's bid
+    as ``soc_bid(boundaries, values[t], params)``. A power schedule has the one
+    segment [soc_min, soc_max]. Rows are stored as their running minimum; a
+    table that never rises is held as it is.
     """
 
     period_hours: float
-    params: StorageParams
     boundaries: np.ndarray
     values: np.ndarray
-    kind: str = "soc"
 
     def __post_init__(self) -> None:
         if not 0 < self.period_hours < np.inf:
             raise DataValidationError(f"period_hours must lie in (0, inf), got {self.period_hours}")
-        if self.kind not in ("power", "soc"):
-            raise DataValidationError(f"unknown bid kind {self.kind!r}")
         bounds, vals = _check_segments(self.boundaries, self.values, 2)
         if vals.shape[0] < 1:
             raise DataValidationError("bid schedule is empty")
-        if self.kind == "power" and vals.shape[1] != 1:
-            raise DataValidationError("a power schedule has exactly one segment")
-        check_soc_range(float(bounds[0]), float(bounds[-1]), self.params, "bid curve")
         # read-only, the table as a view: no copy of a year-long table
         for name, array in (("boundaries", bounds.copy()), ("values", vals.view())):
             array.flags.writeable = False
@@ -109,9 +101,6 @@ class BidSchedule:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    def __getitem__(self, t: int) -> SoCBidCurve:
-        return SoCBidCurve(self.boundaries, *bid_thresholds(self.values[t], self.params))
 
 
 # Cap on the entries of a reduction pass's buffers of curves and of their integrals,
@@ -230,7 +219,7 @@ def _bid_table(
     table = np.empty((horizon, bounds.size - 1))
     for _ in _bid_blocks(curves, horizon, params, grid, {kind: bounds}, {kind: table.T}):
         pass
-    return BidSchedule(period_hours, params, bounds, table, kind)
+    return BidSchedule(period_hours, bounds, table)
 
 
 def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule:

@@ -1,8 +1,8 @@
 """Command-line front end: tape generation, valuation, bidding, and case sweeps.
 
-Exit codes: 0 success, 1 usage error, 2 data validation error,
-3 infeasible dispatch scenario. The SOCBID_OUTPUT_DIR environment variable
-sets the output directory when neither --output-dir nor a manifest does.
+Exit codes: 0 success, 1 usage error, 2 data validation error, file error or refused
+memory allocation, 3 infeasible dispatch scenario. The SOCBID_OUTPUT_DIR environment
+variable sets the output directory when neither --output-dir nor a manifest does.
 """
 
 from __future__ import annotations
@@ -320,11 +320,14 @@ def cmd_bids(args: argparse.Namespace) -> int:
         )
         out = Path(manifest.output_dir)
         path = out / f"bids_{args.bid_model}_{zone}_{duration:g}h.csv"
-        data_io.write_bid_schedule(schedule, path)
+        if args.bid_model == "power":
+            data_io.write_power_bids(schedule, params, path)
+        else:
+            data_io.write_bid_schedule(schedule, path)
         print(f"wrote {path} ({len(schedule)} periods)")
         if args.bid_model == "power":
             dur_path = out / f"duration_{zone}_{duration:g}h.csv"
-            data_io.write_duration_curves(source, schedule, dur_path)
+            data_io.write_duration_curves(source, schedule, params, dur_path)
             print(f"wrote {dur_path}")
     return EXIT_OK
 
@@ -517,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except (DataValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

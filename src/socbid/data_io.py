@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .bids import BidSchedule, bid_thresholds
-from .model import DataValidationError, PriceSeries
+from .model import DataValidationError, PriceSeries, StorageParams
 from .simulate import SimulationResult, _intervals_per_bid
 from .valuation import ValueSurface
 
@@ -125,29 +124,6 @@ def save_prices(series: PriceSeries, path: str | Path) -> None:
     _write_csv(path, PRICE_HEADER, rows)
 
 
-@dataclass(frozen=True, eq=False)
-class DurationCurve:
-    """Series values sorted descending, with top/bottom 1% quantile markers."""
-
-    values: np.ndarray
-    q01_index: int
-    q99_index: int
-
-
-def duration_curve(values: PriceSeries | np.ndarray) -> DurationCurve:
-    """Sort values descending and mark the 1% and 99% quantile positions."""
-    arr = values.values if isinstance(values, PriceSeries) else np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise DataValidationError("duration curve needs at least one value")
-    ordered = np.sort(arr)[::-1].copy()
-    n = arr.size
-    return DurationCurve(
-        values=ordered,
-        q01_index=min(int(math.floor(0.01 * n)), n - 1),
-        q99_index=min(int(math.floor(0.99 * n)), n - 1),
-    )
-
-
 def synthetic_tape(
     zone: str,
     start: datetime,
@@ -192,22 +168,31 @@ def write_surface(surface: ValueSurface, path: str | Path) -> None:
 
 
 def write_bid_schedule(schedule: BidSchedule, path: str | Path) -> None:
-    """Dump a bid schedule as CSV, one row per period (power) or per segment (SoC)."""
-    if schedule.kind == "power":
-        header = ["period", "type", "discharge_bid", "charge_bid"]
-        discharge, charge = bid_thresholds(schedule.values[:, 0], schedule.params)
-        rows = (
-            [t, "power", *map(repr, pair)]
-            for t, pair in enumerate(zip(discharge.tolist(), charge.tolist()))
-        )
-    else:
-        header = ["period", "segment_index", "soc_lo_mwh", "soc_hi_mwh", "value_usd_per_mwh"]
-        bounds = [repr(b) for b in schedule.boundaries.tolist()]
-        rows = (
-            [t, j, bounds[j], bounds[j + 1], repr(value)]
-            for t, row in enumerate(schedule.values.tolist()) for j, value in enumerate(row)
-        )
+    """Dump a bid schedule's stored-energy values as CSV, one row per period and segment."""
+    header = ["period", "segment_index", "soc_lo_mwh", "soc_hi_mwh", "value_usd_per_mwh"]
+    bounds = [repr(b) for b in schedule.boundaries.tolist()]
+    rows = (
+        [t, j, bounds[j], bounds[j + 1], repr(value)]
+        for t, row in enumerate(schedule.values.tolist()) for j, value in enumerate(row)
+    )
     _write_csv(path, header, rows)
+
+
+def _power_thresholds(schedule: BidSchedule, params: StorageParams):
+    """Discharge and charge price thresholds of a one-segment schedule, priced for ``params``."""
+    if schedule.values.shape[1] != 1:
+        raise DataValidationError("power-bid reports need a one-segment schedule")
+    return bid_thresholds(schedule.values[:, 0], params)
+
+
+def write_power_bids(schedule: BidSchedule, params: StorageParams, path: str | Path) -> None:
+    """Dump a one-segment schedule as CSV, one discharge/charge price pair per period."""
+    discharge, charge = _power_thresholds(schedule, params)
+    rows = (
+        [t, "power", *map(repr, pair)]
+        for t, pair in enumerate(zip(discharge.tolist(), charge.tolist()))
+    )
+    _write_csv(path, ["period", "type", "discharge_bid", "charge_bid"], rows)
 
 
 def write_trace(
@@ -226,24 +211,23 @@ def write_trace(
 
 
 def write_duration_curves(
-    prices: PriceSeries, schedule: BidSchedule, path: str | Path
+    prices: PriceSeries, schedule: BidSchedule, params: StorageParams, path: str | Path
 ) -> None:
-    """Plot-ready duration-curve table for realized prices and power bids.
+    """Plot-ready duration-curve table for realized prices and one-segment bids.
 
     Each column is independently sorted descending over the settlement
-    horizon; the top/bottom 1% quantile rows carry a marker. Hourly bids are
-    expanded to the price resolution first so the columns align.
+    horizon; rows floor(0.01 n) and floor(0.99 n) of n carry the top/bottom 1%
+    quantile markers. Hourly bids are expanded to the price resolution first
+    so the columns align.
     """
-    if schedule.kind != "power":
-        raise DataValidationError("duration-curve reports need power bids")
+    thresholds = _power_thresholds(schedule, params)
     per_bid = _intervals_per_bid(schedule.period_hours, len(schedule), prices)
-    thresholds = bid_thresholds(schedule.values[:, 0], schedule.params)
-    curve = duration_curve(prices)
-    columns = (curve.values, *(np.sort(np.repeat(c, per_bid))[::-1] for c in thresholds))
-    markers = {curve.q99_index: "q99", curve.q01_index: "q01"}  # q01 wins a shared row
+    columns = (prices.values, *(np.repeat(c, per_bid) for c in thresholds))
+    n = len(prices)
+    markers = {math.floor(0.99 * n): "q99", math.floor(0.01 * n): "q01"}  # q01 wins a shared row
     rows = (
         [i, markers.get(i, ""), *map(repr, row)]
-        for i, row in enumerate(zip(*(c.tolist() for c in columns)))
+        for i, row in enumerate(zip(*(np.sort(c)[::-1].tolist() for c in columns)))
     )
     _write_csv(path, ["rank", "quantile_marker", "price", "discharge_bid", "charge_bid"], rows)
 

@@ -262,15 +262,16 @@ def run_schedule(
 
     Each schedule entry covers a whole number of settlement intervals; an
     hourly schedule against 5-minute prices applies each bid to its twelve
-    subintervals, with power limits per interval. Rows settle as the schedule
-    stores them, as their running minimum (see :class:`BidSchedule`).
+    subintervals, with power limits per interval. ``params`` prices each row as
+    :func:`~socbid.bids.soc_bid` does and settles it; rows settle as the
+    schedule stores them, as their running minimum (see :class:`BidSchedule`).
     """
     per_bid = _intervals_per_bid(schedule.period_hours, len(schedule), prices)
     check_soc_range(
         float(schedule.boundaries[0]), float(schedule.boundaries[-1]), params, "bid curve"
     )
     settlement = prices.values.reshape(len(schedule), per_bid)
-    kd, kc = _crossings(schedule.values.T, settlement, schedule.params)
+    kd, kc = _crossings(schedule.values.T, settlement, params)
     return _settled(case_id, prices, schedule.boundaries, kd, kc, params, initial_soc)
 
 

@@ -167,7 +167,7 @@ def test_criterion_05_bid_algebra():
         power = make_power_bids(surface, MICRO)
         soc = make_soc_bids(surface, MICRO)  # 40 segments for the 2 h unit
         for t in range(6):
-            bid = power[t]
+            bid = soc_bid(power.boundaries, power.values[t], MICRO)
             worst_identity = max(
                 worst_identity, abs(bid.charge[0] - eta**2 * (bid.discharge[0] - c))
             )

@@ -28,6 +28,7 @@ from socbid.bids import (
     _bid_blocks,
     _segment_bounds,
     _segment_means,
+    bid_thresholds,
 )
 from socbid.cli import _synthetic_tapes
 from socbid.valuation import _backward_curves, segment_averages
@@ -70,10 +71,11 @@ def test_power_bids_from_surface_example(micro_params, unit_grid):
     curve = update_step(ValueCurve.flat(unit_grid), 20.0, micro_params, 1.0)
     surface = ValueSurface(unit_grid, 1.0, np.stack([curve.values, curve.values]))
     schedule = make_power_bids(surface, micro_params)
-    assert len(schedule) == 1 and schedule.kind == "power"
+    assert len(schedule) == 1 and schedule.values.shape[1] == 1
     quantization = unit_grid.step * 9.0  # one cell of the 9-valued region
-    assert schedule[0].discharge[0] == pytest.approx(10 + 5.0 / 0.9, abs=quantization)
-    assert schedule[0].charge[0] == pytest.approx(4.5, abs=quantization)
+    bid = soc_bid(schedule.boundaries, schedule.values[0], micro_params)
+    assert bid.discharge[0] == pytest.approx(10 + 5.0 / 0.9, abs=quantization)
+    assert bid.charge[0] == pytest.approx(4.5, abs=quantization)
 
 
 def test_bid_identity_on_random_surfaces(micro_params, unit_grid):
@@ -82,7 +84,8 @@ def test_bid_identity_on_random_surfaces(micro_params, unit_grid):
     for _ in range(20):
         surface = random_surface(rng, unit_grid, horizon=8)
         schedule = make_power_bids(surface, micro_params)
-        for bid in schedule:
+        for row in schedule.values:
+            bid = soc_bid(schedule.boundaries, row, micro_params)
             assert abs(bid.charge[0] - eta**2 * (bid.discharge[0] - c)) < 1e-9
 
 
@@ -91,7 +94,7 @@ def test_soc_bids_two_segment_example(micro_params, unit_grid):
     surface = ValueSurface(unit_grid, 1.0, np.stack([curve.values, curve.values]))
     # 1 segment per hour of duration => J = 2 over [0, 1]
     schedule = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=1)
-    entry = schedule[0]
+    entry = soc_bid(schedule.boundaries, schedule.values[0], micro_params)
     assert entry.discharge.size == entry.charge.size == 2
     np.testing.assert_allclose(entry.boundaries, [0.0, 0.5, 1.0])
     assert schedule.values[0, 0] == pytest.approx(9.0, abs=1e-9)
@@ -105,7 +108,7 @@ def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
     # duration is 2 h; one segment per duration-hour gives J = 2, whose
     # width-weighted mean is the one-segment (power-bid) average
     ones = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=1)
-    assert ones[0].discharge.size == 2
+    assert ones.values.shape[1] == 2
     boundaries = _segment_bounds(micro_params, "soc", 1)
     assert boundaries.size == 3
     for t in range(5):
@@ -185,8 +188,9 @@ STORES = {
         lambda c: c.charge,
     ),
     "BidSchedule": (
-        lambda rows: BidSchedule(1.0, StorageParams(1.0, 1.0, 0.9, 10.0), BOUNDS_41, rows),
-        lambda s: s.values, lambda s: np.concatenate([s[-1].discharge, s[-1].charge]),
+        lambda rows: BidSchedule(1.0, BOUNDS_41, rows),
+        lambda s: s.values,
+        lambda s: np.concatenate(bid_thresholds(s.values[-1], StorageParams(1.0, 1.0, 0.9, 10.0))),
     ),
 }
 
@@ -229,7 +233,7 @@ def test_non_finite_bids_and_curves_are_rejected(bad, micro_params, unit_grid):
     table = np.zeros((600, 2))
     table[300, 1] = bad
     with pytest.raises(DataValidationError, match="finite; row 300 is not"):
-        BidSchedule(1.0, micro_params, np.array([0.0, 0.5, 1.0]), table)
+        BidSchedule(1.0, np.array([0.0, 0.5, 1.0]), table)
     surface = np.zeros((600, unit_grid.num_points))
     surface[599, -1] = bad
     with pytest.raises(DataValidationError, match="finite; row 599 is not"):
@@ -239,7 +243,7 @@ def test_non_finite_bids_and_curves_are_rejected(bad, micro_params, unit_grid):
 @pytest.mark.parametrize("hours", [np.nan, np.inf, 0.0])
 def test_bid_schedule_period_must_be_positive_and_finite(hours, micro_params):
     with pytest.raises(DataValidationError, match="period_hours"):
-        BidSchedule(hours, micro_params, np.array([0.0, 1.0]), np.zeros((3, 1)), "power")
+        BidSchedule(hours, np.array([0.0, 1.0]), np.zeros((3, 1)))
 
 
 def test_zero_segments_rejected(micro_params):
@@ -263,10 +267,9 @@ def test_streaming_builder_matches_surface_route(micro_params, unit_grid):
         direct = make(surface, micro_params)
         streamed = bid_schedule_from_prices(prices, micro_params, unit_grid, model)
         assert len(direct) == len(streamed) == 5
-        for a, b in zip(direct, streamed):
-            for field in ("boundaries", "discharge", "charge"):
-                # bit-identical: same arithmetic on the same arrays
-                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        for field in ("boundaries", "values"):
+            # bit-identical: same arithmetic on the same arrays
+            assert getattr(direct, field).tobytes() == getattr(streamed, field).tobytes()
 
 
 def test_bid_tables_are_pinned_across_block_edges():

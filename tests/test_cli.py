@@ -349,6 +349,18 @@ def test_missing_price_file_is_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
+def test_a_refused_allocation_is_a_data_error(tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 18.2 TiB for an array with shape (25, 100000000000)"
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "backward_induct", refuse)
+    argv = ["value", "--zones", "AA", "--durations", "1", "--synthetic-days", "1"]
+    assert run(argv + ["--output-dir", str(tmp_path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+
 def test_dispatch_demo(tmp_path, capsys):
     scenario = tmp_path / "scenario.csv"
     scenario.write_text(SCENARIO)

@@ -3,12 +3,13 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from socbid import DataValidationError, PriceSeries
+from socbid import BidSchedule, DataValidationError, PriceSeries, StorageParams
 from socbid.data_io import (
-    duration_curve,
     load_prices,
     save_prices,
     synthetic_tape,
+    write_duration_curves,
+    write_power_bids,
 )
 
 from conftest import START, hourly_series
@@ -180,40 +181,47 @@ def test_round_trip_is_bit_identical(tmp_path):
     assert (tmp_path / "rt.csv").read_bytes() == (tmp_path / "rt2.csv").read_bytes()
 
 
-def test_duration_curve_sorts_descending():
-    curve = duration_curve(np.array([3.0, 1.0, 2.0]))
-    np.testing.assert_array_equal(curve.values, [3.0, 2.0, 1.0])
+def duration_table(tmp_path, prices):
+    """Markers and price column of the duration CSV of an hourly tape under zero bids."""
+    series = hourly_series(prices)
+    schedule = BidSchedule(1.0, np.array([0.0, 1.0]), np.zeros((len(series), 1)))
+    path = tmp_path / "duration.csv"
+    write_duration_curves(series, schedule, StorageParams(1.0, 1.0), path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(len(series)))
+    return [row[1] for row in rows], np.array([float(row[2]) for row in rows])
 
 
-def test_duration_curve_is_a_permutation():
+def test_duration_curve_sorts_descending(tmp_path):
+    _, prices = duration_table(tmp_path, [3.0, 1.0, 2.0])
+    np.testing.assert_array_equal(prices, [3.0, 2.0, 1.0])
+
+
+def test_duration_curve_is_a_permutation(tmp_path):
     rng = np.random.default_rng(64)
     values = rng.normal(0, 50, 500)
-    curve = duration_curve(values)
-    np.testing.assert_array_equal(np.sort(curve.values), np.sort(values))
+    _, prices = duration_table(tmp_path, values)
+    np.testing.assert_array_equal(np.sort(prices), np.sort(values))
 
 
-def test_duration_curve_quantile_markers():
-    values = np.arange(1000, dtype=float)
-    curve = duration_curve(values)
-    assert curve.q01_index == 10
-    assert curve.q99_index == 990
-    flat = duration_curve(np.full(5, 7.0))
-    np.testing.assert_array_equal(flat.values, 7.0)
-    assert flat.q01_index == 0 and flat.q99_index == 4
+def test_duration_curve_quantile_markers(tmp_path):
+    markers, _ = duration_table(tmp_path, np.arange(1000, dtype=float))
+    assert {i: m for i, m in enumerate(markers) if m} == {10: "q01", 990: "q99"}
+    markers, prices = duration_table(tmp_path, np.full(5, 7.0))
+    np.testing.assert_array_equal(prices, 7.0)
+    assert markers == ["q01", "", "", "", "q99"]
+    markers, _ = duration_table(tmp_path, [7.0])
+    assert markers == ["q01"]  # q01 wins the row it shares with q99
 
 
 def test_write_duration_curves(tmp_path):
-    from socbid import StorageParams
-    from socbid.bids import BidSchedule
-    from socbid.data_io import write_duration_curves
-
     series = hourly_series([30.0, 10.0, 20.0, 40.0])
     # lossless and free, so each period's discharge bid is its value
     params = StorageParams(1.0, 1.0, efficiency_one_way=1.0, discharge_cost=0.0)
     values = np.array([[15.0 + i] for i in range(4)])
-    schedule = BidSchedule(1.0, params, np.array([0.0, 1.0]), values, "power")
+    schedule = BidSchedule(1.0, np.array([0.0, 1.0]), values)
     path = tmp_path / "duration.csv"
-    write_duration_curves(series, schedule, path)
+    write_duration_curves(series, schedule, params, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "rank,quantile_marker,price,discharge_bid,charge_bid"
     prices = [float(line.split(",")[2]) for line in lines[1:]]
@@ -221,23 +229,21 @@ def test_write_duration_curves(tmp_path):
     discharges = [float(line.split(",")[3]) for line in lines[1:]]
     assert discharges == [18.0, 17.0, 16.0, 15.0]
     assert lines[1].split(",")[1] == "q01"  # floor(0.01*4) = 0
-    with pytest.raises(DataValidationError, match="power bids"):
-        soc_schedule = BidSchedule(1.0, params, np.array([0.0, 1.0]), np.array([[5.0]]))
-        write_duration_curves(hourly_series([1.0]), soc_schedule, path)
+    two_segments = BidSchedule(1.0, np.array([0.0, 0.5, 1.0]), np.array([[5.0, 4.0]]))
+    with pytest.raises(DataValidationError, match="one-segment"):
+        write_duration_curves(hourly_series([1.0]), two_segments, params, path)
+    with pytest.raises(DataValidationError, match="one-segment"):
+        write_power_bids(two_segments, params, tmp_path / "bids.csv")
 
 
 def test_write_duration_curves_needs_a_schedule_that_tiles_the_tape(tmp_path):
-    from socbid import StorageParams
-    from socbid.bids import BidSchedule
-    from socbid.data_io import write_duration_curves
-
     params = StorageParams(1.0, 1.0)
-    hourly = BidSchedule(1.0, params, np.array([0.0, 1.0]), np.array([[5.0], [6.0]]), "power")
+    hourly = BidSchedule(1.0, np.array([0.0, 1.0]), np.array([[5.0], [6.0]]))
     # two hourly bids on 30 five-minute intervals: 15 per bid would tile the count,
     # but a bid covers 12 intervals
     prices = PriceSeries("Z", START, timedelta(minutes=5), np.full(30, 20.0))
     with pytest.raises(DataValidationError, match="do not match"):
-        write_duration_curves(prices, hourly, tmp_path / "duration.csv")
+        write_duration_curves(prices, hourly, params, tmp_path / "duration.csv")
     assert not (tmp_path / "duration.csv").exists()
 
 

@@ -136,7 +136,8 @@ def test_market_agrees_with_the_step_on_engine_bids_at_negative_prices():
         grid = SoCGrid.for_storage(params, 1.0, 301)
         schedule = bid_schedule_from_prices(tape, params, grid, model)
         for _ in range(400):
-            bid = schedule[int(rng.integers(len(schedule)))]
+            row = schedule.values[int(rng.integers(len(schedule)))]
+            bid = soc_bid(schedule.boundaries, row, params)
             soc = float(rng.uniform(0.0, duration))
             price = float(rng.uniform(-40.0, 60.0))
             clipped = np.maximum(bid.discharge, 0.0)

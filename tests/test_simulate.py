@@ -238,7 +238,7 @@ def test_run_case_missing_series(micro_params, unit_grid):
 def test_run_schedule_rejects_a_tape_two_hourly_bids_do_not_tile(
     micro_params, minutes, intervals, message
 ):
-    schedule = BidSchedule(1.0, micro_params, np.array([0.0, 1.0]), np.array([[5.0], [6.0]]))
+    schedule = BidSchedule(1.0, np.array([0.0, 1.0]), np.array([[5.0], [6.0]]))
     prices = PriceSeries("Z", START, timedelta(minutes=minutes), np.full(intervals, 20.0))
     with pytest.raises(DataValidationError, match=message):
         run_schedule(prices, schedule, micro_params, 0.0)
@@ -321,7 +321,7 @@ def test_power_schedule_settles_like_its_one_segment_soc_schedule(micro_params):
     prices = week_tape(31)
     grid = SoCGrid.for_storage(micro_params, 1 / 12, 301)
     power = bid_schedule_from_prices(prices, micro_params, grid, "power")
-    one_segment = BidSchedule(power.period_hours, micro_params, power.boundaries, power.values)
+    one_segment = BidSchedule(power.period_hours, power.boundaries, power.values)
     a = run_schedule(prices, power, micro_params, 0.0)
     b = run_schedule(prices, one_segment, micro_params, 0.0)
     assert a.discharge.any() and a.charge.any()
@@ -338,11 +338,41 @@ def test_run_schedule_settles_like_single_steps(micro_params):
     soc = result.soc_trajectory()
     assert result.discharge.any() and result.charge.any()
     for k, price in enumerate(prices.values.tolist()):
-        d = step_soc_bid(soc[k], price, schedule[k // 12], micro_params, 1 / 12)
+        bid = soc_bid(schedule.boundaries, schedule.values[k // 12], micro_params)
+        d = step_soc_bid(soc[k], price, bid, micro_params, 1 / 12)
         assert d.discharge_power == result.discharge[k]
         assert d.charge_power == result.charge[k]
         assert d.soc_after == result.soc[k]
         assert d.realized_profit == result.profit[k]
+
+
+def test_run_schedule_prices_the_table_for_the_unit_it_settles():
+    # A value of 20 is a discharge threshold of 0 + 20 / 0.5 = 40 for this unit,
+    # so a price of 35 holds it half full.
+    unit = StorageParams(1.0, 1.0, 0.5, 0.0)
+    schedule = BidSchedule(1.0, [0.0, 1.0], [[20.0]])
+    result = run_schedule(hourly_series([35.0]), schedule, unit, 0.5)
+    assert result.discharge.tolist() == result.charge.tolist() == [0.0]
+    assert result.soc.tolist() == [0.5]
+
+
+def test_a_schedule_settles_under_another_unit_as_its_rows_priced_for_it(micro_params):
+    prices = week_tape(33)
+    da = hourly_series(prices.values.reshape(-1, 12).mean(axis=1))
+    grid = SoCGrid.for_storage(micro_params, 1.0, 301)
+    schedule = make_soc_bids(backward_induct(da, micro_params, grid), micro_params)
+    other = StorageParams(0.8, micro_params.energy_capacity, 0.7, 3.0)
+    result = run_schedule(prices, schedule, other, 0.3)
+    own = run_schedule(prices, schedule, micro_params, 0.3)
+    assert result.discharge.any() and result.charge.any()
+    assert result.soc.tobytes() != own.soc.tobytes()
+    e = 0.3
+    for k, price in enumerate(prices.values.tolist()):
+        bid = soc_bid(schedule.boundaries, schedule.values[k // 12], other)
+        d = step_soc_bid(e, price, bid, other, 1 / 12)
+        assert (d.discharge_power, d.charge_power) == (result.discharge[k], result.charge[k])
+        assert (d.soc_after, d.realized_profit) == (result.soc[k], result.profit[k])
+        e = d.soc_after
 
 
 def reference_settle(
@@ -517,7 +547,7 @@ def test_run_schedule_settles_a_rising_row_as_its_running_minimum(segments):
     assert price > discharge[rise - 1]
     tape = five_min_series(np.full(12, price))
     settled = [
-        run_schedule(tape, BidSchedule(1.0, params, boundaries, bids[None]), params, params.soc_max)
+        run_schedule(tape, BidSchedule(1.0, boundaries, bids[None]), params, params.soc_max)
         for bids in (row, floored)
     ]
     for name in ("discharge", "charge", "soc", "profit"):
