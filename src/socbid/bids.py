@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams, check_soc_range
+from .model import (DataValidationError, PriceSeries, SoCGrid, StorageParams, check_soc_range,
+                    check_step)
 from .valuation import ValueSurface, _backward_curves, _cell_edges, _non_increasing_rows
 
 
@@ -89,8 +90,7 @@ class BidSchedule:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 < self.period_hours < np.inf:
-            raise DataValidationError(f"period_hours must lie in (0, inf), got {self.period_hours}")
+        check_step(self.period_hours, what="period_hours")
         bounds, vals = _check_segments(self.boundaries, self.values, 2)
         if vals.shape[0] < 1:
             raise DataValidationError("bid schedule is empty")
@@ -157,8 +157,7 @@ def _segment_means(plan: tuple, cum: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, bounds: dict,
-                held: dict):
+def _bid_blocks(curves, horizon: int, grid: SoCGrid, bounds: dict, held: dict):
     """Write the segment means of each bid shape into its caller's buffer as periods fall.
 
     ``curves`` yields (t, curve after period t) on ``grid`` for t = ``horizon``
@@ -174,7 +173,6 @@ def _bid_blocks(curves, horizon: int, params: StorageParams, grid: SoCGrid, boun
     not fit, and once per key at the end; consume each view before the next. A
     width of ``_BLOCK_FLOATS // J`` or of ``horizon`` periods always fits a block.
     """
-    check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     edges = _cell_edges(grid)
     widths = np.diff(edges)
     plans = {key: _interp_plan(edges, b) for key, b in bounds.items()}
@@ -210,6 +208,7 @@ def _bid_table(
     :func:`_bid_blocks` writes the rows floored into the table, which the schedule holds as is.
     """
     if isinstance(source, ValueSurface):
+        check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
         horizon, period_hours = source.horizon, source.step_hours
         curves = zip(range(horizon, -1, -1), source.values[::-1])
     else:
@@ -217,7 +216,7 @@ def _bid_table(
         curves = _backward_curves(source, params, grid)
     bounds = _segment_bounds(params, kind, segments_per_hour)
     table = np.empty((horizon, bounds.size - 1))
-    for _ in _bid_blocks(curves, horizon, params, grid, {kind: bounds}, {kind: table.T}):
+    for _ in _bid_blocks(curves, horizon, grid, {kind: bounds}, {kind: table.T}):
         pass
     return BidSchedule(period_hours, bounds, table)
 

@@ -208,16 +208,10 @@ def _run_zone_duration(job: tuple) -> list[dict]:
     """Worker: run every requested case for one (manifest, zone, duration, da, rt) job."""
     manifest, zone, duration, da, rt = job
     params = _storage_params(manifest, duration)
-
-    grids = {
-        source: SoCGrid.for_storage(params, series.resolution_hours, manifest.grid_points)
-        for source, series in (("day_ahead", da), ("real_time", rt))
-        if series is not None
-    }
     case_ids = list(dict.fromkeys((REFERENCE_CASE, *manifest.cases)))
     configs = [CaseConfig(case_id, initial_soc=manifest.initial_soc) for case_id in case_ids]
     results = dict(zip(case_ids, run_cases(
-        configs, da, rt, params, grids,
+        configs, da, rt, params, manifest.grid_points,
         segments_per_hour_of_duration=manifest.segments_per_hour,
     )))
     reference = results[REFERENCE_CASE]

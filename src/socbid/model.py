@@ -88,6 +88,14 @@ def check_soc_range(lo: float, hi: float, params: StorageParams, what: str) -> N
         )
 
 
+def check_step(hours: float, price: float = 0.0, what: str = "dt_hours") -> None:
+    """Require that ``what``, a step length, lies in (0, inf) hours and ``price`` is finite."""
+    if not 0 < hours < math.inf:
+        raise DataValidationError(f"{what} must lie in (0, inf), got {hours}")
+    if not math.isfinite(price):
+        raise DataValidationError(f"price must be finite, got {price}")
+
+
 def check_initial_soc(e: float, params: StorageParams, what: str = "initial SoC") -> None:
     """Require that ``e`` lies in the storage's SoC range, up to SOC_EPS; ``what`` names it."""
     if not params.soc_min - SOC_EPS <= e <= params.soc_max + SOC_EPS:
@@ -184,8 +192,7 @@ class SoCGrid:
         At least ten grid points then span one full-power interval of SoC
         movement. ``for_storage`` never builds a grid with fewer points.
         """
-        if not 0 < dt_hours < math.inf:
-            raise DataValidationError(f"dt_hours must be positive and finite, got {dt_hours}")
+        check_step(dt_hours)
         limit = params.power_rating * params.efficiency_one_way * dt_hours / 10.0
         return int(math.ceil(params.soc_span / limit)) + 1
 

@@ -11,7 +11,7 @@ themselves).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +33,7 @@ from .model import (
     StorageParams,
     check_initial_soc,
     check_soc_range,
+    check_step,
 )
 from .valuation import _backward_curves
 
@@ -202,6 +203,7 @@ def step_soc_bid(
     """
     boundaries = curve.boundaries.tolist()
     check_soc_range(boundaries[0], boundaries[-1], params, "bid curve")
+    check_step(dt_hours, price)
     kd = sum(price <= d for d in curve.discharge.tolist())
     kc = sum(price < c for c in curve.charge.tolist())
     settled = _settle([price], boundaries, [kd], [kc], params, dt_hours, e_prev)
@@ -267,9 +269,7 @@ def run_schedule(
     schedule stores them, as their running minimum (see :class:`BidSchedule`).
     """
     per_bid = _intervals_per_bid(schedule.period_hours, len(schedule), prices)
-    check_soc_range(
-        float(schedule.boundaries[0]), float(schedule.boundaries[-1]), params, "bid curve"
-    )
+    check_soc_range(*schedule.boundaries[[0, -1]].tolist(), params, "bid curve")
     settlement = prices.values.reshape(len(schedule), per_bid)
     kd, kc = _crossings(schedule.values.T, settlement, params)
     return _settled(case_id, prices, schedule.boundaries, kd, kc, params, initial_soc)
@@ -280,15 +280,16 @@ def run_cases(
     da_prices: PriceSeries | None,
     rt_prices: PriceSeries | None,
     params: StorageParams,
-    grids: Mapping[str, SoCGrid],
+    grid_points: int = 1001,
     segments_per_hour_of_duration: int = 20,
 ) -> list[SimulationResult]:
     """Run experiment cases end to end: valuation, bid design, settlement.
 
     Valuation runs at the native resolution of the forecast series (hourly
     day-ahead prices for DF cases, the settlement tape itself for PF cases)
-    on ``grids[source]``, bids are built per valuation period, and settlement
-    runs at the settlement series' native resolution. Each forecast tape is
+    on a grid of at least ``grid_points`` points (``SoCGrid.for_storage``),
+    bids are built per valuation period, and settlement runs at the
+    settlement series' native resolution. Each forecast tape is
     valued once and reduced to every bid shape its cases use. Results follow
     the order of ``configs``. With perfect foresight and SoC bids this
     reproduces the multi-period optimum up to discretization.
@@ -322,9 +323,9 @@ def run_cases(
             counts[model, market] = (prices, *np.empty((2, *prices.shape), np.intp))
         held = {m: np.empty((b.size - 1, min(len(forecast), max(1, _BLOCK_FLOATS // (b.size - 1)))))
                 for m, b in bounds.items()}
-        curves = _backward_curves(forecast, params, grids[source])
-        blocks = _bid_blocks(curves, len(forecast), params, grids[source], bounds, held)
-        for model, first, means in blocks:
+        grid = SoCGrid.for_storage(params, forecast.resolution_hours, grid_points)
+        curves = _backward_curves(forecast, params, grid)
+        for model, first, means in _bid_blocks(curves, len(forecast), grid, bounds, held):
             for (held_model, _), (prices, kd, kc) in counts.items():
                 if held_model == model:
                     rows = slice(first, first + means.shape[1])
@@ -347,12 +348,12 @@ def run_case(
     grid: SoCGrid,
     segments_per_hour_of_duration: int = 20,
 ) -> SimulationResult:
-    """Run one experiment case end to end, valuing its forecast tape on ``grid``.
+    """The one-case form of :func:`run_cases`, on at least ``grid.num_points`` points.
 
-    The one-case form of :func:`run_cases`.
-    """
+    ``grid`` must span the storage's SoC range."""
+    check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     (result,) = run_cases(
-        (config,), da_prices, rt_prices, params, {config.valuation_source: grid},
+        (config,), da_prices, rt_prices, params, grid.num_points,
         segments_per_hour_of_duration=segments_per_hour_of_duration,
     )
     return result

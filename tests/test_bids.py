@@ -344,7 +344,7 @@ def test_clean_tape_bid_rows_are_exactly_non_increasing(duration, monkeypatch):
     bounds = {kind: _segment_bounds(params, kind, 20) for kind in ("power", "soc")}
     held = {kind: np.empty((b.size - 1, len(da))) for kind, b in bounds.items()}
     curves = _backward_curves(da, params, grid)
-    views = list(_bid_blocks(curves, len(da), params, grid, bounds, held))
+    views = list(_bid_blocks(curves, len(da), grid, bounds, held))
     # a buffer spanning the horizon is written whole and yielded once, at the end
     assert [(key, first, means.shape[1]) for key, first, means in views] == [
         ("power", 0, len(da)), ("soc", 0, len(da))

@@ -19,7 +19,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from socbid import CASE_IDS, CaseConfig, PriceSeries, SoCGrid, StorageParams, utilization
+from socbid import CASE_IDS, CaseConfig, PriceSeries, StorageParams, utilization
 from socbid.cli import _synthetic_tapes
 from socbid.simulate import run_cases
 
@@ -37,11 +37,7 @@ def tapes(low: float) -> tuple[PriceSeries, PriceSeries]:
 def utilizations(da, rt, duration, case_ids=CASE_IDS) -> dict[str, float]:
     """Utilization of each case (``RT-SB-PF`` among them) for one duration."""
     params = StorageParams(1.0, float(duration), 0.9, 10.0)
-    grids = {
-        source: SoCGrid.for_storage(params, tape.resolution_hours, 1001)
-        for source, tape in (("day_ahead", da), ("real_time", rt))
-    }
-    results = run_cases([CaseConfig(c) for c in case_ids], da, rt, params, grids)
+    results = run_cases([CaseConfig(c) for c in case_ids], da, rt, params, 1001)
     reference = results[case_ids.index("RT-SB-PF")]
     return {c: utilization(r, reference) for c, r in zip(case_ids, results)}
 

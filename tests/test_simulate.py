@@ -317,33 +317,26 @@ def week_tape(seed: int):
     return five_min_series(values)
 
 
-def test_power_schedule_settles_like_its_one_segment_soc_schedule(micro_params):
-    prices = week_tape(31)
-    grid = SoCGrid.for_storage(micro_params, 1 / 12, 301)
-    power = bid_schedule_from_prices(prices, micro_params, grid, "power")
-    one_segment = BidSchedule(power.period_hours, power.boundaries, power.values)
-    a = run_schedule(prices, power, micro_params, 0.0)
-    b = run_schedule(prices, one_segment, micro_params, 0.0)
-    assert a.discharge.any() and a.charge.any()
-    for name in ("discharge", "charge", "soc", "profit"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-
-
 def test_run_schedule_settles_like_single_steps(micro_params):
+    # An hourly SoC schedule and a 5-minute power schedule, each walked
+    # interval by interval against step_soc_bid
     prices = week_tape(32)
     da = hourly_series(prices.values.reshape(-1, 12).mean(axis=1))
     grid = SoCGrid.for_storage(micro_params, 1.0, 301)
-    schedule = make_soc_bids(backward_induct(da, micro_params, grid), micro_params)
-    result = run_schedule(prices, schedule, micro_params, 0.3)
-    soc = result.soc_trajectory()
-    assert result.discharge.any() and result.charge.any()
-    for k, price in enumerate(prices.values.tolist()):
-        bid = soc_bid(schedule.boundaries, schedule.values[k // 12], micro_params)
-        d = step_soc_bid(soc[k], price, bid, micro_params, 1 / 12)
-        assert d.discharge_power == result.discharge[k]
-        assert d.charge_power == result.charge[k]
-        assert d.soc_after == result.soc[k]
-        assert d.realized_profit == result.profit[k]
+    soc_schedule = make_soc_bids(backward_induct(da, micro_params, grid), micro_params)
+    grid = SoCGrid.for_storage(micro_params, 1 / 12, 301)
+    power = bid_schedule_from_prices(prices, micro_params, grid, "power")
+    for schedule, per_bid in ((soc_schedule, 12), (power, 1)):
+        result = run_schedule(prices, schedule, micro_params, 0.3)
+        soc = result.soc_trajectory()
+        assert result.discharge.any() and result.charge.any()
+        for k, price in enumerate(prices.values.tolist()):
+            bid = soc_bid(schedule.boundaries, schedule.values[k // per_bid], micro_params)
+            d = step_soc_bid(soc[k], price, bid, micro_params, 1 / 12)
+            assert d.discharge_power == result.discharge[k]
+            assert d.charge_power == result.charge[k]
+            assert d.soc_after == result.soc[k]
+            assert d.realized_profit == result.profit[k]
 
 
 def test_run_schedule_prices_the_table_for_the_unit_it_settles():
@@ -565,16 +558,11 @@ def test_run_cases_settle_from_counts_as_run_schedule_does_from_tables(duration)
     da, rt = _synthetic_tapes("AA", 3, 15, 45, 24, 5, 1)
     params = StorageParams(1.0, float(duration), 0.9, 10.0)
     series = {"day_ahead": da, "real_time": rt}
-    grids = {
-        source: SoCGrid.for_storage(params, tape.resolution_hours, 301)
-        for source, tape in series.items()
-    }
     configs = [CaseConfig(case_id, initial_soc=0.5 * duration) for case_id in CASE_IDS]
-    for config, result in zip(configs, run_cases(configs, da, rt, params, grids)):
-        schedule = bid_schedule_from_prices(
-            series[config.valuation_source], params, grids[config.valuation_source],
-            config.bid_model,
-        )
+    for config, result in zip(configs, run_cases(configs, da, rt, params, 301)):
+        forecast = series[config.valuation_source]
+        grid = SoCGrid.for_storage(params, forecast.resolution_hours, 301)
+        schedule = bid_schedule_from_prices(forecast, params, grid, config.bid_model)
         table = run_schedule(
             series[config.settlement_source], schedule, params, config.initial_soc
         )
@@ -591,19 +579,16 @@ def test_run_cases_do_not_depend_on_the_block_size(monkeypatch):
     # ends in a partial one; every settled array must keep its bytes.
     da, rt = _synthetic_tapes("AA", 2, 15, 45, 24, 5, 1)
     params = StorageParams(1.0, 72.0, 0.9, 10.0)
-    grids = {
-        source: SoCGrid.for_storage(params, tape.resolution_hours, 1001)
-        for source, tape in (("day_ahead", da), ("real_time", rt))
-    }
+    points = SoCGrid.for_storage(params, rt.resolution_hours, 1001).num_points
     configs = [CaseConfig(case_id, initial_soc=36.0) for case_id in CASE_IDS]
-    expected = run_cases(configs, da, rt, params, grids)
-    small = 5 * (grids["real_time"].num_points + 1)
-    rows, held = small // (grids["real_time"].num_points + 1), small // 1440
-    assert grids["real_time"].num_points == 9601 and len(rt) % rows == 1
+    expected = run_cases(configs, da, rt, params, 1001)
+    small = 5 * (points + 1)
+    rows, held = small // (points + 1), small // 1440
+    assert points == 9601 and len(rt) % rows == 1
     assert held < len(rt) and len(rt) % (held // rows * rows) != 0
     monkeypatch.setattr(bids, "_BLOCK_FLOATS", small)
     monkeypatch.setattr(simulate, "_BLOCK_FLOATS", small)
-    for one, two in zip(expected, run_cases(configs, da, rt, params, grids)):
+    for one, two in zip(expected, run_cases(configs, da, rt, params, 1001)):
         assert one.case_id == two.case_id
         for name in ("discharge", "charge", "soc", "profit"):
             assert getattr(two, name).tobytes() == getattr(one, name).tobytes()
@@ -624,12 +609,8 @@ def test_doubling_prices_and_discharge_cost_doubles_every_profit(duration):
         for scale in (1.0, 2.0):
             params = StorageParams(1.0, float(duration), 0.9, 10.0 * scale)
             tapes = [hourly_series(da.values * scale), five_min_series(rt.values * scale)]
-            grids = {
-                source: SoCGrid.for_storage(params, tape.resolution_hours, 1001)
-                for source, tape in zip(("day_ahead", "real_time"), tapes)
-            }
             oracle = grid_dp_oracle(tapes[1], params, SoCGrid(0.0, float(duration), 301))
-            runs.append((run_cases(configs, *tapes, params, grids), oracle.optimal_profit))
+            runs.append((run_cases(configs, *tapes, params, 1001), oracle.optimal_profit))
         (base, base_optimum), (doubled, doubled_optimum) = runs
         assert doubled_optimum == 2.0 * base_optimum
         for one, two in zip(base, doubled):

@@ -4,7 +4,9 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from socbid import DataValidationError, PriceSeries, SoCGrid, StorageParams
+from socbid import (
+    DataValidationError, PriceSeries, SoCBidCurve, SoCGrid, StorageParams, step_soc_bid,
+)
 from socbid.bids import _interp_plan, _segment_means
 from socbid.valuation import (
     StepCase,
@@ -120,13 +122,22 @@ def test_update_step_rejects_non_monotone_input(unit_grid, micro_params):
 @pytest.mark.parametrize(
     "price, dt, power",
     [(np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (20.0, 0.0, 1.0), (20.0, -1.0, 1.0),
-     (20.0, np.inf, 1.0), (20.0, 1.0, -1.0)],
+     (20.0, np.inf, 1.0), (20.0, 1.0, -1.0), (-np.inf, 1.0, 1.0), (20.0, np.nan, 1.0),
+     pytest.param(20.0, 1.0, StorageParams(1.0, 2.0), id="grid-off-range")],
 )
 def test_step_functions_share_their_input_checks(price, dt, power):
+    # ``power`` rates a 4 MWh unit, which a negative power fails in StorageParams,
+    # or is a whole unit whose SoC range the 4 MWh grid and bid do not span
     curve = ValueCurve.flat(SoCGrid(0.0, 4.0, 41), 20.0)
-    for step in (update_step, step_case_breakdown):
-        with pytest.raises(DataValidationError):  # a negative power fails in StorageParams
-            step(curve, price, StorageParams(power, 4.0, 0.9, 10.0), dt)
+    bid = SoCBidCurve([0.0, 4.0], [40.0], [20.0])
+    steps = (
+        lambda unit: update_step(curve, price, unit, dt),
+        lambda unit: step_case_breakdown(curve, price, unit, dt),
+        lambda unit: step_soc_bid(2.0, price, bid, unit, dt),
+    )
+    for step in steps:
+        with pytest.raises(DataValidationError):
+            step(power if isinstance(power, StorageParams) else StorageParams(power, 4.0, 0.9, 10.0))
 
 
 @pytest.mark.parametrize("hours", [np.nan, np.inf, 0.0])
