@@ -85,14 +85,19 @@ class RunManifest:
                     f"{name} must be non-empty, without repeats (set --{name} or the manifest "
                     f"field), got {items}"
                 )
-        _check_zone_names(self.zones)
+        # Zone names become parts of output file names, so none may name a directory
+        for zone in self.zones:
+            if zone in ("", ".", "..") or {"/", "\0", os.sep, os.altsep} & set(zone):
+                raise UsageError(
+                    f"zone name {zone!r} is empty, '.', '..' or holds a separator or NUL"
+                )
         if not all(0 < d < math.inf for d in self.durations):
             raise UsageError(f"durations must be positive, finite hours, got {self.durations}")
         for case in self.cases:
             if case not in CASE_IDS:
                 raise UsageError(f"unknown case id {case!r}; valid: {', '.join(CASE_IDS)}")
-        if self.da_prices is None and self.rt_prices is None and self.synthetic_days is None:
-            raise UsageError("supply --da-prices/--rt-prices or --synthetic-days")
+        if bool(self.da_prices or self.rt_prices) == (self.synthetic_days is not None):
+            raise UsageError("supply either --da-prices/--rt-prices or --synthetic-days, not both")
         for name, least in (("workers", 1), ("grid_points", 2), ("segments_per_hour", 1)):
             value = getattr(self, name)
             if value < least:
@@ -100,13 +105,6 @@ class RunManifest:
                     f"{name} must be at least {least} (set --{name.replace('_', '-')} or the "
                     f"manifest field), got {value}"
                 )
-
-
-def _check_zone_names(zones: list[str]) -> None:
-    """Zone names become parts of output file names, so none may name a directory."""
-    for zone in zones:
-        if zone in ("", ".", "..") or {"/", "\0", os.sep, os.altsep} & set(zone):
-            raise UsageError(f"zone name {zone!r} is empty, '.', '..' or holds a separator or NUL")
 
 
 def _has_type(value, hint) -> bool:
@@ -186,7 +184,7 @@ def _zone_series(
 ) -> tuple[PriceSeries | None, PriceSeries | None]:
     """Load or synthesize the day-ahead and real-time tapes for one zone; with
     ``only`` naming one source, the other's CSV is not read and its tape is None."""
-    if manifest.synthetic_days is not None and not (manifest.da_prices or manifest.rt_prices):
+    if manifest.synthetic_days is not None:
         return _synthetic_tapes(
             zone, manifest.synthetic_days, manifest.synthetic_low, manifest.synthetic_high,
             manifest.synthetic_period_hours, manifest.synthetic_noise, manifest.seed,
@@ -327,12 +325,10 @@ def cmd_bids(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _check_zone_names(args.zones)
-    out = Path(args.output_dir)
-    for zone in args.zones:
-        da, rt = _synthetic_tapes(
-            zone, args.days, args.low, args.high, args.period_hours, args.noise, args.seed
-        )
+    manifest = _load_manifest(args)
+    out = Path(manifest.output_dir)
+    for zone in manifest.zones:
+        da, rt = _zone_series(manifest, zone)
         data_io.save_prices(da, out / f"{zone}_da.csv")
         data_io.save_prices(rt, out / f"{zone}_rt.csv")
         print(f"wrote {out / (zone + '_da.csv')} and {out / (zone + '_rt.csv')}")
@@ -464,15 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write synthetic day-ahead and real-time tapes")
+    # Each dest is a RunManifest field and keeps its default, but synth always synthesizes
     p.add_argument("--zones", nargs="+", required=True)
-    p.add_argument("--days", type=float, default=7.0)
-    p.add_argument("--low", type=float, default=15.0)
-    p.add_argument("--high", type=float, default=45.0)
-    p.add_argument("--period-hours", dest="period_hours", type=float, default=24.0)
-    p.add_argument("--noise", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", dest="output_dir",
-                   default=os.environ.get("SOCBID_OUTPUT_DIR", "."))
+    p.add_argument("--days", dest="synthetic_days", type=float, default=7.0)
+    p.add_argument("--low", dest="synthetic_low", type=float)
+    p.add_argument("--high", dest="synthetic_high", type=float)
+    p.add_argument("--period-hours", dest="synthetic_period_hours", type=float)
+    p.add_argument("--noise", dest="synthetic_noise", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--output-dir", dest="output_dir")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("value", help="dump marginal-value surfaces per (zone, duration)")

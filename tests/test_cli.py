@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from socbid import cli, simulate
+from socbid import cli, data_io, simulate
 from socbid.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 
 SCENARIO = """\
@@ -18,17 +18,33 @@ powerbid,S1,25,5
 """
 
 
+BOTH_SOURCES = "supply either --da-prices/--rt-prices or --synthetic-days, not both"
+
+
 def run(args):
     return main(args)
 
 
-def test_synth_writes_both_tapes(tmp_path):
+def test_synth_writes_both_tapes(tmp_path, capsys):
     code = run(["synth", "--zones", "AA", "--days", "2", "--output-dir", str(tmp_path)])
     assert code == EXIT_OK
     da = (tmp_path / "AA_da.csv").read_text().splitlines()
     rt = (tmp_path / "AA_rt.csv").read_text().splitlines()
     assert len(da) == 1 + 48
     assert len(rt) == 1 + 48 * 12
+    # each flag sets its manifest field: the CSVs hold the tapes a sweep synthesizes
+    wave = ["--low", "-15", "--high", "50", "--period-hours", "12", "--noise", "2", "--seed", "4"]
+    out = tmp_path / "wave"
+    assert run(["synth", "--zones", "AA", "--days", "2", *wave, "--output-dir", str(out)]) == 0
+    manifest = cli.RunManifest(synthetic_days=2.0, synthetic_low=-15.0, synthetic_high=50.0,
+                               synthetic_period_hours=12.0, synthetic_noise=2.0, seed=4)
+    for tape, suffix in zip(cli._zone_series(manifest, "AA"), ("da", "rt")):
+        written = data_io.load_prices(out / f"AA_{suffix}.csv", "AA", tape.resolution)
+        assert written.values.tobytes() == tape.values.tobytes()
+    twice = tmp_path / "twice"
+    assert run(["synth", "--zones", "AA", "AA", "--output-dir", str(twice)]) == EXIT_USAGE
+    assert "zones must be non-empty, without repeats" in capsys.readouterr().err
+    assert not twice.exists()
 
 
 def test_simulate_summary_rows(tmp_path):
@@ -254,6 +270,13 @@ def test_usage_errors(tmp_path):
          "segments_per_hour must be at least 1 (set --segments-per-hour"),
         (["sweep", "--synthetic-days", "1"], {"segments_per_hour": -2}, EXIT_USAGE,
          "segments_per_hour must be at least 1"),
+        # a run names price CSVs or synthesizes tapes, and is refused before reading a file
+        (["sweep", "--synthetic-days", "1", "--da-prices", "da.csv", "--rt-prices", "rt.csv"],
+         {}, EXIT_USAGE, BOTH_SOURCES),
+        (["sweep", "--synthetic-days", "1", "--rt-prices", "rt.csv"], {"da_prices": "da.csv"},
+         EXIT_USAGE, BOTH_SOURCES),
+        (["value", "--source", "day_ahead", "--synthetic-days", "1", "--da-prices", "da.csv"],
+         {}, EXIT_USAGE, BOTH_SOURCES),
     ],
     ids=[
         "sweep-days-nan", "sweep-days-inf", "sweep-days-0", "sweep-days-0.01", "synth-days-0.01",
@@ -261,6 +284,7 @@ def test_usage_errors(tmp_path):
         "synth-period-0", "sweep-period-inf", "sweep-noise-negative", "synth-noise-nan",
         "sweep-seed-negative", "synth-seed-negative", "sweep-grid-points-flag",
         "sweep-grid-points-manifest", "sweep-segments-flag", "sweep-segments-manifest",
+        "sweep-csv-flags-and-days", "sweep-csv-manifest-and-days", "value-csv-and-days",
     ],
 )
 def test_bad_synthetic_tape_settings_exit_with_a_documented_code(
