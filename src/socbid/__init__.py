@@ -37,8 +37,8 @@ from .simulate import (
 from .valuation import (
     ValueCurve,
     ValueSurface,
-    average_marginal,
     backward_induct,
+    segment_averages,
     update_step,
 )
 
@@ -61,7 +61,6 @@ __all__ = [
     "StorageUnit",
     "ValueCurve",
     "ValueSurface",
-    "average_marginal",
     "backward_induct",
     "bid_schedule_from_prices",
     "clear_soc_bid_ed",
@@ -72,6 +71,7 @@ __all__ = [
     "run_case",
     "run_cases",
     "run_schedule",
+    "segment_averages",
     "soc_bid",
     "step_soc_bid",
     "update_step",

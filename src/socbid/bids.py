@@ -111,15 +111,17 @@ _BLOCK_FLOATS = 2**16
 def _segment_bounds(params: StorageParams, kind: str, segments_per_hour: int) -> np.ndarray:
     """Equal-width segment boundaries of a ``kind`` bid over the storage's SoC range.
 
-    A power bid is one segment; an SoC bid has ``segments_per_hour`` per hour of
-    duration, at least one.
+    A ``"power"`` bid is one segment; an ``"soc"`` bid has ``segments_per_hour``
+    per hour of duration, at least one.
     """
+    if kind not in ("power", "soc"):
+        raise DataValidationError(f"unknown bid model {kind!r}")
     if segments_per_hour < 1:
         raise DataValidationError(
             f"segments_per_hour_of_duration must be >= 1, got {segments_per_hour}"
         )
     segments = 1
-    if kind != "power":
+    if kind == "soc":
         segments = max(1, int(round(segments_per_hour * params.duration_hours)))
     return np.linspace(params.soc_min, params.soc_max, segments + 1)
 
@@ -256,6 +258,4 @@ def bid_schedule_from_prices(
     and one block of curves in memory, which is what makes year-long 5-minute
     valuations practical for long-duration storage.
     """
-    if bid_model not in ("power", "soc"):
-        raise DataValidationError(f"unknown bid model {bid_model!r}")
     return _bid_table(prediction, params, grid, bid_model, segments_per_hour_of_duration)

@@ -77,14 +77,18 @@ class RunManifest:
     fill_gaps: bool = False
     write_traces: bool = False
 
-    def validate(self) -> None:
+    def validate(self, from_manifest: bool) -> None:
+        """Raise UsageError on a bad setting; ``from_manifest``: the command takes --manifest."""
+
+        def where(name: str) -> str:
+            flag = f"--{name.replace('_', '-')}"
+            return f"set {flag} or the manifest field" if from_manifest else f"set {flag}"
+
         for name in ("zones", "durations", "cases"):
             items = getattr(self, name)
             if not items or len(set(items)) != len(items):
-                raise UsageError(
-                    f"{name} must be non-empty, without repeats (set --{name} or the manifest "
-                    f"field), got {items}"
-                )
+                raise UsageError(f"{name} must be non-empty, without repeats ({where(name)}), "
+                                 f"got {items}")
         # Zone names become parts of output file names, so none may name a directory
         for zone in self.zones:
             if zone in ("", ".", "..") or {"/", "\0", os.sep, os.altsep} & set(zone):
@@ -101,10 +105,7 @@ class RunManifest:
         for name, least in (("workers", 1), ("grid_points", 2), ("segments_per_hour", 1)):
             value = getattr(self, name)
             if value < least:
-                raise UsageError(
-                    f"{name} must be at least {least} (set --{name.replace('_', '-')} or the "
-                    f"manifest field), got {value}"
-                )
+                raise UsageError(f"{name} must be at least {least} ({where(name)}), got {value}")
 
 
 def _has_type(value, hint) -> bool:
@@ -140,7 +141,7 @@ def _load_manifest(args: argparse.Namespace) -> RunManifest:
         value = getattr(args, key, None)
         if value is not None:
             setattr(manifest, key, value)
-    manifest.validate()
+    manifest.validate(from_manifest=hasattr(args, "manifest"))
     return manifest
 
 
@@ -421,7 +422,8 @@ def cmd_dispatch_demo(args: argparse.Namespace) -> int:
             f"  storage   {name:<12} discharge={decision.discharge_power:.3f} MW "
             f"charge={decision.charge_power:.3f} MW soc_after={decision.soc_after:.3f} MWh"
         )
-    total = result.total_generation + result.total_storage_discharge
+    total = (sum(result.generation.values())
+             + sum(d.discharge_power for d in result.storage.values()))
     print(f"  balance: supply {total:.3f} MW = demand {instance.demand:.3f} MW "
           f"+ charging {result.cleared_charge:.3f} MW")
     return EXIT_OK

@@ -102,14 +102,6 @@ class ClearingResult:
     storage: dict[str, DispatchDecision]
     cleared_charge: float
 
-    @property
-    def total_generation(self) -> float:
-        return sum(self.generation.values())
-
-    @property
-    def total_storage_discharge(self) -> float:
-        return sum(d.discharge_power for d in self.storage.values())
-
 
 def _bid_rows(unit: StorageUnit) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """``(price, MW)`` supply steps for segments below the SoC, demand blocks above it.

@@ -70,10 +70,6 @@ class StorageParams:
         """Hours of discharge at full power: energy capacity over power rating."""
         return self.energy_capacity / self.power_rating
 
-    @property
-    def soc_span(self) -> float:
-        return self.soc_max - self.soc_min
-
 
 def check_soc_range(lo: float, hi: float, params: StorageParams, what: str) -> None:
     """Require that [lo, hi], the SoC range of ``what``, is the storage's SoC range.
@@ -194,7 +190,7 @@ class SoCGrid:
         """
         check_step(dt_hours)
         limit = params.power_rating * params.efficiency_one_way * dt_hours / 10.0
-        return int(math.ceil(params.soc_span / limit)) + 1
+        return int(math.ceil((params.soc_max - params.soc_min) / limit)) + 1
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bids
 from .bids import (
-    _BLOCK_FLOATS,
     BidSchedule,
     SoCBidCurve,
     _bid_blocks,
@@ -59,10 +59,6 @@ class CaseConfig:
             )
 
     @property
-    def settlement_market(self) -> str:
-        return self.case_id[:2]
-
-    @property
     def bid_model(self) -> str:
         return "power" if self.case_id[3:5] == "PB" else "soc"
 
@@ -72,7 +68,7 @@ class CaseConfig:
 
     @property
     def settlement_source(self) -> str:
-        return "day_ahead" if self.settlement_market == "DA" else "real_time"
+        return "day_ahead" if self.case_id.startswith("DA") else "real_time"
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,10 +109,10 @@ def _crossings(
     ``kd = count(price <= discharge thresholds)`` and ``kc = count(price
     < charge thresholds)`` shaped like ``prices``: prefix lengths, found by a
     branchless binary search down each column, a block of periods at a time;
-    no temporary exceeds ``_BLOCK_FLOATS``.
+    no temporary exceeds ``bids._BLOCK_FLOATS``.
     """
     per_bid = prices.shape[1]
-    rows = max(1, _BLOCK_FLOATS // max(values.shape[0], 2 * per_bid))
+    rows = max(1, bids._BLOCK_FLOATS // max(values.shape[0], 2 * per_bid))
     kd, kc = np.empty((2, *prices.shape), dtype=np.intp)
     for first in range(0, values.shape[1], rows):
         block = slice(first, first + rows)
@@ -321,7 +317,8 @@ def run_cases(
             per_bid = _intervals_per_bid(forecast.resolution_hours, len(forecast), series[market])
             prices = series[market].values.reshape(len(forecast), per_bid)
             counts[model, market] = (prices, *np.empty((2, *prices.shape), np.intp))
-        held = {m: np.empty((b.size - 1, min(len(forecast), max(1, _BLOCK_FLOATS // (b.size - 1)))))
+        budget = bids._BLOCK_FLOATS
+        held = {m: np.empty((b.size - 1, min(len(forecast), max(1, budget // (b.size - 1)))))
                 for m, b in bounds.items()}
         grid = SoCGrid.for_storage(params, forecast.resolution_hours, grid_points)
         curves = _backward_curves(forecast, params, grid)

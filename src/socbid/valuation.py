@@ -304,19 +304,12 @@ def _cell_edges(grid: SoCGrid) -> np.ndarray:
     return edges
 
 
-def average_marginal(curve: ValueCurve, lo: float, hi: float) -> float:
-    """Mean marginal value over the SoC range [lo, hi], in $/MWh.
-
-    The curve is read as piecewise constant over grid cells (nearest-point
-    semantics), so the integral is exact for that step function.
-    """
-    return float(segment_averages(curve, np.array([lo, hi]))[0])
-
-
 def segment_averages(curve: ValueCurve, boundaries: np.ndarray) -> np.ndarray:
-    """Mean marginal value over each consecutive pair of boundaries.
+    """Mean marginal value ($/MWh) over each consecutive pair of boundaries.
 
     The boundaries must be at least two, strictly increasing and on the grid.
+    The curve is read as piecewise constant over grid cells (nearest-point
+    semantics), so the integral is exact for that step function.
     """
     grid = curve.grid
     bounds = np.asarray(boundaries, dtype=float)

@@ -38,7 +38,7 @@ from socbid.bids import bid_thresholds
 from socbid.cli import main as cli_main
 from socbid.data_io import load_prices, synthetic_tape
 from socbid.dispatch import GeneratorOffer, MarketInstance, StorageUnit, clear_soc_bid_ed
-from socbid.valuation import StepCase, average_marginal, step_case_breakdown
+from socbid.valuation import StepCase, segment_averages, step_case_breakdown
 
 from conftest import hourly_series, random_monotone_values
 from test_valuation import jump_tolerance, oracle_marginal
@@ -175,7 +175,7 @@ def test_criterion_05_bid_algebra():
             rises = np.diff(row)
             monotone_ok &= bool(np.all(rises <= 1e-9 * (1 + np.abs(row).max())))
             next_curve = ValueCurve(grid, surface.values[t + 1])
-            q_bar = average_marginal(next_curve, grid.soc_min, grid.soc_max)
+            (q_bar,) = segment_averages(next_curve, [grid.soc_min, grid.soc_max])
             widths = np.diff(soc.boundaries)
             weighted = float(np.sum(row * widths) / widths.sum())
             worst_weighted = max(worst_weighted, abs(weighted - q_bar))

@@ -14,7 +14,6 @@ from socbid import (
     StorageParams,
     ValueCurve,
     ValueSurface,
-    average_marginal,
     backward_induct,
     bid_schedule_from_prices,
     make_power_bids,
@@ -112,7 +111,7 @@ def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
     boundaries = _segment_bounds(micro_params, "soc", 1)
     assert boundaries.size == 3
     for t in range(5):
-        q_bar = average_marginal(ValueCurve(surface.grid, surface.values[t + 1]), 0.0, 1.0)
+        (q_bar,) = segment_averages(ValueCurve(surface.grid, surface.values[t + 1]), [0.0, 1.0])
         widths = np.diff(ones.boundaries)
         weighted = float(np.sum(ones.values[t] * widths) / widths.sum())
         assert weighted == pytest.approx(q_bar, abs=1e-9)
@@ -138,7 +137,8 @@ def test_segment_values_monotone_on_random_surfaces(micro_params, unit_grid):
 def test_refinement_consistency(micro_params, unit_grid):
     rng = np.random.default_rng(14)
     surface = random_surface(rng, unit_grid, horizon=3)
-    q_bars = [average_marginal(ValueCurve(unit_grid, row), 0.0, 1.0) for row in surface.values[1:]]
+    q_bars = [segment_averages(ValueCurve(unit_grid, row), [0.0, 1.0])[0]
+              for row in surface.values[1:]]
     for segments_per_hour in (1, 3, 10, 20):
         schedule = make_soc_bids(surface, micro_params, segments_per_hour)
         for t, row in enumerate(schedule.values):
@@ -249,6 +249,18 @@ def test_bid_schedule_period_must_be_positive_and_finite(hours, micro_params):
 def test_zero_segments_rejected(micro_params):
     with pytest.raises(DataValidationError, match="segments_per_hour"):
         _segment_bounds(micro_params, "soc", 0)
+    with pytest.raises(DataValidationError, match="at least one segment"):
+        soc_bid([0.0], [], micro_params)
+    with pytest.raises(DataValidationError, match="bid schedule is empty"):
+        BidSchedule(1.0, [0.0, 1.0], np.zeros((0, 1)))
+
+
+def test_unknown_bid_model_rejected(micro_params, unit_grid):
+    # the kind is checked where its segment bounds are built, so no typo gets SoC bids
+    with pytest.raises(DataValidationError, match="unknown bid model 'bogus'"):
+        bid_schedule_from_prices(hourly_series([5.0]), micro_params, unit_grid, "bogus")
+    with pytest.raises(DataValidationError, match="unknown bid model 'Power'"):
+        _segment_bounds(micro_params, "Power", 20)
 
 
 def test_grid_must_span_the_storage_soc_range(micro_params):

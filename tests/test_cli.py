@@ -43,7 +43,10 @@ def test_synth_writes_both_tapes(tmp_path, capsys):
         assert written.values.tobytes() == tape.values.tobytes()
     twice = tmp_path / "twice"
     assert run(["synth", "--zones", "AA", "AA", "--output-dir", str(twice)]) == EXIT_USAGE
-    assert "zones must be non-empty, without repeats" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # synth takes no manifest file, so its message names the flag alone
+    assert "zones must be non-empty, without repeats (set --zones)" in err
+    assert "manifest" not in err
     assert not twice.exists()
 
 
@@ -277,6 +280,8 @@ def test_usage_errors(tmp_path):
          EXIT_USAGE, BOTH_SOURCES),
         (["value", "--source", "day_ahead", "--synthetic-days", "1", "--da-prices", "da.csv"],
          {}, EXIT_USAGE, BOTH_SOURCES),
+        (["sweep", "--synthetic-days", "1"], {"zonez": ["AA"]}, EXIT_USAGE,
+         "unknown manifest keys: zonez"),
     ],
     ids=[
         "sweep-days-nan", "sweep-days-inf", "sweep-days-0", "sweep-days-0.01", "synth-days-0.01",
@@ -285,6 +290,7 @@ def test_usage_errors(tmp_path):
         "sweep-seed-negative", "synth-seed-negative", "sweep-grid-points-flag",
         "sweep-grid-points-manifest", "sweep-segments-flag", "sweep-segments-manifest",
         "sweep-csv-flags-and-days", "sweep-csv-manifest-and-days", "value-csv-and-days",
+        "manifest-unknown-key",
     ],
 )
 def test_bad_synthetic_tape_settings_exit_with_a_documented_code(
@@ -318,7 +324,8 @@ def test_empty_or_repeated_run_lists_are_usage_errors(tmp_path, capsys, flags, m
     out = tmp_path / "out"
     argv = ["simulate", "--manifest", str(path), "--synthetic-days", "1", "--output-dir", str(out)]
     assert run([*argv, *flags]) == EXIT_USAGE
-    assert f"{field} must be non-empty, without repeats" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{field} must be non-empty, without repeats (set --{field} or the manifest" in err
     assert not out.exists()
 
 
@@ -548,11 +555,12 @@ def test_dispatch_demo_soc_bids(tmp_path, capsys):
             "storage S1 has both powerbid and socbid rows",
         ),
         ("storage,S1,5,30,0.7,0,20\npowerbid,S1,7,16\n", "storage S1 has a crossed bid"),
+        ("storage,S1,10,60,0.9,10,60\n", "storage S1 has no bid rows"),
     ],
     ids=[
         "short-storage-row", "hole", "overlap", "orphan-powerbid", "orphan-socbid",
         "second-storage", "second-powerbid", "second-demand", "powerbid-and-socbid",
-        "crossed-power-pair",
+        "crossed-power-pair", "storage-without-bids",
     ],
 )
 def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, message):
@@ -586,10 +594,11 @@ def test_dispatch_demo_rejects_malformed_storage_rows(tmp_path, capsys, rows, me
             "generator,G1,100,15\ndemand,,50\nstorage,S1,10,60,0.9,10,30\nsocbid,S1,0,60,nan\n",
             "values must be finite",
         ),
+        ("generator,G1,100,15\n", "scenario has no demand row"),
     ],
     ids=[
         "nan-cost", "nan-capacity", "nan-demand", "inf-demand", "unknown-kind",
-        "nan-powerbid", "inf-powerbid", "nan-socbid",
+        "nan-powerbid", "inf-powerbid", "nan-socbid", "no-demand",
     ],
 )
 def test_dispatch_demo_rejects_non_finite_numbers_and_unknown_kinds(
@@ -664,6 +673,28 @@ def test_sweep_runs_all_six_cases_whatever_the_cases_flag_or_manifest_say(tmp_pa
     code = run(["sweep", *flags, "--manifest", str(manifest), "--output-dir", str(tmp_path)])
     assert code == EXIT_OK
     assert len((tmp_path / "summary.csv").read_text().splitlines()) == 1 + 6
+
+
+@pytest.mark.parametrize(
+    "flags, last_row, message",
+    [
+        ([], "2019-01-01T02:00:00Z,AA", "row 4: expected 3 columns, got 2"),
+        ([], "yesterday,AA,22", "row 4: unparseable timestamp 'yesterday'"),
+        (["--zones", "BB"], "2019-01-01T02:00:00Z,AA,22", "no rows for zone 'BB'"),
+        (["--source", "real_time"], "2019-01-01T02:00:00Z,AA,22",
+         "no real_time prices available for zone AA"),
+    ],
+    ids=["two-columns", "unparseable-timestamp", "absent-zone", "absent-source"],
+)
+def test_price_csv_faults_are_data_errors_naming_them(tmp_path, capsys, flags, last_row, message):
+    path = tmp_path / "da.csv"
+    path.write_text("timestamp,zone,price_usd_per_mwh\n2019-01-01T00:00:00Z,AA,20\n"
+                    f"2019-01-01T01:00:00Z,AA,21\n{last_row}\n")
+    out = tmp_path / "out"
+    argv = ["value", "--zones", "AA", "--durations", "1", "--da-prices", str(path), *flags]
+    assert run([*argv, "--output-dir", str(out)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_utf8_price_file_is_a_data_error_naming_it(tmp_path, capsys):

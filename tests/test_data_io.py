@@ -3,13 +3,14 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from socbid import BidSchedule, DataValidationError, PriceSeries, StorageParams
+from socbid import BidSchedule, DataValidationError, PriceSeries, StorageParams, run_schedule
 from socbid.data_io import (
     load_prices,
     save_prices,
     synthetic_tape,
     write_duration_curves,
     write_power_bids,
+    write_trace,
 )
 
 from conftest import START, hourly_series
@@ -245,6 +246,20 @@ def test_write_duration_curves_needs_a_schedule_that_tiles_the_tape(tmp_path):
     with pytest.raises(DataValidationError, match="do not match"):
         write_duration_curves(prices, hourly, params, tmp_path / "duration.csv")
     assert not (tmp_path / "duration.csv").exists()
+
+
+def test_write_trace_needs_a_result_of_the_tape_length(tmp_path):
+    params = StorageParams(1.0, 1.0)
+    schedule = BidSchedule(1.0, np.array([0.0, 1.0]), np.array([[5.0], [6.0]]))
+    result = run_schedule(hourly_series([20.0, 30.0]), schedule, params, 0.0)
+    with pytest.raises(DataValidationError, match="trace length does not match"):
+        write_trace(result, hourly_series([20.0, 30.0, 40.0]), tmp_path / "trace.csv")
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_synthetic_tape_needs_a_value():
+    with pytest.raises(DataValidationError, match="num_values must be at least 1"):
+        synthetic_tape("Z", START, timedelta(hours=1), 0)
 
 
 def test_synthetic_tape_is_seeded_and_square():

@@ -74,7 +74,8 @@ def test_supply_demand_balance_exact():
         bid = power_bid(discharge_bid, charge_bid, BIG_STORAGE)
         instance = MarketInstance((G1, G2), demand, (StorageUnit("S", BIG_STORAGE, soc, bid),))
         result = clear_soc_bid_ed(instance)
-        supplied = result.total_generation + result.total_storage_discharge
+        supplied = (sum(result.generation.values())
+                    + sum(d.discharge_power for d in result.storage.values()))
         assert supplied == pytest.approx(demand + result.cleared_charge, abs=1e-9)
 
 
@@ -180,7 +181,19 @@ def test_rationed_charge_block_sets_the_price():
     result = clear_soc_bid_ed(MarketInstance((gen,), 50.0, (hungry,)))
     assert result.price == 1000.0
     assert result.storage["S"].charge_power == pytest.approx(50.0)
-    assert result.total_generation == pytest.approx(50.0 + result.cleared_charge)
+    assert sum(result.generation.values()) == pytest.approx(50.0 + result.cleared_charge)
+
+
+def test_charge_block_with_no_room_left_takes_nothing():
+    # G1 covers exactly the fixed demand while S1 still bids 36 $/MWh to charge:
+    # rationing finds no room, so the block takes 0 MW and G1's step sets the price
+    params = StorageParams(10.0, 20.0, 0.9, 10.0)
+    unit = StorageUnit("S1", params, 0.0, soc_bid([0.0, 20.0], [40.0], params))
+    result = clear_soc_bid_ed(MarketInstance((G1,), 100.0, (unit,)))
+    assert result.price == 15.0
+    assert result.storage["S1"].charge_power == 0.0
+    assert result.generation == {"G1": 100.0}
+    assert result.cleared_charge == 0.0
 
 
 def test_step_emptied_by_the_power_rating_still_sets_the_price():
@@ -326,6 +339,8 @@ def test_power_and_soc_bid_units_clear_in_one_market():
 
 
 def test_generator_offer_validation():
+    with pytest.raises(DataValidationError, match="offer G has no segments"):
+        GeneratorOffer("G", ())
     with pytest.raises(DataValidationError, match="non-convex"):
         GeneratorOffer("bad", ((10.0, 30.0), (10.0, 20.0)))
     with pytest.raises(DataValidationError, match="capacity"):

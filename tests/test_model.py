@@ -1,10 +1,12 @@
 import math
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from socbid import (
     DataValidationError,
     DispatchDecision,
+    PriceSeries,
     SoCGrid,
     StorageParams,
 )
@@ -81,6 +83,35 @@ def test_grid_time_step_must_be_positive_and_finite(dt):
         SoCGrid.min_points(params, dt)
     with pytest.raises(DataValidationError, match="dt_hours"):
         SoCGrid.for_storage(params, dt)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [((0.0, 1.0, 1), "num_points must be at least 2"), ((1.0, 1.0, 11), "soc_min < soc_max")],
+    ids=["one-point", "empty-range"],
+)
+def test_grid_needs_two_points_and_a_range(args, message):
+    with pytest.raises(DataValidationError, match=message):
+        SoCGrid(*args)
+
+
+@pytest.mark.parametrize(
+    "values, resolution, message",
+    [
+        ([20.0, math.nan], timedelta(hours=1), "non-finite"),
+        ([20.0, 30.0], timedelta(0), "resolution must be positive"),
+    ],
+    ids=["nan-price", "zero-resolution"],
+)
+def test_price_series_checks_its_values_and_resolution(values, resolution, message):
+    with pytest.raises(DataValidationError, match=message):
+        PriceSeries("Z", datetime(2019, 1, 1, tzinfo=timezone.utc), resolution, values)
+
+
+def test_price_series_stores_a_naive_start_as_utc():
+    series = PriceSeries("Z", datetime(2019, 1, 1), timedelta(hours=1), [20.0])
+    assert series.start == datetime(2019, 1, 1, tzinfo=timezone.utc)
+    assert series.start.tzinfo is timezone.utc
 
 
 def test_dispatch_decision_rejects_simultaneous_action():

@@ -24,7 +24,7 @@ from socbid import (
 from socbid.bids import bid_thresholds
 from socbid.cli import _synthetic_tapes
 from socbid.data_io import synthetic_tape
-from socbid import bids, simulate
+from socbid import bids
 from socbid.model import check_initial_soc
 from socbid.simulate import (
     _clamp_soc,
@@ -158,7 +158,6 @@ def test_single_segment_equivalence_sample(micro_params):
 
 def test_case_config_decomposition():
     config = CaseConfig("RT-PB-DF")
-    assert config.settlement_market == "RT"
     assert config.bid_model == "power"
     assert config.valuation_source == "day_ahead"
     assert config.settlement_source == "real_time"
@@ -520,7 +519,7 @@ def test_crossings_split_into_blocks_equal_a_plain_count(segments, per_bid, monk
     # no wider than 2 x per_bid, so the nine periods split as 4 + 4 + 1 and the
     # last block is partial; a wider bid takes blocks of one period.
     params, bids, prices, expected = crossing_case(segments, per_bid)
-    monkeypatch.setattr(simulate, "_BLOCK_FLOATS", 2 * 4 * per_bid)
+    monkeypatch.setattr("socbid.bids._BLOCK_FLOATS", 2 * 4 * per_bid)
     assert [a.tolist() for a in _crossings(bids, prices, params)] == expected
 
 
@@ -587,7 +586,6 @@ def test_run_cases_do_not_depend_on_the_block_size(monkeypatch):
     assert points == 9601 and len(rt) % rows == 1
     assert held < len(rt) and len(rt) % (held // rows * rows) != 0
     monkeypatch.setattr(bids, "_BLOCK_FLOATS", small)
-    monkeypatch.setattr(simulate, "_BLOCK_FLOATS", small)
     for one, two in zip(expected, run_cases(configs, da, rt, params, 1001)):
         assert one.case_id == two.case_id
         for name in ("discharge", "charge", "soc", "profit"):

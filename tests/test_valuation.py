@@ -15,7 +15,6 @@ from socbid.valuation import (
     _cell_edges,
     _shift_plan,
     _step_values,
-    average_marginal,
     backward_induct,
     segment_averages,
     step_case_breakdown,
@@ -249,20 +248,33 @@ def test_backward_rejects_empty_series(micro_params, unit_grid):
         backward_induct(hourly_series([]), micro_params, unit_grid)
 
 
+def test_backward_rejects_a_terminal_curve_on_another_grid(micro_params, unit_grid):
+    terminal = ValueCurve.flat(SoCGrid(0.0, 1.0, 101))
+    with pytest.raises(DataValidationError, match="different grid"):
+        backward_induct(hourly_series([5.0]), micro_params, unit_grid, terminal)
+
+
+def test_curves_and_surfaces_must_fit_their_grid(unit_grid):
+    with pytest.raises(DataValidationError, match="1000 values for a 1001-point grid"):
+        ValueCurve(unit_grid, np.zeros(1000))
+    with pytest.raises(DataValidationError, match="surface must be"):
+        ValueSurface(unit_grid, 1.0, np.zeros(unit_grid.num_points))
+
+
 # ---------------------------------------------------------------------------
 # Averaging
 # ---------------------------------------------------------------------------
 
-def test_average_marginal_examples(micro_params, unit_grid):
+def test_segment_averages_examples(micro_params, unit_grid):
     curve = update_step(ValueCurve.flat(unit_grid), 20.0, micro_params, 1.0)
     # quantization budget: half a grid cell of the 9-valued region
     budget = unit_grid.step * 9.0
-    assert average_marginal(curve, 0.0, 1.0) == pytest.approx(5.0, abs=budget)
-    assert average_marginal(curve, 0.0, 0.5) == pytest.approx(9.0, abs=1e-9)
-    assert average_marginal(curve, 0.5, 1.0) == pytest.approx(1.0, abs=2 * budget)
+    assert segment_averages(curve, [0.0, 1.0]) == pytest.approx([5.0], abs=budget)
+    assert segment_averages(curve, [0.0, 0.5]) == pytest.approx([9.0], abs=1e-9)
+    assert segment_averages(curve, [0.5, 1.0]) == pytest.approx([1.0], abs=2 * budget)
 
 
-def test_average_marginal_matches_dense_riemann_sum(micro_params, unit_grid):
+def test_segment_averages_match_dense_riemann_sum(micro_params, unit_grid):
     curve = update_step(ValueCurve.flat(unit_grid), 20.0, micro_params, 1.0)
     lo, hi = 0.1, 0.93
 
@@ -272,15 +284,15 @@ def test_average_marginal_matches_dense_riemann_sum(micro_params, unit_grid):
 
     xs = np.linspace(lo, hi, 10 * unit_grid.num_points)
     riemann = np.mean([nearest_lookup(x) for x in xs])
-    assert average_marginal(curve, lo, hi) == pytest.approx(riemann, abs=0.01)
+    assert segment_averages(curve, [lo, hi]) == pytest.approx([riemann], abs=0.01)
 
 
-def test_average_marginal_degenerate_range(unit_grid):
+def test_segment_averages_degenerate_range(unit_grid):
     curve = ValueCurve.flat(unit_grid, 3.0)
     with pytest.raises(DataValidationError, match="degenerate"):
-        average_marginal(curve, 0.5, 0.5)
+        segment_averages(curve, [0.5, 0.5])
     with pytest.raises(DataValidationError):
-        average_marginal(curve, -0.2, 0.5)
+        segment_averages(curve, [-0.2, 0.5])
 
 
 def test_segment_averages_reject_boundaries_off_the_grid_or_out_of_order():
@@ -301,7 +313,7 @@ def test_segment_averages_partition_exactly(unit_grid):
     curve = ValueCurve(unit_grid, vals)
     bounds = np.linspace(0.0, 1.0, 11)
     segs = segment_averages(curve, bounds)
-    whole = average_marginal(curve, 0.0, 1.0)
+    (whole,) = segment_averages(curve, [0.0, 1.0])
     assert float(np.sum(segs * np.diff(bounds))) == pytest.approx(whole, abs=1e-12)
 
 
