@@ -14,7 +14,6 @@ import os
 import sys
 import typing
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -245,7 +244,10 @@ def _simulate(manifest: RunManifest) -> list[dict]:
         for zone in manifest.zones
     ]
     if manifest.workers > 1 and len(jobs) > 1:
-        # A pool forks all max_workers processes at its first submit
+        # Imported here: only a pool run pays for the import. A pool forks all
+        # max_workers processes at its first submit
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(manifest.workers, len(jobs))) as pool:
             results = list(pool.map(_run_zone_duration, jobs))
     else:

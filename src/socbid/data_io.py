@@ -13,6 +13,8 @@ import csv
 import json
 import math
 from datetime import datetime, timedelta, timezone
+from itertools import repeat
+from operator import itemgetter, sub
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,11 @@ def _write_csv(path: str | Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _utc(ts: datetime) -> datetime:
+    """A stamp in UTC; a naive one is read as UTC."""
+    return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts.astimezone(timezone.utc)
+
+
 def _parse_timestamp(raw: str, row_num: int) -> datetime:
     text = raw.strip()
     if text.endswith("Z"):
@@ -54,7 +61,7 @@ def _parse_timestamp(raw: str, row_num: int) -> datetime:
         ts = datetime.fromisoformat(text)
     except ValueError as exc:
         raise DataValidationError(f"row {row_num}: unparseable timestamp {raw!r}") from exc
-    return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts.astimezone(timezone.utc)
+    return _utc(ts)
 
 
 def load_prices(
@@ -65,12 +72,97 @@ def load_prices(
     Every timestamp must sit exactly on the ``resolution`` lattice from the
     first row, and the file's finest step must equal it. A missing interval
     is an error unless ``fill_gaps`` forward-fills it; the number of filled
-    intervals is reported on the returned series. Of several faults, the
-    first in file order is reported.
+    intervals is reported on the returned series. Of several faults, a row
+    fault (a short row, an unparseable stamp or price, a non-finite price)
+    is reported before a lattice fault (a gap, a duplicate, another step),
+    and of each kind the first in file order.
+
+    A clean file is read a block at a time; any other file, and every file
+    with a fault, is read row by row, which reads it to the same series.
     """
+    path = Path(path)
+    series = _read_clean(path, zone, resolution)
+    return series if series is not None else _read_careful(path, zone, resolution, fill_gaps)
+
+
+# Characters the clean reader reads and converts at a time; a block holds at most
+# 5,462 rows of three fields. Blocks of 64 Ki characters raised a sweep's peak RSS
+# by about 0.5 MB and loaded a year of rows no faster.
+_TEXT_BLOCK = 1 << 14
+
+
+def _clean_lines(fh, limit: int):
+    """Yield a text file's non-blank lines, a block at a time, without their endings.
+
+    Raises ValueError at text that ``csv.reader`` could read otherwise than
+    ``str.split(",")``: a quote, a NUL, a ``\\r`` that ends no ``\\r\\n``,
+    or a line longer than ``limit``, the csv module's field size limit.
+    """
+    tail = ""
+    while True:
+        block = fh.read(_TEXT_BLOCK)
+        text = tail + block
+        cut = text.rfind("\n") + 1 if block else len(text)
+        text, tail = text[:cut], text[cut:]
+        if '"' in text or "\0" in text:
+            raise ValueError("a quote or a NUL")
+        if "\r" in text:
+            if text.count("\r") != text.count("\r\n"):
+                raise ValueError("a line ending the csv module reads otherwise")
+            text = text.replace("\r\n", "\n")
+        lines = text.split("\n")
+        if len(tail) > limit or (len(text) > limit and max(map(len, lines)) > limit):
+            raise ValueError("a line over the field size limit")
+        yield list(filter(None, lines))
+        if not block:
+            return
+
+
+def _read_clean(path: Path, zone: str, resolution: timedelta) -> PriceSeries | None:
+    """Read a clean file's rows for ``zone`` a block at a time, or return None.
+
+    Clean means UTF-8 text that ``str.split(",")`` splits as ``csv.reader``
+    does, whose rows all have three fields or more, and whose zone rows hold
+    ISO stamps that need no stripping, each one ``resolution`` after the last,
+    and finite prices. On any other file, None: :func:`_read_careful` reads it.
+    """
+    pieces: list[np.ndarray] = []
+    start = last = None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for lines in _clean_lines(fh, csv.field_size_limit()):
+                rows = [
+                    row for row in map(str.split, lines, repeat(","))
+                    if len(row) < 3 or row[1].strip() == zone
+                ]
+                if not rows:
+                    continue
+                if min(map(len, rows)) < 3:
+                    return None
+                stamps = list(map(datetime.fromisoformat, map(itemgetter(0), rows)))
+                run = stamps if last is None else [last, *stamps]
+                if list(map(sub, run[1:], run)).count(resolution) != len(run) - 1:
+                    return None
+                start = start or stamps[0]
+                last = stamps[-1]
+                pieces.append(np.fromiter(map(float, map(itemgetter(2), rows)), float))
+    except (ValueError, TypeError):  # UnicodeDecodeError is a ValueError
+        return None
+    if start is None:
+        return None
+    values = np.concatenate(pieces)
+    if not np.isfinite(values).all():
+        return None
+    return PriceSeries(zone, _utc(start), resolution, values)
+
+
+def _read_careful(
+    path: Path, zone: str, resolution: timedelta, fill_gaps: bool
+) -> PriceSeries:
+    """Read any CSV file row by row with the csv module, reporting its first fault
+    as :func:`load_prices` orders them, as a DataValidationError."""
     stamps: list[datetime] = []
     prices: list[float] = []
-    path = Path(path)
     for row_num, row in enumerate(_read_csv(path), start=1):
         if not row or (row_num == 1 and row[0].strip().lower() == "timestamp"):
             continue

@@ -138,8 +138,8 @@ def _crossings(
 def _settle(
     prices: list, boundaries: list, kd: list, kc: list, params: StorageParams, dt: float,
     e: float,
-) -> tuple[list, list, list, list]:
-    """Dispatch each interval in turn; returns discharge, charge, SoC-after and profit lists.
+) -> tuple[list, list, list]:
+    """Dispatch each interval in turn; returns discharge, charge and SoC-after lists.
 
     ``kd`` and ``kc`` are each interval's crossing counts against its bid
     (see :func:`_crossings`), counted on its exactly non-increasing bid, so
@@ -153,7 +153,6 @@ def _settle(
     """
     check_initial_soc(e, params)
     eta = params.efficiency_one_way
-    c = params.discharge_cost
     big_p = params.power_rating
     lo, hi = params.soc_min, params.soc_max
     # kd == J beats no segment and kc == 0 none, wherever the SoC sits
@@ -163,7 +162,6 @@ def _settle(
     discharge = [0.0] * n
     charge = [0.0] * n
     soc = [0.0] * n
-    profit = [0.0] * n
     for k, (price, down, up) in enumerate(zip(prices, kd, kc)):
         p = b = 0.0
         if price > 0.0 and e > floors[down]:
@@ -176,9 +174,14 @@ def _settle(
         discharge[k] = p
         charge[k] = b
         soc[k] = after
-        profit[k] = price * (p - b) * dt - c * p * dt
         e = after
-    return discharge, charge, soc, profit
+    return discharge, charge, soc
+
+
+def _cash(price, discharge, charge, params: StorageParams, dt: float):
+    """Each interval's profit: the net discharge sold at the price, less the discharge
+    cost. Takes floats or arrays; on arrays it books every interval at once."""
+    return price * (discharge - charge) * dt - params.discharge_cost * discharge * dt
 
 
 def step_soc_bid(
@@ -202,8 +205,8 @@ def step_soc_bid(
     check_step(dt_hours, price)
     kd = sum(price <= d for d in curve.discharge.tolist())
     kc = sum(price < c for c in curve.charge.tolist())
-    settled = _settle([price], boundaries, [kd], [kc], params, dt_hours, e_prev)
-    return DispatchDecision(*(column[0] for column in settled))
+    (p,), (b,), (soc,) = _settle([price], boundaries, [kd], [kc], params, dt_hours, e_prev)
+    return DispatchDecision(p, b, soc, _cash(price, p, b, params, dt_hours))
 
 
 def _intervals_per_bid(period_hours: float, periods: int, prices: PriceSeries) -> int:
@@ -234,8 +237,9 @@ def _settled(
         prices.values.tolist(), boundaries.tolist(), kd.ravel().tolist(), kc.ravel().tolist(),
         params, dt, initial_soc,
     )
-    discharge, charge, soc, profit = (np.array(column) for column in settled)
-    discharged = math.fsum(p * dt for p in settled[0])
+    discharge, charge, soc = (np.array(column, float) for column in settled)
+    profit = _cash(prices.values, discharge, charge, params, dt)
+    discharged = math.fsum((discharge * dt).tolist())
     return SimulationResult(
         case_id=case_id,
         initial_soc=initial_soc,
@@ -243,7 +247,7 @@ def _settled(
         charge=charge,
         soc=soc,
         profit=profit,
-        total_profit=math.fsum(settled[3]),
+        total_profit=math.fsum(profit.tolist()),
         discharged_energy=discharged,
         cycles=discharged / params.energy_capacity,
     )

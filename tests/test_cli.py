@@ -153,7 +153,7 @@ def test_sweep_pool_forks_no_more_workers_than_jobs(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     code = run(
         [
             "sweep", "--zones", "AA", "--durations", "1", "2", "--synthetic-days", "1",

@@ -1,10 +1,16 @@
-from datetime import timedelta
+import csv
+import io
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from socbid import BidSchedule, DataValidationError, PriceSeries, StorageParams, run_schedule
+from socbid import data_io
 from socbid.data_io import (
+    _read_careful,
+    _read_clean,
     load_prices,
     save_prices,
     synthetic_tape,
@@ -180,6 +186,179 @@ def test_round_trip_is_bit_identical(tmp_path):
     assert back.start == series.start
     save_prices(back, tmp_path / "rt2.csv")
     assert (tmp_path / "rt.csv").read_bytes() == (tmp_path / "rt2.csv").read_bytes()
+
+
+def test_row_faults_are_reported_before_lattice_faults(tmp_path):
+    # Row 4 skips an hour and row 5 holds no price: the row fault is reported,
+    # though the gap comes first in the file
+    path = tmp_path / "both.csv"
+    write_rows(
+        path,
+        [
+            "2019-01-01T00:00:00Z,Z,10",
+            "2019-01-01T01:00:00Z,Z,11",
+            "2019-01-01T03:00:00Z,Z,13",
+            "2019-01-01T04:00:00Z,Z,abc",
+        ],
+    )
+    with pytest.raises(DataValidationError, match="^row 5: unparseable price 'abc'$"):
+        load_prices(path, "Z", timedelta(hours=1))
+
+
+FIVE_MIN = timedelta(minutes=5)
+
+
+def noisy_tape(n=700, zone="AA", seed=3):
+    return synthetic_tape(zone, START, FIVE_MIN, n, noise_std=5.0, seed=seed)
+
+
+def tape_lines(series):
+    """The lines ``save_prices`` writes for ``series``, header first, without endings."""
+    rows = (
+        f"{series.timestamp(i).isoformat()},{series.zone},{value!r}"
+        for i, value in enumerate(series.values.tolist())
+    )
+    return [",".join(data_io.PRICE_HEADER), *rows]
+
+
+def retimed(tz):
+    """Tape lines with every stamp written in ``tz`` (naive where None)."""
+    lines = list(LINES)
+    for k in range(1, len(lines)):
+        stamp, rest = lines[k].split(",", 1)
+        ts = datetime.fromisoformat(stamp).astimezone(tz or timezone.utc)
+        lines[k] = (ts.replace(tzinfo=None) if tz is None else ts).isoformat() + "," + rest
+    return lines
+
+
+def quoted(lines, zone=None):
+    """Tape lines written again by csv.writer with every field quoted, renaming the zone."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, quoting=csv.QUOTE_ALL)
+    for line in lines:
+        row = line.split(",")
+        writer.writerow(row if zone is None or row[1] == "zone" else [row[0], zone, row[2]])
+    return buffer.getvalue()
+
+
+def interleaved(zones, n=200):
+    """One file with ``zones``' tapes interleaved row by row, header first."""
+    tapes = [tape_lines(noisy_tape(n, zone, seed)) for seed, zone in enumerate(zones)]
+    return [tapes[0][0], *(tape[k] for k in range(1, n + 1) for tape in tapes)]
+
+
+def joined(lines, end="\n"):
+    return end.join(lines) + end
+
+
+def lone_cr():
+    """Two zones' rows, the last of AA's after a lone CR that ends a BB row of four
+    fields: split on newlines alone, that AA row would end the BB row."""
+    lines = interleaved(["BB", "AA"])
+    return joined(lines[:-2]) + lines[-2] + ",x\r" + lines[-1] + "\n"
+
+
+LINES = tape_lines(noisy_tape())
+NEXT_ROW = f"{(START + (len(LINES) - 1) * FIVE_MIN).isoformat()},AA,13.0"  # one step after LINES
+# Each file, as text or bytes, and the zone and fill_gaps it is read with
+READER_FILES = {
+    "save_prices": (joined(LINES, "\r\n"), "AA", False),
+    "lf": (joined(LINES), "AA", False),
+    "crlf-blank-lines": ("\r\n" + joined(LINES, "\r\n") + "\r\n", "AA", False),
+    "lone-cr": (lone_cr(), "AA", False),
+    "quote-all": (quoted(LINES), "AA", False),
+    "quoted-comma-zone": (quoted(LINES, zone="A,B"), "A,B", False),
+    "quoted-newline": (
+        joined(LINES[:-1]) + LINES[-1] + ',"\n' + NEXT_ROW + ',"\n', "AA", False,
+    ),
+    "blank-lines": ("\n" + joined(LINES[:5]) + "\n\n" + joined(LINES[5:]) + "\n", "AA", False),
+    "nul": (joined([*LINES[:9], LINES[9] + ",\0", *LINES[10:]]), "AA", False),
+    "long-field": (joined([*LINES[:9], LINES[9] + "," + "x" * 131_073, *LINES[10:]]), "AA", False),
+    "spaces": (joined(" " + line.replace(",", " , ") + " " for line in LINES), "AA", False),
+    "short-row-of-another-zone": (
+        joined([*LINES[:9], "2019-01-01T00:00:00+00:00,BB", *LINES[9:]]), "AA", False,
+    ),
+    "short-row": (joined([*LINES[:9], LINES[9].rsplit(",", 1)[0], *LINES[10:]]), "AA", False),
+    "spaced-zone-at-the-end": (
+        joined([*LINES[:600], *(line.replace(",AA,", ", AA ,") for line in LINES[600:])]),
+        "AA", False,
+    ),
+    "fourth-column": (joined(line + ",extra" for line in LINES), "AA", False),
+    "interleaved": (joined(interleaved(["AA", "BB"])), "BB", False),
+    "z-stamps": (joined(LINES).replace("+00:00", "Z"), "AA", False),
+    "offset-stamps": (joined(retimed(timezone(timedelta(hours=5)))), "AA", False),
+    "naive-stamps": (joined(retimed(None)), "AA", False),
+    "naive-and-aware": (
+        joined([*LINES[:400], *retimed(None)[400:]]), "AA", False,
+    ),
+    "gap": (joined([*LINES[:500], *LINES[501:]]), "AA", False),
+    "gap-filled": (joined([*LINES[:500], *LINES[501:]]), "AA", True),
+    "duplicate": (joined([*LINES[:500], *LINES[499:]]), "AA", False),
+    "not-utf8": (joined(LINES).encode() + b"2019-01-03T10:20:00+00:00,\xff,1\n", "AA", False),
+}
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+@pytest.mark.parametrize("name", sorted(READER_FILES))
+def test_clean_reader_reads_as_the_careful_reader(tmp_path, monkeypatch, name, blocks):
+    # Blocks shorter than a row carry lines, and lattice steps, across blocks
+    if blocks == "small":
+        monkeypatch.setattr(data_io, "_TEXT_BLOCK", 32)
+    content, zone, fill_gaps = READER_FILES[name]
+    path = tmp_path / "prices.csv"
+    if isinstance(content, str):
+        path.write_text(content, newline="")
+    else:
+        path.write_bytes(content)
+    try:
+        reference = _read_careful(path, zone, FIVE_MIN, fill_gaps)
+    except DataValidationError as exc:
+        assert _read_clean(path, zone, FIVE_MIN) is None
+        with pytest.raises(DataValidationError) as raised:
+            load_prices(path, zone, FIVE_MIN, fill_gaps)
+        assert str(raised.value) == str(exc)
+        return
+    for series in (_read_clean(path, zone, FIVE_MIN), load_prices(path, zone, FIVE_MIN, fill_gaps)):
+        if series is None:
+            continue
+        assert series.values.tobytes() == reference.values.tobytes()
+        assert (series.start, series.start.tzinfo) == (reference.start, reference.start.tzinfo)
+        assert series.gaps_filled == reference.gaps_filled
+
+
+@pytest.mark.parametrize("name", ["save_prices", "lf", "crlf-blank-lines", "interleaved-11"])
+def test_clean_reader_takes_clean_files(tmp_path, name):
+    # The fast path must fire on the files it is for, not only read as the careful one
+    path = tmp_path / "prices.csv"
+    if name == "save_prices":
+        save_prices(noisy_tape(), path)
+        assert path.read_bytes() == READER_FILES[name][0].encode()
+        zone, rows = "AA", len(LINES) - 1
+    elif name == "interleaved-11":
+        path.write_text(joined(interleaved([f"Z{k}" for k in range(11)])))
+        zone, rows = "Z7", 200
+    else:
+        path.write_text(READER_FILES[name][0], newline="")
+        zone, rows = "AA", len(LINES) - 1
+    series = _read_clean(path, zone, FIVE_MIN)
+    assert series is not None and len(series) == rows
+    assert series.values.tobytes() == _read_careful(path, zone, FIVE_MIN, False).values.tobytes()
+
+
+def test_load_prices_peak_allocation_is_bounded(tmp_path):
+    # A half year of 5-minute rows. Reading every row into Python lists before
+    # converting them peaked at 6.1 MiB; a block at a time it peaks at 1.7 MiB,
+    # the tape's values and their copy in the series included.
+    path = tmp_path / "half-year.csv"
+    save_prices(synthetic_tape("AA", START, FIVE_MIN, 52_560, noise_std=5.0, seed=5), path)
+    tracemalloc.start()
+    try:
+        series = load_prices(path, "AA", FIVE_MIN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 52_560
+    assert peak <= 3 * 2**20
 
 
 def duration_table(tmp_path, prices):

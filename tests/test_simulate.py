@@ -27,6 +27,7 @@ from socbid.data_io import synthetic_tape
 from socbid import bids
 from socbid.model import check_initial_soc
 from socbid.simulate import (
+    _cash,
     _clamp_soc,
     _crossings,
     _settle,
@@ -472,7 +473,9 @@ def test_settle_from_crossing_counts_repeats_the_segment_walk_byte_for_byte():
             assert [a.ravel().tolist() for a in counted] == [kd, kc]
         expected = reference_settle(prices, boundaries, thresholds, per_bid, params, dt, e)
         settled = _settle(prices, boundaries, kd, kc, params, dt, e)
-        for got, want in zip(settled, expected):
+        # the cash of every interval, booked on arrays, repeats the walk's float one
+        profit = _cash(np.array(prices), np.array(settled[0]), np.array(settled[1]), params, dt)
+        for got, want in zip((*settled, profit), expected):
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
