@@ -10,10 +10,11 @@ what it filled.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from datetime import datetime, timedelta, timezone
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter, sub
 from pathlib import Path
 
@@ -32,11 +33,17 @@ def _read_csv(path: str | Path):
     module cannot read (a field over 131,072 characters), is a DataValidationError."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            yield from csv.reader(fh)
+            yield from _csv_rows(fh, path)
         except UnicodeDecodeError as exc:
             raise DataValidationError(f"{path} is not UTF-8 text") from exc
-        except csv.Error as exc:
-            raise DataValidationError(f"{path} is not a readable CSV: {exc}") from exc
+
+
+def _csv_rows(lines, path: Path):
+    """Rows of CSV text lines; a row the csv module cannot read is a DataValidationError."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        raise DataValidationError(f"{path} is not a readable CSV: {exc}") from exc
 
 
 def _write_csv(path: str | Path, header, rows) -> None:
@@ -77,93 +84,83 @@ def load_prices(
     is reported before a lattice fault (a gap, a duplicate, another step),
     and of each kind the first in file order.
 
-    A clean file is read a block at a time; any other file, and every file
-    with a fault, is read row by row, which reads it to the same series.
+    The file is read once, a block of text at a time, to the series that
+    :func:`_read_careful` reads row by row with the csv module.
     """
     path = Path(path)
-    series = _read_clean(path, zone, resolution)
-    return series if series is not None else _read_careful(path, zone, resolution, fill_gaps)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            start, offsets, prices = _zone_tape(fh, path, zone, resolution)
+    except UnicodeDecodeError:
+        # The file fails to load; the careful reader names the fault it meets first
+        return _read_careful(path, zone, resolution, fill_gaps)
+    return _on_lattice(zone, start, offsets, prices, resolution, fill_gaps)
 
 
-# Characters the clean reader reads and converts at a time; a block holds at most
-# 5,462 rows of three fields. Blocks of 64 Ki characters raised a sweep's peak RSS
-# by about 0.5 MB and loaded a year of rows no faster.
+# Characters read and converted at a time; a block holds at most 5,462 rows of
+# three fields. Blocks of 64 Ki characters raised a sweep's peak RSS by about
+# 0.5 MB and loaded a year of rows no faster.
 _TEXT_BLOCK = 1 << 14
+# Rows the csv module reads and converts at a time, from the first irregular block on
+_CSV_ROWS = 1 << 13
 
 
-def _clean_lines(fh, limit: int):
-    """Yield a text file's non-blank lines, a block at a time, without their endings.
+def _zone_blocks(fh, path: Path, zone: str):
+    """Yield ``zone``'s stamps and prices from a CSV text file, a block of rows at a time.
 
-    Raises ValueError at text that ``csv.reader`` could read otherwise than
-    ``str.split(",")``: a quote, a NUL, a ``\\r`` that ends no ``\\r\\n``,
-    or a line longer than ``limit``, the csv module's field size limit.
+    A block's rows are split on commas and their stamps and prices converted
+    at once; if that fails, :func:`_take_rows` converts them one at a time and
+    names the fault. From the first block holding text that ``csv.reader``
+    could read otherwise than ``str.split(",")`` (a quote, a NUL, a ``\\r``
+    that ends no ``\\r\\n``, a line over the csv module's field size limit),
+    the csv module reads the rest of the file.
     """
-    tail = ""
+    limit = csv.field_size_limit()
+    row_num, tail = 0, ""
     while True:
         block = fh.read(_TEXT_BLOCK)
         text = tail + block
         cut = text.rfind("\n") + 1 if block else len(text)
         text, tail = text[:cut], text[cut:]
-        if '"' in text or "\0" in text:
-            raise ValueError("a quote or a NUL")
-        if "\r" in text:
-            if text.count("\r") != text.count("\r\n"):
-                raise ValueError("a line ending the csv module reads otherwise")
-            text = text.replace("\r\n", "\n")
-        lines = text.split("\n")
-        if len(tail) > limit or (len(text) > limit and max(map(len, lines)) > limit):
-            raise ValueError("a line over the field size limit")
-        yield list(filter(None, lines))
+        if (
+            '"' in text or "\0" in text or text.count("\r") != text.count("\r\n")
+            or len(tail) > limit
+            or (len(text) > limit and max(map(len, text.split("\n"))) > limit)
+        ):
+            rest = chain(io.StringIO(text + tail + fh.readline(), newline=""), fh)
+            rows = enumerate(_csv_rows(rest, path), row_num + 1)
+            for first in rows:
+                yield _take_rows(chain([first], islice(rows, _CSV_ROWS - 1)), zone)
+            return
+        lines = text.replace("\r\n", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()
+        rows = [
+            row for row in map(str.split, lines, repeat(","))
+            if len(row) < 3 or row[1].strip() == zone
+        ]
+        try:
+            if rows and min(map(len, rows)) < 3:
+                raise ValueError("a short or blank row")
+            stamps = list(map(datetime.fromisoformat, map(itemgetter(0), rows)))
+            prices = np.fromiter(map(float, map(itemgetter(2), rows)), float, len(rows))
+            if not np.isfinite(prices).all():
+                raise ValueError("a non-finite price")
+        except ValueError:
+            rows = (line.split(",") if line else [] for line in lines)
+            stamps, prices = _take_rows(enumerate(rows, row_num + 1), zone)
+        yield stamps, prices
+        row_num += len(lines)
         if not block:
             return
 
 
-def _read_clean(path: Path, zone: str, resolution: timedelta) -> PriceSeries | None:
-    """Read a clean file's rows for ``zone`` a block at a time, or return None.
-
-    Clean means UTF-8 text that ``str.split(",")`` splits as ``csv.reader``
-    does, whose rows all have three fields or more, and whose zone rows hold
-    ISO stamps that need no stripping, each one ``resolution`` after the last,
-    and finite prices. On any other file, None: :func:`_read_careful` reads it.
-    """
-    pieces: list[np.ndarray] = []
-    start = last = None
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for lines in _clean_lines(fh, csv.field_size_limit()):
-                rows = [
-                    row for row in map(str.split, lines, repeat(","))
-                    if len(row) < 3 or row[1].strip() == zone
-                ]
-                if not rows:
-                    continue
-                if min(map(len, rows)) < 3:
-                    return None
-                stamps = list(map(datetime.fromisoformat, map(itemgetter(0), rows)))
-                run = stamps if last is None else [last, *stamps]
-                if list(map(sub, run[1:], run)).count(resolution) != len(run) - 1:
-                    return None
-                start = start or stamps[0]
-                last = stamps[-1]
-                pieces.append(np.fromiter(map(float, map(itemgetter(2), rows)), float))
-    except (ValueError, TypeError):  # UnicodeDecodeError is a ValueError
-        return None
-    if start is None:
-        return None
-    values = np.concatenate(pieces)
-    if not np.isfinite(values).all():
-        return None
-    return PriceSeries(zone, _utc(start), resolution, values)
-
-
-def _read_careful(
-    path: Path, zone: str, resolution: timedelta, fill_gaps: bool
-) -> PriceSeries:
-    """Read any CSV file row by row with the csv module, reporting its first fault
-    as :func:`load_prices` orders them, as a DataValidationError."""
+def _take_rows(rows, zone: str) -> tuple[list[datetime], np.ndarray]:
+    """``zone``'s stamps, in UTC, and prices from numbered CSV rows, one row at a time;
+    the first row fault in file order is a DataValidationError."""
     stamps: list[datetime] = []
     prices: list[float] = []
-    for row_num, row in enumerate(_read_csv(path), start=1):
+    for row_num, row in rows:
         if not row or (row_num == 1 and row[0].strip().lower() == "timestamp"):
             continue
         if len(row) < 3:
@@ -178,13 +175,67 @@ def _read_careful(
         if not math.isfinite(price):
             raise DataValidationError(f"row {row_num}: price {row[2]!r} is not finite")
         prices.append(price)
+    return stamps, np.array(prices, float)
+
+
+_US = timedelta(microseconds=1)
+
+
+def _zone_tape(fh, path: Path, zone: str, resolution: timedelta):
+    """``zone``'s first stamp in UTC, its stamps' whole microseconds from it, and
+    its prices, read a block at a time. The microseconds are None while every
+    step is ``resolution``; from the first block with another step on, each
+    stamp's are counted."""
+    start = last = offsets = None
+    count, pieces = 0, []
+    for stamps, prices in _zone_blocks(fh, path, zone):
+        if not stamps:
+            continue
+        if start is None:
+            start = _utc(stamps[0])
+        if offsets is None:
+            run = stamps if last is None else [last, *stamps]
+            try:
+                regular = list(map(sub, run[1:], run)).count(resolution) == len(run) - 1
+            except TypeError:  # naive stamps beside aware ones
+                regular = False
+            if not regular:
+                offsets = [np.arange(count, dtype=np.int64) * (resolution // _US)]
+        if offsets is not None:
+            offsets.append(np.fromiter(
+                ((_utc(ts) - start) // _US for ts in stamps), np.int64, len(stamps)
+            ))
+        last, count = stamps[-1], count + len(stamps)
+        pieces.append(prices)
+    if start is None:
+        raise DataValidationError(f"no rows for zone {zone!r} in {path}")
+    return start, None if offsets is None else np.concatenate(offsets), np.concatenate(pieces)
+
+
+def _read_careful(
+    path: Path, zone: str, resolution: timedelta, fill_gaps: bool
+) -> PriceSeries:
+    """Read any CSV file row by row with the csv module, reporting its first fault
+    as :func:`load_prices` orders them, as a DataValidationError: the series
+    ``load_prices`` reads, and its reader of a file that is not UTF-8."""
+    stamps, prices = _take_rows(enumerate(_read_csv(path), start=1), zone)
     if not stamps:
         raise DataValidationError(f"no rows for zone {zone!r} in {path}")
-    # Whole microseconds from the first row: the lattice test is exact.
-    us = timedelta(microseconds=1)
     start = stamps[0]
-    steps = np.diff(np.fromiter(((ts - start) // us for ts in stamps), np.int64, len(stamps)))
-    res = resolution // us
+    offsets = np.fromiter(((ts - start) // _US for ts in stamps), np.int64, len(stamps))
+    return _on_lattice(zone, start, offsets, prices, resolution, fill_gaps)
+
+
+def _on_lattice(
+    zone: str, start: datetime, offsets, prices: np.ndarray, resolution: timedelta,
+    fill_gaps: bool,
+) -> PriceSeries:
+    """The series of ``prices`` stamped ``offsets`` microseconds after ``start``
+    (each ``resolution`` after the last where None), or the first lattice fault."""
+    if offsets is None:
+        return PriceSeries(zone, start, resolution, prices)
+    steps = np.diff(offsets)
+    res = resolution // _US
     # A first step off the lattice is a gap or another resolution; the finest
     # step tells which. Non-positive steps are reported below.
     if steps.size and steps[0] != res:
@@ -194,13 +245,13 @@ def _read_careful(
     bad = np.flatnonzero((steps <= 0) | (steps % res != 0) if fill_gaps else steps != res)
     if bad.size:
         i = int(bad[0])
-        ts, step = stamps[i + 1], int(steps[i])
+        ts, step = start + int(offsets[i + 1]) * _US, int(steps[i])
         if step <= 0:
             raise DataValidationError(f"duplicate or out-of-order timestamp {ts.isoformat()}")
         if step % res:
             raise DataValidationError(f"timestamp {ts.isoformat()} is off the {resolution} lattice")
         raise DataValidationError(
-            f"missing interval at {(stamps[i] + resolution).isoformat()}"
+            f"missing interval at {(start + int(offsets[i]) * _US + resolution).isoformat()}"
             f" ({step // res - 1} interval(s) absent)"
         )
     values = np.repeat(prices, np.append(steps // res, 1))

@@ -10,7 +10,6 @@ from socbid import BidSchedule, DataValidationError, PriceSeries, StorageParams,
 from socbid import data_io
 from socbid.data_io import (
     _read_careful,
-    _read_clean,
     load_prices,
     save_prices,
     synthetic_tape,
@@ -260,6 +259,7 @@ def lone_cr():
 
 LINES = tape_lines(noisy_tape())
 NEXT_ROW = f"{(START + (len(LINES) - 1) * FIVE_MIN).isoformat()},AA,13.0"  # one step after LINES
+BAD_PRICE = LINES[650] + "x"
 # Each file, as text or bytes, and the zone and fill_gaps it is read with
 READER_FILES = {
     "save_prices": (joined(LINES, "\r\n"), "AA", False),
@@ -295,59 +295,98 @@ READER_FILES = {
     "gap-filled": (joined([*LINES[:500], *LINES[501:]]), "AA", True),
     "duplicate": (joined([*LINES[:500], *LINES[499:]]), "AA", False),
     "not-utf8": (joined(LINES).encode() + b"2019-01-03T10:20:00+00:00,\xff,1\n", "AA", False),
+    # Row numbers run on across blank lines and into the csv module's rows
+    "blank-lines-then-bad-price": (
+        "\n" + joined(LINES[:5]) + "\n\n" + joined([*LINES[5:650], BAD_PRICE, *LINES[651:]]),
+        "AA", False,
+    ),
+    "quote-then-bad-price": (
+        joined([*LINES[:300], LINES[300] + ',"x"', *LINES[301:650], BAD_PRICE, *LINES[651:]]),
+        "AA", False,
+    ),
 }
+
+
+def write_content(path, content):
+    if isinstance(content, str):
+        path.write_text(content, newline="")
+    else:
+        path.write_bytes(content)
 
 
 @pytest.mark.parametrize("blocks", ["default", "small"])
 @pytest.mark.parametrize("name", sorted(READER_FILES))
-def test_clean_reader_reads_as_the_careful_reader(tmp_path, monkeypatch, name, blocks):
+def test_load_prices_reads_as_the_careful_reader(tmp_path, monkeypatch, name, blocks):
     # Blocks shorter than a row carry lines, and lattice steps, across blocks
     if blocks == "small":
         monkeypatch.setattr(data_io, "_TEXT_BLOCK", 32)
     content, zone, fill_gaps = READER_FILES[name]
     path = tmp_path / "prices.csv"
-    if isinstance(content, str):
-        path.write_text(content, newline="")
-    else:
-        path.write_bytes(content)
+    write_content(path, content)
     try:
         reference = _read_careful(path, zone, FIVE_MIN, fill_gaps)
     except DataValidationError as exc:
-        assert _read_clean(path, zone, FIVE_MIN) is None
         with pytest.raises(DataValidationError) as raised:
             load_prices(path, zone, FIVE_MIN, fill_gaps)
         assert str(raised.value) == str(exc)
         return
-    for series in (_read_clean(path, zone, FIVE_MIN), load_prices(path, zone, FIVE_MIN, fill_gaps)):
-        if series is None:
-            continue
-        assert series.values.tobytes() == reference.values.tobytes()
-        assert (series.start, series.start.tzinfo) == (reference.start, reference.start.tzinfo)
-        assert series.gaps_filled == reference.gaps_filled
+    series = load_prices(path, zone, FIVE_MIN, fill_gaps)
+    assert series.values.tobytes() == reference.values.tobytes()
+    assert (series.start, series.start.tzinfo) == (reference.start, reference.start.tzinfo)
+    assert series.gaps_filled == reference.gaps_filled
 
 
-@pytest.mark.parametrize("name", ["save_prices", "lf", "crlf-blank-lines", "interleaved-11"])
-def test_clean_reader_takes_clean_files(tmp_path, name):
-    # The fast path must fire on the files it is for, not only read as the careful one
+def refuse(*args):
+    raise AssertionError("read row by row")
+
+
+@pytest.mark.parametrize("name", ["save_prices", "lf", "gap-filled", "interleaved-11"])
+def test_clean_files_are_never_read_row_by_row(tmp_path, monkeypatch, name):
+    # The block conversion must fire on the files it is for, not only read as
+    # the careful reader does; a gap is filled without a second read
     path = tmp_path / "prices.csv"
     if name == "save_prices":
         save_prices(noisy_tape(), path)
         assert path.read_bytes() == READER_FILES[name][0].encode()
-        zone, rows = "AA", len(LINES) - 1
+        zone, fill_gaps = "AA", False
     elif name == "interleaved-11":
         path.write_text(joined(interleaved([f"Z{k}" for k in range(11)])))
-        zone, rows = "Z7", 200
+        zone, fill_gaps = "Z7", False
     else:
-        path.write_text(READER_FILES[name][0], newline="")
-        zone, rows = "AA", len(LINES) - 1
-    series = _read_clean(path, zone, FIVE_MIN)
-    assert series is not None and len(series) == rows
-    assert series.values.tobytes() == _read_careful(path, zone, FIVE_MIN, False).values.tobytes()
+        content, zone, fill_gaps = READER_FILES[name]
+        write_content(path, content)
+    reference = _read_careful(path, zone, FIVE_MIN, fill_gaps)
+    monkeypatch.setattr(data_io, "_take_rows", refuse)
+    monkeypatch.setattr(data_io, "_read_careful", refuse)
+    series = load_prices(path, zone, FIVE_MIN, fill_gaps)
+    assert series.values.tobytes() == reference.values.tobytes()
+    assert series.gaps_filled == reference.gaps_filled == (name == "gap-filled")
+
+
+def test_a_faulty_block_alone_is_read_row_by_row(tmp_path, monkeypatch):
+    # A stamp that needs stripping sends its own block row by row, not the file
+    lines = tape_lines(noisy_tape(7000))
+    lines[6000] = " " + lines[6000]
+    path = tmp_path / "prices.csv"
+    path.write_text(joined(lines))
+    reference = _read_careful(path, "AA", FIVE_MIN, False)
+    taken = []
+    take_rows = data_io._take_rows
+
+    def counted(rows, zone):
+        stamps, prices = take_rows(rows, zone)
+        taken.append(len(stamps))
+        return stamps, prices
+
+    monkeypatch.setattr(data_io, "_take_rows", counted)
+    series = load_prices(path, "AA", FIVE_MIN)
+    assert series.values.tobytes() == reference.values.tobytes()
+    assert len(taken) == 1 and 0 < taken[0] < 1000
 
 
 def test_load_prices_peak_allocation_is_bounded(tmp_path):
     # A half year of 5-minute rows. Reading every row into Python lists before
-    # converting them peaked at 6.1 MiB; a block at a time it peaks at 1.7 MiB,
+    # converting them peaked at 6.1 MiB; a block at a time it peaks at 0.8 MiB,
     # the tape's values and their copy in the series included.
     path = tmp_path / "half-year.csv"
     save_prices(synthetic_tape("AA", START, FIVE_MIN, 52_560, noise_std=5.0, seed=5), path)
