@@ -295,7 +295,20 @@ READER_FILES = {
     "gap-filled": (joined([*LINES[:500], *LINES[501:]]), "AA", True),
     "duplicate": (joined([*LINES[:500], *LINES[499:]]), "AA", False),
     "not-utf8": (joined(LINES).encode() + b"2019-01-03T10:20:00+00:00,\xff,1\n", "AA", False),
-    # Row numbers run on across blank lines and into the csv module's rows
+    # The bad price is read more than 8 KiB before the undecodable byte, in one
+    # block with it: the price, not the encoding, is the first fault
+    "bad-price-then-not-utf8": (
+        joined([*LINES[:100], LINES[100] + "x", *LINES[101:350]]).encode()
+        + b"\xff" + joined(LINES[350:]).encode(),
+        "AA", False,
+    ),
+    # So is a bad price in one block with a later field the csv module cannot read
+    "bad-price-then-long-field": (
+        joined([*LINES[:100], LINES[100] + "x", *LINES[101:105],
+                LINES[105] + "," + "x" * 131_073, *LINES[106:]]),
+        "AA", False,
+    ),
+    # Row numbers run on across blank lines and across blocks
     "blank-lines-then-bad-price": (
         "\n" + joined(LINES[:5]) + "\n\n" + joined([*LINES[5:650], BAD_PRICE, *LINES[651:]]),
         "AA", False,
@@ -317,9 +330,9 @@ def write_content(path, content):
 @pytest.mark.parametrize("blocks", ["default", "small"])
 @pytest.mark.parametrize("name", sorted(READER_FILES))
 def test_load_prices_reads_as_the_careful_reader(tmp_path, monkeypatch, name, blocks):
-    # Blocks shorter than a row carry lines, and lattice steps, across blocks
+    # Blocks of three rows carry blank lines, faults and lattice steps across blocks
     if blocks == "small":
-        monkeypatch.setattr(data_io, "_TEXT_BLOCK", 32)
+        monkeypatch.setattr(data_io, "_CSV_ROWS", 3)
     content, zone, fill_gaps = READER_FILES[name]
     path = tmp_path / "prices.csv"
     write_content(path, content)
@@ -386,7 +399,7 @@ def test_a_faulty_block_alone_is_read_row_by_row(tmp_path, monkeypatch):
 
 def test_load_prices_peak_allocation_is_bounded(tmp_path):
     # A half year of 5-minute rows. Reading every row into Python lists before
-    # converting them peaked at 6.1 MiB; a block at a time it peaks at 0.8 MiB,
+    # converting them peaked at 6.1 MiB; 512 rows at a time it peaks at 0.85 MiB,
     # the tape's values and their copy in the series included.
     path = tmp_path / "half-year.csv"
     save_prices(synthetic_tape("AA", START, FIVE_MIN, 52_560, noise_std=5.0, seed=5), path)
