@@ -3,9 +3,7 @@
 from .bids import (
     BidSchedule,
     SoCBidCurve,
-    bid_schedule_from_prices,
-    make_power_bids,
-    make_soc_bids,
+    bid_schedule,
     soc_bid,
 )
 from .dispatch import (
@@ -62,12 +60,10 @@ __all__ = [
     "ValueCurve",
     "ValueSurface",
     "backward_induct",
-    "bid_schedule_from_prices",
+    "bid_schedule",
     "clear_soc_bid_ed",
     "enumerate_tiny",
     "grid_dp_oracle",
-    "make_power_bids",
-    "make_soc_bids",
     "run_case",
     "run_cases",
     "run_schedule",

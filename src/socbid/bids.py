@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DataValidationError, PriceSeries, SoCGrid, StorageParams, check_soc_range,
-                    check_step)
+from .model import (DEFAULT_GRID_POINTS, DataValidationError, PriceSeries, SoCGrid,
+                    StorageParams, check_soc_range, check_step)
 from .valuation import ValueSurface, _backward_curves, _cell_edges, _non_increasing_rows
 
 
@@ -102,6 +102,9 @@ class BidSchedule:
     def __len__(self) -> int:
         return self.values.shape[0]
 
+
+# SoC-bid segments per hour of storage duration: a rate, so a 72 h unit bids 1,440
+DEFAULT_SEGMENTS_PER_HOUR = 20
 
 # Cap on the entries of a reduction pass's buffers of curves and of their integrals,
 # of each buffer of bid means a sweep counts crossings on, and of each counting temporary.
@@ -201,61 +204,45 @@ def _bid_blocks(curves, horizon: int, grid: SoCGrid, bounds: dict, held: dict):
         yield key, 0, buffer[:, free[key] :]
 
 
-def _bid_table(
-    source: ValueSurface | PriceSeries, params: StorageParams, grid: SoCGrid,
-    kind: str, segments_per_hour: int,
+def bid_schedule(
+    source: ValueSurface | PriceSeries,
+    params: StorageParams,
+    kind: str,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    segments_per_hour_of_duration: int = DEFAULT_SEGMENTS_PER_HOUR,
 ) -> BidSchedule:
-    """The ``kind`` bid schedule of a value surface's rows or a forecast tape's backward pass.
+    """The ``kind`` bid schedule, ``"power"`` or ``"soc"``, of a value surface or a forecast tape.
 
-    :func:`_bid_blocks` writes the rows floored into the table, which the schedule holds as is.
+    A surface is read on its own grid, which must span the storage's SoC range. A
+    tape is valued by one backward pass on ``SoCGrid.for_storage(params,
+    tape.resolution_hours, grid_points)``, as ``run_cases`` values it, holding one
+    block of curves at a time; only a tape reads ``grid_points``. Period t's bid
+    comes from the curve after period t+1. A power bid is one segment over the SoC
+    range; an SoC bid has ``segments_per_hour_of_duration`` equal-width segments per
+    hour of duration, a rate and not a cap (1,440 at 72 h by default). The rows are
+    written floored into the table, which the schedule holds as is.
     """
     if isinstance(source, ValueSurface):
+        grid = source.grid
         check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
         horizon, period_hours = source.horizon, source.step_hours
         curves = zip(range(horizon, -1, -1), source.values[::-1])
     else:
         horizon, period_hours = len(source), source.resolution_hours
+        grid = SoCGrid.for_storage(params, period_hours, grid_points)
         curves = _backward_curves(source, params, grid)
-    bounds = _segment_bounds(params, kind, segments_per_hour)
+    bounds = _segment_bounds(params, kind, segments_per_hour_of_duration)
     table = np.empty((horizon, bounds.size - 1))
     for _ in _bid_blocks(curves, horizon, grid, {kind: bounds}, {kind: table.T}):
         pass
     return BidSchedule(period_hours, bounds, table)
 
 
-def make_power_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule:
-    """One power bid per period: the one-segment SoC bid of the end-of-period curve.
-
-    Period t's bid comes from curve t+1 of the surface.
-    """
-    return _bid_table(surface, params, surface.grid, "power", 1)
-
-
 def make_soc_bids(
-    surface: ValueSurface,
-    params: StorageParams,
-    segments_per_hour_of_duration: int = 20,
+    surface: ValueSurface, params: StorageParams,
+    segments_per_hour_of_duration: int = DEFAULT_SEGMENTS_PER_HOUR,
 ) -> BidSchedule:
-    """One SoC bid curve per period: segment-wise averages of the end-of-period curve.
-
-    Twenty segments per hour of storage duration by default, mirroring the
-    usual cap on generator bid segments. Every row is exactly non-increasing.
-    """
-    return _bid_table(surface, params, surface.grid, "soc", segments_per_hour_of_duration)
-
-
-def bid_schedule_from_prices(
-    prediction: PriceSeries,
-    params: StorageParams,
-    grid: SoCGrid,
-    bid_model: str,
-    segments_per_hour_of_duration: int = 20,
-) -> BidSchedule:
-    """Valuation and bid reduction fused into one backward pass.
-
-    Produces the same schedule as running the full backward induction and
-    then ``make_power_bids`` or ``make_soc_bids``, but keeps only one curve
-    and one block of curves in memory, which is what makes year-long 5-minute
-    valuations practical for long-duration storage.
-    """
-    return _bid_table(prediction, params, grid, bid_model, segments_per_hour_of_duration)
+    """The ``"soc"`` :func:`bid_schedule` of a surface."""
+    # Kept for the benchmark alone: bench/workloads.py calls it and bench/spans.py wraps it
+    return bid_schedule(surface, params, "soc",
+                        segments_per_hour_of_duration=segments_per_hour_of_duration)

@@ -19,7 +19,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import data_io
-from .bids import SoCBidCurve, bid_schedule_from_prices, soc_bid
+from .bids import DEFAULT_SEGMENTS_PER_HOUR, SoCBidCurve, bid_schedule, soc_bid
 from .dispatch import (
     GeneratorOffer,
     InfeasibleMarketError,
@@ -27,7 +27,7 @@ from .dispatch import (
     StorageUnit,
     clear_soc_bid_ed,
 )
-from .model import DataValidationError, PriceSeries, SoCGrid, StorageParams
+from .model import DEFAULT_GRID_POINTS, DataValidationError, PriceSeries, SoCGrid, StorageParams
 from .simulate import CASE_IDS, CaseConfig, run_cases, utilization
 from .simulate import run_case  # noqa: F401 - unused here; bench/spans.py wraps cli.run_case
 from .valuation import backward_induct
@@ -60,8 +60,8 @@ class RunManifest:
     power_rating: float = 1.0
     efficiency_one_way: float = 0.9
     discharge_cost: float = 10.0
-    grid_points: int = 1001
-    segments_per_hour: int = 20
+    grid_points: int = DEFAULT_GRID_POINTS
+    segments_per_hour: int = DEFAULT_SEGMENTS_PER_HOUR
     initial_soc: float = 0.0
     da_prices: str | None = None
     rt_prices: str | None = None
@@ -285,7 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _valuation_inputs(args: argparse.Namespace):
-    """Yield (manifest, zone, duration, price tape, params, grid) for ``value`` and ``bids``."""
+    """Yield (manifest, zone, duration, price tape, params) for ``value`` and ``bids``."""
     manifest = _load_manifest(args)
     for zone in manifest.zones:
         da, rt = _zone_series(manifest, zone, only=args.source)
@@ -293,13 +293,12 @@ def _valuation_inputs(args: argparse.Namespace):
         if source is None:
             raise DataValidationError(f"no {args.source} prices available for zone {zone}")
         for duration in manifest.durations:
-            params = _storage_params(manifest, duration)
-            grid = SoCGrid.for_storage(params, source.resolution_hours, manifest.grid_points)
-            yield manifest, zone, duration, source, params, grid
+            yield manifest, zone, duration, source, _storage_params(manifest, duration)
 
 
 def cmd_value(args: argparse.Namespace) -> int:
-    for manifest, zone, duration, source, params, grid in _valuation_inputs(args):
+    for manifest, zone, duration, source, params in _valuation_inputs(args):
+        grid = SoCGrid.for_storage(params, source.resolution_hours, manifest.grid_points)
         surface = backward_induct(source, params, grid)
         path = Path(manifest.output_dir) / f"surface_{zone}_{duration:g}h.csv"
         data_io.write_surface(surface, path)
@@ -308,10 +307,9 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_bids(args: argparse.Namespace) -> int:
-    for manifest, zone, duration, source, params, grid in _valuation_inputs(args):
-        schedule = bid_schedule_from_prices(
-            source, params, grid, args.bid_model,
-            segments_per_hour_of_duration=manifest.segments_per_hour,
+    for manifest, zone, duration, source, params in _valuation_inputs(args):
+        schedule = bid_schedule(
+            source, params, args.bid_model, manifest.grid_points, manifest.segments_per_hour
         )
         out = Path(manifest.output_dir)
         path = out / f"bids_{args.bid_model}_{zone}_{duration:g}h.csv"
@@ -447,8 +445,8 @@ def _add_common(parser: argparse.ArgumentParser, sweeping: bool = False) -> None
                         help="one-way efficiency in (0, 1]")
     parser.add_argument("--discharge-cost", dest="discharge_cost", type=float)
     parser.add_argument("--grid-points", dest="grid_points", type=int,
-                        help="fewest SoC grid points, at least 2 (default 1001); the time step may "
-                             "raise it")
+                        help=f"fewest SoC grid points, at least 2 (default {DEFAULT_GRID_POINTS}); "
+                             "the time step may raise it")
     parser.add_argument("--segments-per-hour", dest="segments_per_hour", type=int)
     parser.add_argument("--da-prices", dest="da_prices", help="day-ahead price CSV (hourly)")
     parser.add_argument("--rt-prices", dest="rt_prices", help="real-time price CSV (5-minute)")

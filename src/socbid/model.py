@@ -17,6 +17,9 @@ import numpy as np
 # checks from tripping on accumulated float noise in long simulations.
 SOC_EPS = 1e-9
 
+# Fewest SoC grid points a valuation asks for; SoCGrid.for_storage may raise it
+DEFAULT_GRID_POINTS = 1001
+
 
 class DataValidationError(ValueError):
     """Raised when an input object or file violates a documented invariant."""
@@ -152,7 +155,7 @@ class SoCGrid:
 
     soc_min: float
     soc_max: float
-    num_points: int = 1001
+    num_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
         if self.num_points < 2:
@@ -171,7 +174,7 @@ class SoCGrid:
 
     @classmethod
     def for_storage(
-        cls, params: StorageParams, dt_hours: float, num_points: int = 1001
+        cls, params: StorageParams, dt_hours: float, num_points: int = DEFAULT_GRID_POINTS
     ) -> SoCGrid:
         """Grid over the storage's SoC range, fine enough for time step ``dt_hours``.
 

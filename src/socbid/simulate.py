@@ -17,15 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bids
-from .bids import (
-    BidSchedule,
-    SoCBidCurve,
-    _bid_blocks,
-    _segment_bounds,
-    bid_schedule_from_prices,  # noqa: F401 - unused here; bench/spans.py wraps it by this name
-    bid_thresholds,
-)
+from .bids import (DEFAULT_SEGMENTS_PER_HOUR, BidSchedule, SoCBidCurve, _bid_blocks,
+                   _segment_bounds, bid_thresholds)
+from .bids import bid_schedule as bid_schedule_from_prices  # noqa: F401 - bench/spans.py wraps it
 from .model import (
+    DEFAULT_GRID_POINTS,
     DataValidationError,
     DispatchDecision,
     PriceSeries,
@@ -280,8 +276,8 @@ def run_cases(
     da_prices: PriceSeries | None,
     rt_prices: PriceSeries | None,
     params: StorageParams,
-    grid_points: int = 1001,
-    segments_per_hour_of_duration: int = 20,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    segments_per_hour_of_duration: int = DEFAULT_SEGMENTS_PER_HOUR,
 ) -> list[SimulationResult]:
     """Run experiment cases end to end: valuation, bid design, settlement.
 
@@ -347,7 +343,7 @@ def run_case(
     rt_prices: PriceSeries | None,
     params: StorageParams,
     grid: SoCGrid,
-    segments_per_hour_of_duration: int = 20,
+    segments_per_hour_of_duration: int = DEFAULT_SEGMENTS_PER_HOUR,
 ) -> SimulationResult:
     """The one-case form of :func:`run_cases`, on at least ``grid.num_points`` points.
 

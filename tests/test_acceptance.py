@@ -24,10 +24,9 @@ from socbid import (
     StorageParams,
     ValueCurve,
     ValueSurface,
+    bid_schedule,
     enumerate_tiny,
     grid_dp_oracle,
-    make_power_bids,
-    make_soc_bids,
     run_case,
     soc_bid,
     step_soc_bid,
@@ -164,8 +163,8 @@ def test_criterion_05_bid_algebra():
     for _ in range(25):
         rows = np.stack([random_monotone_values(rng, grid.num_points) for _ in range(7)])
         surface = ValueSurface(grid, 1.0, rows)
-        power = make_power_bids(surface, MICRO)
-        soc = make_soc_bids(surface, MICRO)  # 40 segments for the 2 h unit
+        power = bid_schedule(surface, MICRO, "power")
+        soc = bid_schedule(surface, MICRO, "soc")  # 40 segments for the 2 h unit
         for t in range(6):
             bid = soc_bid(power.boundaries, power.values[t], MICRO)
             worst_identity = max(

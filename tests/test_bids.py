@@ -15,9 +15,7 @@ from socbid import (
     ValueCurve,
     ValueSurface,
     backward_induct,
-    bid_schedule_from_prices,
-    make_power_bids,
-    make_soc_bids,
+    bid_schedule,
     soc_bid,
     update_step,
 )
@@ -32,7 +30,7 @@ from socbid.bids import (
 from socbid.cli import _synthetic_tapes
 from socbid.valuation import _backward_curves, segment_averages
 
-from conftest import START, hourly_series, random_monotone_values
+from conftest import START, five_min_series, hourly_series, random_monotone_values
 
 
 def random_surface(rng, grid, horizon) -> ValueSurface:
@@ -69,7 +67,7 @@ def test_power_bids_from_surface_example(micro_params, unit_grid):
     # end-of-hour curve: 9 below 5/9, 0 above => q_bar ~= 5.0
     curve = update_step(ValueCurve.flat(unit_grid), 20.0, micro_params, 1.0)
     surface = ValueSurface(unit_grid, 1.0, np.stack([curve.values, curve.values]))
-    schedule = make_power_bids(surface, micro_params)
+    schedule = bid_schedule(surface, micro_params, "power")
     assert len(schedule) == 1 and schedule.values.shape[1] == 1
     quantization = unit_grid.step * 9.0  # one cell of the 9-valued region
     bid = soc_bid(schedule.boundaries, schedule.values[0], micro_params)
@@ -82,7 +80,7 @@ def test_bid_identity_on_random_surfaces(micro_params, unit_grid):
     eta, c = 0.9, 10.0
     for _ in range(20):
         surface = random_surface(rng, unit_grid, horizon=8)
-        schedule = make_power_bids(surface, micro_params)
+        schedule = bid_schedule(surface, micro_params, "power")
         for row in schedule.values:
             bid = soc_bid(schedule.boundaries, row, micro_params)
             assert abs(bid.charge[0] - eta**2 * (bid.discharge[0] - c)) < 1e-9
@@ -92,7 +90,7 @@ def test_soc_bids_two_segment_example(micro_params, unit_grid):
     curve = update_step(ValueCurve.flat(unit_grid), 20.0, micro_params, 1.0)
     surface = ValueSurface(unit_grid, 1.0, np.stack([curve.values, curve.values]))
     # 1 segment per hour of duration => J = 2 over [0, 1]
-    schedule = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=1)
+    schedule = bid_schedule(surface, micro_params, "soc", segments_per_hour_of_duration=1)
     entry = soc_bid(schedule.boundaries, schedule.values[0], micro_params)
     assert entry.discharge.size == entry.charge.size == 2
     np.testing.assert_allclose(entry.boundaries, [0.0, 0.5, 1.0])
@@ -106,7 +104,7 @@ def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
     surface = random_surface(rng, unit_grid, horizon=5)
     # duration is 2 h; one segment per duration-hour gives J = 2, whose
     # width-weighted mean is the one-segment (power-bid) average
-    ones = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=1)
+    ones = bid_schedule(surface, micro_params, "soc", segments_per_hour_of_duration=1)
     assert ones.values.shape[1] == 2
     boundaries = _segment_bounds(micro_params, "soc", 1)
     assert boundaries.size == 3
@@ -119,7 +117,7 @@ def test_single_segment_equals_power_bid_average(micro_params, unit_grid):
 
 def test_constant_curve_gives_constant_segments(micro_params, unit_grid):
     surface = ValueSurface(unit_grid, 1.0, np.full((3, unit_grid.num_points), 7.0))
-    schedule = make_soc_bids(surface, micro_params, segments_per_hour_of_duration=20)
+    schedule = bid_schedule(surface, micro_params, "soc", segments_per_hour_of_duration=20)
     assert schedule.values.shape == (2, 40)
     np.testing.assert_allclose(schedule.values, 7.0, atol=1e-12)
 
@@ -128,7 +126,7 @@ def test_segment_values_monotone_on_random_surfaces(micro_params, unit_grid):
     rng = np.random.default_rng(13)
     for _ in range(10):
         surface = random_surface(rng, unit_grid, horizon=4)
-        schedule = make_soc_bids(surface, micro_params)
+        schedule = bid_schedule(surface, micro_params, "soc")
         for row in schedule.values:
             diffs = np.diff(row)
             assert np.all(diffs <= 1e-9 * (1 + np.abs(row).max()))
@@ -140,7 +138,7 @@ def test_refinement_consistency(micro_params, unit_grid):
     q_bars = [segment_averages(ValueCurve(unit_grid, row), [0.0, 1.0])[0]
               for row in surface.values[1:]]
     for segments_per_hour in (1, 3, 10, 20):
-        schedule = make_soc_bids(surface, micro_params, segments_per_hour)
+        schedule = bid_schedule(surface, micro_params, "soc", segments_per_hour_of_duration=segments_per_hour)
         for t, row in enumerate(schedule.values):
             widths = np.diff(schedule.boundaries)
             weighted = float(np.sum(row * widths) / widths.sum())
@@ -255,10 +253,10 @@ def test_zero_segments_rejected(micro_params):
         BidSchedule(1.0, [0.0, 1.0], np.zeros((0, 1)))
 
 
-def test_unknown_bid_model_rejected(micro_params, unit_grid):
+def test_unknown_bid_model_rejected(micro_params):
     # the kind is checked where its segment bounds are built, so no typo gets SoC bids
     with pytest.raises(DataValidationError, match="unknown bid model 'bogus'"):
-        bid_schedule_from_prices(hourly_series([5.0]), micro_params, unit_grid, "bogus")
+        bid_schedule(hourly_series([5.0]), micro_params, "bogus")
     with pytest.raises(DataValidationError, match="unknown bid model 'Power'"):
         _segment_bounds(micro_params, "Power", 20)
 
@@ -267,21 +265,28 @@ def test_grid_must_span_the_storage_soc_range(micro_params):
     narrow = SoCGrid(0.0, 0.5, 101)
     surface = ValueSurface(narrow, 1.0, np.zeros((2, 101)))
     with pytest.raises(DataValidationError, match="grid range"):
-        make_power_bids(surface, micro_params)
-    with pytest.raises(DataValidationError, match="grid range"):
-        bid_schedule_from_prices(hourly_series([5.0]), micro_params, narrow, "soc")
+        bid_schedule(surface, micro_params, "power")
 
 
-def test_streaming_builder_matches_surface_route(micro_params, unit_grid):
-    prices = hourly_series([5.0, 30.0, -3.0, 18.0, 42.0])
-    surface = backward_induct(prices, micro_params, unit_grid)
-    for model, make in (("power", make_power_bids), ("soc", make_soc_bids)):
-        direct = make(surface, micro_params)
-        streamed = bid_schedule_from_prices(prices, micro_params, unit_grid, model)
-        assert len(direct) == len(streamed) == 5
-        for field in ("boundaries", "values"):
-            # bit-identical: same arithmetic on the same arrays
-            assert getattr(direct, field).tobytes() == getattr(streamed, field).tobytes()
+def test_streaming_builder_matches_surface_route(micro_params):
+    # A tape is valued on SoCGrid.for_storage's grid, which the time step may refine:
+    # a 72 h unit on 5-minute prices gets 9,601 points where 1,001 are asked for.
+    rng = np.random.default_rng(35)
+    long_unit = StorageParams(1.0, 72.0, 0.9, 10.0)
+    for params, prices, points in (
+        (micro_params, hourly_series([5.0, 30.0, -3.0, 18.0, 42.0]), 1001),
+        (long_unit, five_min_series(rng.uniform(-10.0, 70.0, size=36)), 9601),
+    ):
+        grid = SoCGrid.for_storage(params, prices.resolution_hours, 1001)
+        assert grid.num_points == points
+        surface = backward_induct(prices, params, grid)
+        for model in ("power", "soc"):
+            direct = bid_schedule(surface, params, model)
+            streamed = bid_schedule(prices, params, model)
+            assert len(direct) == len(streamed) == len(prices)
+            for field in ("boundaries", "values"):
+                # bit-identical: same arithmetic on the same arrays
+                assert getattr(direct, field).tobytes() == getattr(streamed, field).tobytes()
 
 
 def test_bid_tables_are_pinned_across_block_edges():
@@ -306,9 +311,9 @@ def test_bid_tables_are_pinned_across_block_edges():
         prices = PriceSeries("Z", START, timedelta(hours=1), values)
         surface = backward_induct(prices, params, grid)
         for schedule, expected in (
-            (make_soc_bids(surface, params), soc),
-            (bid_schedule_from_prices(prices, params, grid, "soc"), soc),
-            (bid_schedule_from_prices(prices, params, grid, "power"), power),
+            (bid_schedule(surface, params, "soc"), soc),
+            (bid_schedule(prices, params, "soc", grid.num_points), soc),
+            (bid_schedule(prices, params, "power", grid.num_points), power),
         ):
             assert hashlib.sha256(schedule.values.tobytes()).hexdigest() == expected
 
@@ -325,7 +330,7 @@ def test_soc_bid_reduction_peak_allocation_is_bounded():
     surface = backward_induct(rt, params, grid)
     tracemalloc.start()
     try:
-        schedule = make_soc_bids(surface, params)
+        schedule = bid_schedule(surface, params, "soc")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -342,8 +347,8 @@ def test_clean_tape_bid_rows_are_exactly_non_increasing(duration, monkeypatch):
     params = StorageParams(1.0, float(duration), 0.9, 10.0)
     grid = SoCGrid.for_storage(params, 1.0, 1001)
     tables = [
-        bid_schedule_from_prices(da, params, grid, "soc").values,
-        make_soc_bids(backward_induct(da, params, grid), params).values,
+        bid_schedule(da, params, "soc").values,
+        bid_schedule(backward_induct(da, params, grid), params, "soc").values,
     ]
     raw = {}  # each bid shape's (J, periods) blocks as written, before the in-place floor
 

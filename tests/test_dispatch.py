@@ -10,14 +10,13 @@ from socbid import (
     GeneratorOffer,
     InfeasibleMarketError,
     MarketInstance,
-    SoCGrid,
     StorageParams,
     StorageUnit,
     clear_soc_bid_ed,
     soc_bid,
     step_soc_bid,
 )
-from socbid.bids import bid_schedule_from_prices, bid_thresholds
+from socbid.bids import bid_schedule, bid_thresholds
 from socbid.data_io import synthetic_tape
 
 G1 = GeneratorOffer("G1", ((100.0, 15.0),))
@@ -134,8 +133,7 @@ def test_market_agrees_with_the_step_on_engine_bids_at_negative_prices():
     checked = 0
     for cost, duration, model in itertools.product((0.0, 10.0), (1.0, 4.0), ("power", "soc")):
         params = StorageParams(1.0, duration, 0.9, cost)
-        grid = SoCGrid.for_storage(params, 1.0, 301)
-        schedule = bid_schedule_from_prices(tape, params, grid, model)
+        schedule = bid_schedule(tape, params, model, 301)
         for _ in range(400):
             row = schedule.values[int(rng.integers(len(schedule)))]
             bid = soc_bid(schedule.boundaries, row, params)

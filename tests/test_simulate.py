@@ -12,9 +12,8 @@ from socbid import (
     SoCGrid,
     StorageParams,
     backward_induct,
-    bid_schedule_from_prices,
+    bid_schedule,
     grid_dp_oracle,
-    make_soc_bids,
     run_case,
     run_schedule,
     soc_bid,
@@ -323,9 +322,8 @@ def test_run_schedule_settles_like_single_steps(micro_params):
     prices = week_tape(32)
     da = hourly_series(prices.values.reshape(-1, 12).mean(axis=1))
     grid = SoCGrid.for_storage(micro_params, 1.0, 301)
-    soc_schedule = make_soc_bids(backward_induct(da, micro_params, grid), micro_params)
-    grid = SoCGrid.for_storage(micro_params, 1 / 12, 301)
-    power = bid_schedule_from_prices(prices, micro_params, grid, "power")
+    soc_schedule = bid_schedule(backward_induct(da, micro_params, grid), micro_params, "soc")
+    power = bid_schedule(prices, micro_params, "power", 301)
     for schedule, per_bid in ((soc_schedule, 12), (power, 1)):
         result = run_schedule(prices, schedule, micro_params, 0.3)
         soc = result.soc_trajectory()
@@ -353,7 +351,7 @@ def test_a_schedule_settles_under_another_unit_as_its_rows_priced_for_it(micro_p
     prices = week_tape(33)
     da = hourly_series(prices.values.reshape(-1, 12).mean(axis=1))
     grid = SoCGrid.for_storage(micro_params, 1.0, 301)
-    schedule = make_soc_bids(backward_induct(da, micro_params, grid), micro_params)
+    schedule = bid_schedule(backward_induct(da, micro_params, grid), micro_params, "soc")
     other = StorageParams(0.8, micro_params.energy_capacity, 0.7, 3.0)
     result = run_schedule(prices, schedule, other, 0.3)
     own = run_schedule(prices, schedule, micro_params, 0.3)
@@ -563,8 +561,7 @@ def test_run_cases_settle_from_counts_as_run_schedule_does_from_tables(duration)
     configs = [CaseConfig(case_id, initial_soc=0.5 * duration) for case_id in CASE_IDS]
     for config, result in zip(configs, run_cases(configs, da, rt, params, 301)):
         forecast = series[config.valuation_source]
-        grid = SoCGrid.for_storage(params, forecast.resolution_hours, 301)
-        schedule = bid_schedule_from_prices(forecast, params, grid, config.bid_model)
+        schedule = bid_schedule(forecast, params, config.bid_model, 301)
         table = run_schedule(
             series[config.settlement_source], schedule, params, config.initial_soc
         )
