@@ -10,11 +10,11 @@ value function used for bid design.
 
 Every curve is stored as its running minimum, so it is exactly non-increasing.
 On such a curve the charge test ``price <= q*eta`` and the hold test ``price <=
-max(q/eta + c, 0)`` each hold for a prefix of the levels, so a step finds the
-two prefix lengths by bisection and writes its output as five slices, one per
-regime, with no full-length pass besides the writes. Float rounding can leave a
-1-ulp rise where two slices meet; a step checks those four junctions and, only
-on a rise, floors its output to its running minimum.
+max(q/eta + c, 0)`` each hold for a prefix of the levels. A step tests the end levels
+first and bisects only when they leave a prefix length open, so a step that only holds
+does not bisect. It writes at most five slices, one per regime, and no other full-length
+pass. Float rounding can leave a 1-ulp rise where two slices meet; a step checks those
+four junctions and, only on a rise, floors its output to its running minimum.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def _junctions(
     ``q`` must be exactly non-increasing and ``plan`` come from :func:`_shift_plan`.
     Levels below ``kc`` charge (``price <= q*eta``) and levels below ``kd >= kc``
     charge or hold (``price <= max(q/eta + c, 0)``; clipped at zero so no
-    discharge regime fires at or below a price of 0); each bisection probe evaluates
-    that same float expression. A charging level fully charges while its
+    discharge regime fires at or below a price of 0). Each search tests the end levels
+    of its range first and bisects only when they leave it open; every test and probe
+    evaluates that same float expression. A charging level fully charges while its
     full-power target, which must fit on the grid, still charges: the first
     ``m1`` levels. A discharging level (from ``kd`` on) fully discharges once its
     full-power target, on the grid, discharges too: from ``m2`` on.
@@ -184,11 +185,18 @@ def _junctions(
     up, up_levels, down, down_from = plan
     n = q.size
     levels = memoryview(q)
-    kc = bisect_left(levels, True, key=lambda v: not price <= v * eta)
+    if not price <= levels[0] * eta:
+        kc = 0
+    else:
+        kc = n if price <= levels[n - 1] * eta else bisect_left(
+            levels, True, key=lambda v: not price <= v * eta)
     # At a positive price, price <= max(x, 0) is price <= x.
-    kd = n if price <= 0.0 else bisect_left(
-        levels, True, lo=kc, key=lambda v: not price <= v / eta + c
-    )
+    if price <= 0.0 or price <= levels[n - 1] / eta + c:
+        kd = n
+    elif kc == n or not price <= levels[kc] / eta + c:
+        kd = kc
+    else:
+        kd = bisect_left(levels, True, lo=kc, key=lambda v: not price <= v / eta + c)
     return max(0, min(up_levels, kc - up)), kc, kd, min(n, max(kd, down_from, kd + down))
 
 
@@ -197,8 +205,8 @@ def _step_values(
 ) -> np.ndarray:
     """One backward step of the five-regime recursion over the slices of :func:`_junctions`.
 
-    A step that only holds returns ``q`` itself. A rise where two slices meet
-    is floored with the running minimum.
+    A step that only holds returns ``q`` itself; any other writes only the slices that
+    hold a level. A rise where two slices meet is floored with the running minimum.
     """
     eta = params.efficiency_one_way
     up, _, down, _ = plan
@@ -207,12 +215,18 @@ def _step_values(
     if kc == 0 and kd == n:
         return q
     out = np.empty(n)
-    out[:m1] = q[up : up + m1]
-    out[m1:kc] = price / eta
-    out[kc:kd] = q[kc:kd]
-    out[kd:m2] = (price - params.discharge_cost) * eta
-    out[m2:] = q[m2 - down : n - down]
-    if any(0 < j < n and out[j - 1] < out[j] for j in (m1, kc, kd, m2)):
+    if m1:
+        out[:m1] = q[up : up + m1]
+    if m1 < kc:
+        out[m1:kc] = price / eta
+    if kc < kd:
+        out[kc:kd] = q[kc:kd]
+    if kd < m2:
+        out[kd:m2] = (price - params.discharge_cost) * eta
+    if m2 < n:
+        out[m2:] = q[m2 - down : n - down]
+    written = memoryview(out)
+    if any(0 < j < n and written[j - 1] < written[j] for j in (m1, kc, kd, m2)):
         np.minimum.accumulate(out, out=out)
     return out
 
@@ -288,9 +302,10 @@ def _backward_curves(
         raise DataValidationError("terminal curve is tabulated on a different grid")
     plan = _shift_plan(grid.num_points, params, grid.step, prediction.resolution_hours)
     q = terminal.values
+    prices = memoryview(prediction.values)
     for t in range(len(prediction), 0, -1):
         yield t, q
-        q = _step_values(q, float(prediction.values[t - 1]), params, plan)
+        q = _step_values(q, prices[t - 1], params, plan)
     yield 0, q
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from bisect import bisect_left
 from datetime import timedelta
 
 import numpy as np
@@ -12,7 +13,9 @@ from socbid.valuation import (
     StepCase,
     ValueCurve,
     ValueSurface,
+    _backward_curves,
     _cell_edges,
+    _junctions,
     _shift_plan,
     _step_values,
     backward_induct,
@@ -462,6 +465,7 @@ def reference_step(q, price, params, step, dt):
 def test_slice_step_repeats_the_gather_step_byte_for_byte():
     rng = np.random.default_rng(2028)
     wide = 0
+    outcomes = set()
     for _ in range(300):
         n = int(np.exp(rng.uniform(np.log(2.0), np.log(10_000.0))))
         grid = SoCGrid(0.0, float(rng.choice([1.0, 4.0, 7.3])), n)
@@ -476,8 +480,14 @@ def test_slice_step_repeats_the_gather_step_byte_for_byte():
         q[q == 0.0] = rng.choice([0.0, -0.0])
         c = params.discharge_cost
         ties = [q[rng.integers(n)] * eta, max(q[rng.integers(n)] / eta + c, 0.0)]
+        # the end levels that settle a search without bisecting, and a float either side
+        ends = [q[0] * eta, q[-1] * eta, max(q[-1] / eta + c, 0.0)]
+        ties += ends + [np.nextafter(e, side) for e in ends for side in (-np.inf, np.inf)]
         plan = _shift_plan(n, params, grid.step, dt)
         for price in ties + [0.0, -0.0, rng.uniform(-60.0, 150.0)]:
+            _, kc, kd, _ = _junctions(q, float(price), params, plan)
+            outcomes.add("kc == 0" if kc == 0 else "kc == n" if kc == n else "kc bisected")
+            outcomes.add("kd == n" if kd == n else "kd == kc" if kd == kc else "kd bisected")
             want_values, want_labels = reference_step(q, float(price), params, grid.step, dt)
             values = _step_values(q, float(price), params, plan)
             labels = step_case_breakdown(ValueCurve(grid, q), float(price), params, dt)
@@ -488,6 +498,40 @@ def test_slice_step_repeats_the_gather_step_byte_for_byte():
             curve = update_step(ValueCurve(grid, q), float(price), params, dt)
             assert curve.values.tobytes() == values.tobytes()
     assert wide > 10
+    assert outcomes == {
+        "kc == 0", "kc == n", "kc bisected", "kd == n", "kd == kc", "kd bisected",
+    }
+
+
+def _bisections(monkeypatch, tape, params, grid, terminal):
+    """How many times one backward pass over ``tape`` calls ``bisect_left``."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bisect_left(*args, **kwargs)
+
+    monkeypatch.setattr("socbid.valuation.bisect_left", counting)
+    series = PriceSeries("Z", START, timedelta(minutes=5), tape)
+    for _ in _backward_curves(series, params, grid, ValueCurve.flat(grid, terminal)):
+        pass
+    return len(calls)
+
+
+def test_steps_settled_by_their_end_levels_do_not_bisect(monkeypatch):
+    params = StorageParams(1.0, 4.0, 0.9, 10.0)
+    grid = SoCGrid.for_storage(params, 1.0 / 12.0, 301)
+    rng = np.random.default_rng(5)
+    # a worthless terminal and prices in (0, c]: every step only holds
+    holds = rng.uniform(0.5, params.discharge_cost, size=500)
+    assert _bisections(monkeypatch, holds, params, grid, 0.0) == 0
+    # a high terminal and a low price: every step charges the whole grid
+    charges = np.full(500, 5.0)
+    assert np.all(charges <= (charges / 0.9) * 0.9)  # so each charged level charges again
+    assert _bisections(monkeypatch, charges, params, grid, 1_000.0) == 0
+    # a square wave charges a prefix of the levels and discharges a suffix
+    wave = np.where(np.arange(500) % 48 < 24, 15.0, 60.0)
+    assert _bisections(monkeypatch, wave, params, grid, 0.0) > 0
 
 
 @pytest.mark.parametrize("name", list(EDGE_CASES))
