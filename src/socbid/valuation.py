@@ -225,8 +225,7 @@ def _step_values(
         out[kd:m2] = (price - params.discharge_cost) * eta
     if m2 < n:
         out[m2:] = q[m2 - down : n - down]
-    written = memoryview(out)
-    if any(0 < j < n and written[j - 1] < written[j] for j in (m1, kc, kd, m2)):
+    if any(0 < j < n and out[j - 1] < out[j] for j in (m1, kc, kd, m2)):
         np.minimum.accumulate(out, out=out)
     return out
 

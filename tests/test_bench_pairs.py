@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,9 +50,9 @@ def test_a_key_run_again_appends_its_pairs(tmp_path, monkeypatch):
     walls = iter([1.0, 0.9, 0.8, 1.1, 1.2, 1.0, 1.0, 0.9, 0.8, 1.3])
     order = []
 
-    def run_once(checkout, workload, seed, seconds, warm=False):
+    def run_once(checkout, workload, seed, warm=False):
         order.append(checkout.name)
-        return {"commit": "abc"}, _result(next(walls), 50.0)
+        return {"commit": "abc", "seconds": 30.0}, _result(next(walls), 50.0)
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     (tmp_path / "parent").mkdir()
@@ -70,3 +71,43 @@ def test_a_key_run_again_appends_its_pairs(tmp_path, monkeypatch):
     assert doc["summary"]["certify seed 1"]["wall_s"]["pairs"] == 5
     assert doc["summary"]["certify seed 1"]["wall_s"]["change_wins"] == 3
     assert doc["facts"]["parent_commit"] == "abc"
+    assert doc["facts"]["run_seconds"] == 30.0
+    assert "--seconds" not in doc["commands"]["certify seed 1"]
+
+
+def _fake_bench(monkeypatch, seen):
+    def run(cmd, cwd, env, capture_output, text):
+        seen.append((cmd, env))
+        out = "facts: {}\n" + json.dumps(_result(0.5, 40.0))
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_runs_get_a_cold_or_warm_environment(tmp_path, monkeypatch, warm):
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    seen = []
+    _fake_bench(monkeypatch, seen)
+    for d in ("src", "bench"):
+        (tmp_path / d).mkdir()
+    if warm:
+        (tmp_path / "src" / "__pycache__").mkdir()
+    bench_pairs.run_once(tmp_path, "certify", 71, warm)
+    [(cmd, env)] = seen
+    assert cmd[1:] == [str(tmp_path / "bench" / "run.py"), "--workload", "certify",
+                       "--seed", "71", "--trace", "0"]
+    assert "PYTHONPYCACHEPREFIX" not in env
+    assert env.get("PYTHONDONTWRITEBYTECODE") == (None if warm else "1")
+
+
+@pytest.mark.parametrize("cache", ["src/socbid/__pycache__", "bench/__pycache__"])
+def test_a_cold_run_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch, cache):
+    seen = []
+    _fake_bench(monkeypatch, seen)
+    (tmp_path / "src").mkdir()
+    (tmp_path / cache).mkdir(parents=True)
+    with pytest.raises(SystemExit, match="would read bytecode"):
+        bench_pairs.run_once(tmp_path, "certify", 1)
+    assert seen == []

@@ -1,16 +1,19 @@
 """Run alternating parent/change pairs of the socbid benchmark and write a BENCH_*.json.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . \\
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \\
         --workload year-settle --seed 1 --pairs 10 --out pairs.json
 
-Each run is ``python3 <checkout>/bench/run.py --workload W --seed S --seconds X
---trace 0`` in a fresh process, with ``PYTHONDONTWRITEBYTECODE=1``; with
-``--warm`` each checkout's ``src`` and ``bench`` are byte-compiled first, runs
-read that cache, and the results go under ``"<workload> seed <seed> warm"``. Pair i
-runs the parent first when i is even and the change first when it is odd. Every
-run's last line of output is read as its result; the first run that reports
-``failed > 0`` or exits non-zero stops the tool with exit status 1, before
-anything is written.
+Each run is ``python3 <checkout>/bench/run.py --workload W --seed S --trace 0``
+in a fresh process, so ``bench/run.py`` sets the run length. A run is cold: it
+gets ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``, and the tool
+refuses to start it while the checkout's ``src`` or ``bench`` holds a
+``__pycache__``, which Python would read (pytest or a warm batch leaves one).
+With ``--warm`` each checkout's ``src`` and ``bench`` are byte-compiled first,
+runs read that cache, and the results go under ``"<workload> seed <seed> warm"``.
+Pair i runs the parent first when i is even and the change first when it is odd.
+Every run's last line of output is read as its result; the first run that
+reports ``failed > 0`` or exits non-zero stops the tool with exit status 1,
+before anything is written.
 
 The output file holds ``facts``, then ``runs`` and ``summary`` keyed by
 ``"<workload> seed <seed>"``. ``runs`` lists each side's values of every
@@ -33,17 +36,25 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+DIGITS = 4  # decimals kept of each value, median and quartile
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             warm: bool = False) -> tuple[dict, dict]:
+def run_env(warm: bool) -> dict[str, str]:
+    """One run's environment: a cold run writes no bytecode, and no run reads a pycache prefix."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")}
+    return env if warm else env | {"PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def run_once(checkout: Path, workload: str, seed: int, warm: bool = False) -> tuple[dict, dict]:
     """One benchmark run: its ``facts:`` line and its last-line result, as dicts."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    if warm:
-        del env["PYTHONDONTWRITEBYTECODE"]
+    cached = [] if warm else sorted(
+        str(p) for d in ("src", "bench") for p in (checkout / d).rglob("__pycache__"))
+    if cached:
+        raise SystemExit(f"{checkout}: a cold run would read bytecode; remove {' '.join(cached)}")
     cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+           "--seed", str(seed), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, env=run_env(warm), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}\n"
@@ -57,7 +68,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     return facts, result
 
 
-def run_values(runs: dict[str, list[dict]], digits: int = 4) -> dict[str, list]:
+def run_values(runs: dict[str, list[dict]]) -> dict[str, list]:
     """Each side's value of every metric, and its failed count, in run order.
 
     ``runs`` maps ``"parent"`` and ``"change"`` to lists of last-line results,
@@ -66,13 +77,13 @@ def run_values(runs: dict[str, list[dict]], digits: int = 4) -> dict[str, list]:
     out = {}
     for side in SIDES:
         for name in runs[side][0]["metrics"]:
-            out[f"{side}_{name}"] = [round(r["metrics"][name]["value"], digits)
+            out[f"{side}_{name}"] = [round(r["metrics"][name]["value"], DIGITS)
                                      for r in runs[side]]
         out[f"{side}_failed"] = [r["failed"] for r in runs[side]]
     return out
 
 
-def summarize(values: dict[str, list], digits: int = 4) -> dict[str, dict]:
+def summarize(values: dict[str, list]) -> dict[str, dict]:
     """Per-metric medians, quartiles and pair wins of paired runs in :func:`run_values`' layout.
 
     Lower values are better. Quartiles are ``statistics.quantiles``' default
@@ -88,10 +99,10 @@ def summarize(values: dict[str, list], digits: int = 4) -> dict[str, dict]:
         row = {}
         for side in SIDES:
             q1, median, q3 = statistics.quantiles(sides[side], n=4)
-            row[f"{side}_median"] = round(median, digits)
-            row[f"{side}_q1"] = round(q1, digits)
-            row[f"{side}_q3"] = round(q3, digits)
-        row["parent_iqr"] = round(row["parent_q3"] - row["parent_q1"], digits)
+            row[f"{side}_median"] = round(median, DIGITS)
+            row[f"{side}_q1"] = round(q1, DIGITS)
+            row[f"{side}_q3"] = round(q3, DIGITS)
+        row["parent_iqr"] = round(row["parent_q3"] - row["parent_q1"], DIGITS)
         base = statistics.median(sides["parent"])
         row["change_pct"] = round(100.0 * (statistics.median(sides["change"]) - base) / base, 2)
         row["change_wins"] = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
@@ -107,7 +118,6 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--warm", action="store_true",
                         help="byte-compile each checkout first and let runs read the cache")
@@ -122,11 +132,10 @@ def main(argv=None) -> int:
     if args.warm:
         for checkout in checkouts.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
-                           cwd=checkout, check=True)
+                           cwd=checkout, env=run_env(True), check=True)
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            run_facts, result = run_once(checkouts[side], args.workload, args.seed,
-                                         args.seconds, args.warm)
+            run_facts, result = run_once(checkouts[side], args.workload, args.seed, args.warm)
             facts.setdefault(side, run_facts)
             runs[side].append(result)
             wall = result["metrics"]["wall_s"]["value"]
@@ -135,12 +144,12 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("facts", {
         key: facts["parent"].get(key) for key in ("nproc", "cpu_model", "python", "numpy")
-    } | {"parent_commit": facts["parent"].get("commit"), "run_seconds": args.seconds})
+    } | {"parent_commit": facts["parent"].get("commit"),
+         "run_seconds": facts["parent"].get("seconds")})
     key = f"{args.workload} seed {args.seed}" + (" warm" if args.warm else "")
     doc.setdefault("commands", {})[key] = (
         ("python3 -m compileall -q src bench, then " if args.warm else "PYTHONDONTWRITEBYTECODE=1 ")
-        + f"python3 bench/run.py --workload {args.workload} "
-        f"--seed {args.seed} --seconds {args.seconds:g} --trace 0; "
+        + f"python3 bench/run.py --workload {args.workload} --seed {args.seed} --trace 0; "
         "pair i runs the parent first when i is even"
     )
     kept = doc.setdefault("runs", {}).get(key, {})
