@@ -26,7 +26,6 @@ from .simulate import (
     CASE_IDS,
     CaseConfig,
     SimulationResult,
-    run_case,
     run_cases,
     run_schedule,
     step_soc_bid,
@@ -64,7 +63,6 @@ __all__ = [
     "clear_soc_bid_ed",
     "enumerate_tiny",
     "grid_dp_oracle",
-    "run_case",
     "run_cases",
     "run_schedule",
     "segment_averages",

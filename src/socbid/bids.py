@@ -238,11 +238,7 @@ def bid_schedule(
     return BidSchedule(period_hours, bounds, table)
 
 
-def make_soc_bids(
-    surface: ValueSurface, params: StorageParams,
-    segments_per_hour_of_duration: int = DEFAULT_SEGMENTS_PER_HOUR,
-) -> BidSchedule:
+def make_soc_bids(surface: ValueSurface, params: StorageParams) -> BidSchedule:
     """The ``"soc"`` :func:`bid_schedule` of a surface."""
     # Kept for the benchmark alone: bench/workloads.py calls it and bench/spans.py wraps it
-    return bid_schedule(surface, params, "soc",
-                        segments_per_hour_of_duration=segments_per_hour_of_duration)
+    return bid_schedule(surface, params, "soc")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import closing
 from datetime import datetime, timedelta, timezone
 from itertools import islice
 from operator import itemgetter, sub
@@ -75,19 +76,13 @@ def load_prices(
     intervals is reported on the returned series. Of several faults, a row
     fault (a short row, an unparseable stamp or price, a non-finite price)
     is reported before a lattice fault (a gap, a duplicate, another step),
-    and of each kind the first in file order.
-
-    The csv module reads the file once, a block of rows at a time, to the
-    series that :func:`_read_careful` reads a row at a time.
+    and of each kind the first in file order; a reader fault (text that is not
+    UTF-8, a field the csv module cannot read) after any row fault read before
+    it. :func:`_read_csv` reads the file once, converted a block of rows at a time.
     """
     path = Path(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            start, offsets, prices = _zone_tape(fh, path, zone, resolution)
-    except (UnicodeDecodeError, csv.Error):
-        # A block holds a row that cannot be read; the careful reader names the
-        # fault it meets first, which may be a row fault earlier in that block
-        return _read_careful(path, zone, resolution, fill_gaps)
+    with closing(_read_csv(path)) as rows:  # closes the file on a fault, too
+        start, offsets, prices = _zone_tape(rows, path, zone, resolution)
     return _on_lattice(zone, start, offsets, prices, resolution, fill_gaps)
 
 
@@ -97,14 +92,23 @@ def load_prices(
 _CSV_ROWS = 1 << 9
 
 
-def _zone_blocks(fh, zone: str):
-    """Yield ``zone``'s stamps and prices from a CSV text file, a block of rows at a time.
+def _zone_blocks(rows, zone: str):
+    """Yield ``zone``'s stamps and prices from CSV rows, a block of rows at a time.
 
     A block's stamps and prices are converted at once; if that fails,
-    :func:`_take_rows` converts them one at a time and names the fault.
+    :func:`_take_rows` converts them one at a time and names the fault. A reader
+    fault is raised after any row fault read before it in its block.
     """
-    rows, row_num = csv.reader(fh), 0
-    while block := list(islice(rows, _CSV_ROWS)):
+    row_num = 0
+    while True:
+        block = []
+        try:
+            block.extend(islice(rows, _CSV_ROWS))  # keeps the rows read before a fault
+        except DataValidationError:
+            _take_rows(enumerate(block, row_num + 1), zone)
+            raise
+        if not block:
+            return
         kept = [row for row in block if len(row) < 3 or row[1].strip() == zone]
         try:
             if kept and min(map(len, kept)) < 3:
@@ -145,14 +149,14 @@ def _take_rows(rows, zone: str) -> tuple[list[datetime], np.ndarray]:
 _US = timedelta(microseconds=1)
 
 
-def _zone_tape(fh, path: Path, zone: str, resolution: timedelta):
+def _zone_tape(rows, path: Path, zone: str, resolution: timedelta):
     """``zone``'s first stamp in UTC, its stamps' whole microseconds from it, and
     its prices, read a block at a time. The microseconds are None while every
     step is ``resolution``; from the first block with another step on, each
     stamp's are counted."""
     start = last = offsets = None
     count, pieces = 0, []
-    for stamps, prices in _zone_blocks(fh, zone):
+    for stamps, prices in _zone_blocks(rows, zone):
         if not stamps:
             continue
         if start is None:
@@ -180,8 +184,8 @@ def _read_careful(
     path: Path, zone: str, resolution: timedelta, fill_gaps: bool
 ) -> PriceSeries:
     """Read any CSV file row by row with the csv module, reporting its first fault
-    as :func:`load_prices` orders them, as a DataValidationError: the series
-    ``load_prices`` reads, and its reader of a file with a row it cannot read."""
+    as :func:`load_prices` orders them, as a DataValidationError: the reference
+    series and message the tests hold ``load_prices`` to."""
     stamps, prices = _take_rows(enumerate(_read_csv(path), start=1), zone)
     if not stamps:
         raise DataValidationError(f"no rows for zone {zone!r} in {path}")

@@ -345,9 +345,7 @@ def run_case(
     grid: SoCGrid,
     segments_per_hour_of_duration: int = DEFAULT_SEGMENTS_PER_HOUR,
 ) -> SimulationResult:
-    """The one-case form of :func:`run_cases`, on at least ``grid.num_points`` points.
-
-    ``grid`` must span the storage's SoC range."""
+    # Kept for the benchmark: bench/workloads.py calls it and bench/spans.py wraps it
     check_soc_range(grid.soc_min, grid.soc_max, params, "grid range")
     (result,) = run_cases(
         (config,), da_prices, rt_prices, params, grid.num_points,

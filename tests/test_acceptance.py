@@ -27,7 +27,7 @@ from socbid import (
     bid_schedule,
     enumerate_tiny,
     grid_dp_oracle,
-    run_case,
+    run_cases,
     soc_bid,
     step_soc_bid,
     update_step,
@@ -68,7 +68,7 @@ def test_criterion_01_oracle_certification():
     grid = SoCGrid.for_storage(MICRO, 1.0 / 12.0, 301)
     for seed in range(50):
         _, rt = synthetic_pair(seed, hours=7 * 24)
-        sim = run_case(CaseConfig("RT-SB-PF"), None, rt, MICRO, grid)
+        sim = run_cases([CaseConfig("RT-SB-PF")], None, rt, MICRO, grid.num_points)[0]
         oracle = grid_dp_oracle(rt, MICRO, grid, action_points=15)
         rel = abs(sim.total_profit - oracle.optimal_profit) / oracle.optimal_profit
         worst_rel = max(worst_rel, rel)
@@ -101,7 +101,7 @@ def test_criterion_02_closed_form_micro_scenarios():
         prices = hourly_series(tape)
         checks.append(abs(enumerate_tiny(prices, MICRO) - expected) < 1e-9)
         checks.append(abs(grid_dp_oracle(prices, MICRO, grid).optimal_profit - expected) < 1e-9)
-        sim = run_case(CaseConfig("RT-SB-PF"), prices, prices, MICRO, grid)
+        sim = run_cases([CaseConfig("RT-SB-PF")], prices, prices, MICRO, grid.num_points)[0]
         checks.append(abs(sim.total_profit - expected) < 1e-9)
     for level in (0.0, 10.0, 43.21):
         prices = hourly_series([level] * 3)
@@ -125,7 +125,7 @@ def test_criterion_03_perfect_foresight_soc_bids_dominate():
         for case_id in CASE_IDS:
             config = CaseConfig(case_id)
             grid = grid_hourly if config.valuation_source == "day_ahead" else grid_5min
-            profits[case_id] = run_case(config, da, rt, MICRO, grid).total_profit
+            profits[case_id] = run_cases([config], da, rt, MICRO, grid.num_points)[0].total_profit
         reference = profits["RT-SB-PF"]
         for case_id, profit in profits.items():
             worst_violation = max(worst_violation, profit - reference)
@@ -220,7 +220,7 @@ def test_criterion_06_valuation_invariants():
 def test_criterion_07_conservation_full_year():
     da, rt = synthetic_pair(7, hours=365 * 24)
     grid = SoCGrid.for_storage(MICRO, 1.0, 1001)
-    result = run_case(CaseConfig("RT-SB-DF"), da, rt, MICRO, grid)
+    result = run_cases([CaseConfig("RT-SB-DF")], da, rt, MICRO, grid.num_points)[0]
     assert len(result.discharge) == 365 * 24 * 12
     eta = MICRO.efficiency_one_way
     dt = 1.0 / 12.0
@@ -303,7 +303,7 @@ def test_criterion_09_historical_utilization():
             for case_id in CASE_IDS:
                 config = CaseConfig(case_id)
                 grid = grid_h if config.valuation_source == "day_ahead" else grid_5
-                results[case_id] = run_case(config, da, rt, params, grid)
+                results[case_id] = run_cases([config], da, rt, params, grid.num_points)[0]
             ref = results["RT-SB-PF"]
             utils = {cid: utilization(r, ref) for cid, r in results.items()}
             if duration >= 12.0:

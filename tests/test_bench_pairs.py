@@ -111,3 +111,31 @@ def test_a_cold_run_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch, c
     with pytest.raises(SystemExit, match="would read bytecode"):
         bench_pairs.run_once(tmp_path, "certify", 1)
     assert seen == []
+
+
+def _checkouts(tmp_path):
+    for side in ("parent", "change"):
+        for d in ("src", "bench"):
+            (tmp_path / side / d).mkdir(parents=True)
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "certify", "--out", str(tmp_path / "pairs.json")]
+
+
+def test_a_change_holding_bytecode_is_refused_before_the_first_run(tmp_path, monkeypatch):
+    seen = []
+    _fake_bench(monkeypatch, seen)
+    args = _checkouts(tmp_path)
+    (tmp_path / "change" / "src" / "__pycache__").mkdir()
+    with pytest.raises(SystemExit, match="would read bytecode"):
+        bench_pairs.main(args + ["--pairs", "2"])
+    assert seen == []
+    assert not (tmp_path / "pairs.json").exists()
+
+
+def test_a_batch_leaving_one_pair_is_refused_before_the_first_run(tmp_path, monkeypatch):
+    seen = []
+    _fake_bench(monkeypatch, seen)
+    with pytest.raises(SystemExit, match="fewer than two pairs"):
+        bench_pairs.main(_checkouts(tmp_path) + ["--pairs", "1"])
+    assert seen == []
+    assert not (tmp_path / "pairs.json").exists()

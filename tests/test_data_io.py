@@ -376,6 +376,21 @@ def test_clean_files_are_never_read_row_by_row(tmp_path, monkeypatch, name):
     assert series.gaps_filled == reference.gaps_filled == (name == "gap-filled")
 
 
+@pytest.mark.parametrize(
+    "name", ["not-utf8", "long-field", "bad-price-then-not-utf8", "bad-price-then-long-field"]
+)
+def test_a_reader_fault_is_named_without_a_second_read(tmp_path, monkeypatch, name):
+    content, zone, fill_gaps = READER_FILES[name]
+    path = tmp_path / "prices.csv"
+    write_content(path, content)
+    with pytest.raises(DataValidationError) as reference:
+        _read_careful(path, zone, FIVE_MIN, fill_gaps)
+    monkeypatch.setattr(data_io, "_read_careful", refuse)
+    with pytest.raises(DataValidationError) as raised:
+        load_prices(path, zone, FIVE_MIN, fill_gaps)
+    assert str(raised.value) == str(reference.value)
+
+
 def test_a_faulty_block_alone_is_read_row_by_row(tmp_path, monkeypatch):
     # A stamp that needs stripping sends its own block row by row, not the file
     lines = tape_lines(noisy_tape(7000))

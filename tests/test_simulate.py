@@ -14,7 +14,6 @@ from socbid import (
     backward_induct,
     bid_schedule,
     grid_dp_oracle,
-    run_case,
     run_schedule,
     soc_bid,
     step_soc_bid,
@@ -153,7 +152,7 @@ def test_single_segment_equivalence_sample(micro_params):
 
 
 # ---------------------------------------------------------------------------
-# run_case
+# run_cases, one case at a time
 # ---------------------------------------------------------------------------
 
 def test_case_config_decomposition():
@@ -167,7 +166,9 @@ def test_case_config_decomposition():
 
 def test_run_case_two_period_optimum(micro_params, unit_grid):
     prices = hourly_series([5.0, 30.0])
-    result = run_case(CaseConfig("RT-SB-PF"), prices, prices, micro_params, unit_grid)
+    result = run_cases(
+        [CaseConfig("RT-SB-PF")], prices, prices, micro_params, unit_grid.num_points
+    )[0]
     assert result.total_profit == pytest.approx(5.6, abs=1e-9)
     assert result.charge[0] == pytest.approx(0.5)
     assert result.discharge[1] == pytest.approx(0.405)
@@ -177,7 +178,9 @@ def test_run_case_two_period_optimum(micro_params, unit_grid):
 def test_run_case_constant_prices_no_dispatch(micro_params, unit_grid):
     prices = hourly_series([10.0] * 12)
     for case_id in CASE_IDS:
-        result = run_case(CaseConfig(case_id), prices, prices, micro_params, unit_grid)
+        result = run_cases(
+            [CaseConfig(case_id)], prices, prices, micro_params, unit_grid.num_points
+        )[0]
         assert result.total_profit == 0.0
         assert all(p == b == 0.0 for p, b in zip(result.discharge, result.charge))
 
@@ -187,8 +190,12 @@ def test_soc_bids_dominate_power_bids_with_perfect_foresight(micro_params, unit_
     for trial in range(5):
         values = rng.uniform(-10.0, 80.0, 48)
         prices = hourly_series(values)
-        sb = run_case(CaseConfig("RT-SB-PF"), None, prices, micro_params, unit_grid)
-        pb = run_case(CaseConfig("RT-PB-PF"), None, prices, micro_params, unit_grid)
+        sb = run_cases(
+            [CaseConfig("RT-SB-PF")], None, prices, micro_params, unit_grid.num_points
+        )[0]
+        pb = run_cases(
+            [CaseConfig("RT-PB-PF")], None, prices, micro_params, unit_grid.num_points
+        )[0]
         assert sb.total_profit >= pb.total_profit - 1e-9
 
 
@@ -196,7 +203,7 @@ def test_run_case_hourly_bids_cover_five_minute_settlement(micro_params):
     da = hourly_series([5.0, 30.0])
     rt = five_min_series(np.repeat(da.values, 12))
     grid = SoCGrid.for_storage(micro_params, 1.0, 1001)
-    result = run_case(CaseConfig("RT-SB-DF"), da, rt, micro_params, grid)
+    result = run_cases([CaseConfig("RT-SB-DF")], da, rt, micro_params, grid.num_points)[0]
     assert len(result.discharge) == 24
     # same prices at 12x resolution: same energy moves, same profit
     assert result.total_profit == pytest.approx(5.6, abs=1e-6)
@@ -206,7 +213,7 @@ def test_run_case_horizon_mismatch(micro_params, unit_grid):
     da = hourly_series([5.0, 30.0])
     rt = five_min_series(np.repeat([5.0, 30.0], 12)[:-1])  # one interval short
     with pytest.raises(DataValidationError, match="span"):
-        run_case(CaseConfig("RT-PB-DF"), da, rt, micro_params, unit_grid)
+        run_cases([CaseConfig("RT-PB-DF")], da, rt, micro_params, unit_grid.num_points)[0]
 
 
 def test_run_cases_reject_tapes_that_start_apart(micro_params, unit_grid):
@@ -216,17 +223,17 @@ def test_run_cases_reject_tapes_that_start_apart(micro_params, unit_grid):
     late = PriceSeries("Z", START + timedelta(hours=6), rt.resolution, rt.values)
     assert late.span == da.span
     with pytest.raises(DataValidationError, match="start") as raised:
-        run_case(CaseConfig("RT-SB-DF"), da, late, micro_params, unit_grid)
+        run_cases([CaseConfig("RT-SB-DF")], da, late, micro_params, unit_grid.num_points)[0]
     assert str(da.start) in str(raised.value) and str(late.start) in str(raised.value)
-    run_case(CaseConfig("RT-SB-DF"), da, rt, micro_params, unit_grid)
+    run_cases([CaseConfig("RT-SB-DF")], da, rt, micro_params, unit_grid.num_points)[0]
 
 
 def test_run_case_missing_series(micro_params, unit_grid):
     prices = hourly_series([5.0, 30.0])
     with pytest.raises(DataValidationError, match="day_ahead"):
-        run_case(CaseConfig("RT-PB-DF"), None, prices, micro_params, unit_grid)
+        run_cases([CaseConfig("RT-PB-DF")], None, prices, micro_params, unit_grid.num_points)[0]
     with pytest.raises(DataValidationError, match="real_time"):
-        run_case(CaseConfig("RT-SB-PF"), prices, None, micro_params, unit_grid)
+        run_cases([CaseConfig("RT-SB-PF")], prices, None, micro_params, unit_grid.num_points)[0]
 
 
 @pytest.mark.parametrize(
@@ -248,7 +255,7 @@ def test_soc_conservation_and_bounds(micro_params, unit_grid):
         "Z", START, timedelta(minutes=5), 3 * 288, low=10, high=50, noise_std=8.0, seed=3
     )
     da = hourly_series(np.repeat([10.0, 50.0], 36))
-    result = run_case(CaseConfig("RT-SB-DF"), da, rt, micro_params, unit_grid)
+    result = run_cases([CaseConfig("RT-SB-DF")], da, rt, micro_params, unit_grid.num_points)[0]
     e = result.initial_soc
     eta = micro_params.efficiency_one_way
     for p, b, soc_after in zip(result.discharge, result.charge, result.soc):
@@ -260,28 +267,32 @@ def test_soc_conservation_and_bounds(micro_params, unit_grid):
 
 def test_run_case_honors_initial_soc(micro_params, unit_grid):
     prices = hourly_series([50.0])
-    result = run_case(
-        CaseConfig("RT-SB-PF", initial_soc=1.0), prices, prices, micro_params, unit_grid
-    )
+    result = run_cases(
+        [CaseConfig("RT-SB-PF", initial_soc=1.0)], prices, prices, micro_params, unit_grid.num_points
+    )[0]
     # starts full: one power-limited discharge into the high price
     assert result.initial_soc == 1.0
     assert result.discharge[0] == pytest.approx(0.5)
     assert result.total_profit == pytest.approx((50.0 - 10.0) * 0.5, abs=1e-9)
     with pytest.raises(DataValidationError, match="initial SoC"):
-        run_case(CaseConfig("RT-SB-PF", initial_soc=2.0), prices, prices, micro_params, unit_grid)
+        run_cases(
+            [CaseConfig("RT-SB-PF", initial_soc=2.0)], prices, prices, micro_params, unit_grid.num_points
+        )[0]
 
 
 def test_utilization_basics(micro_params, unit_grid):
     prices = hourly_series([5.0, 30.0])
-    ref = run_case(CaseConfig("RT-SB-PF"), prices, prices, micro_params, unit_grid)
+    ref = run_cases(
+        [CaseConfig("RT-SB-PF")], prices, prices, micro_params, unit_grid.num_points
+    )[0]
     assert utilization(ref, ref) == 1.0
-    pb = run_case(CaseConfig("RT-PB-PF"), prices, prices, micro_params, unit_grid)
+    pb = run_cases([CaseConfig("RT-PB-PF")], prices, prices, micro_params, unit_grid.num_points)[0]
     assert 0.0 <= utilization(pb, ref) <= 1.0
 
 
 def test_utilization_rejects_degenerate_reference(micro_params, unit_grid):
     flat = hourly_series([10.0, 10.0])
-    ref = run_case(CaseConfig("RT-SB-PF"), flat, flat, micro_params, unit_grid)
+    ref = run_cases([CaseConfig("RT-SB-PF")], flat, flat, micro_params, unit_grid.num_points)[0]
     with pytest.raises(DataValidationError, match="reference profit"):
         utilization(ref, ref)
 

@@ -6,8 +6,10 @@
 Each run is ``python3 <checkout>/bench/run.py --workload W --seed S --trace 0``
 in a fresh process, so ``bench/run.py`` sets the run length. A run is cold: it
 gets ``PYTHONDONTWRITEBYTECODE=1`` and no ``PYTHONPYCACHEPREFIX``, and the tool
-refuses to start it while the checkout's ``src`` or ``bench`` holds a
-``__pycache__``, which Python would read (pytest or a warm batch leaves one).
+refuses to start a cold batch while either checkout's ``src`` or ``bench`` holds
+a ``__pycache__``, which Python would read (pytest or a warm batch leaves one).
+It also refuses, before the first run, a batch that would leave its key with
+fewer than two pairs, the fewest a summary can take quartiles of.
 With ``--warm`` each checkout's ``src`` and ``bench`` are byte-compiled first,
 runs read that cache, and the results go under ``"<workload> seed <seed> warm"``.
 Pair i runs the parent first when i is even and the change first when it is odd.
@@ -46,12 +48,18 @@ def run_env(warm: bool) -> dict[str, str]:
     return env if warm else env | {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def run_once(checkout: Path, workload: str, seed: int, warm: bool = False) -> tuple[dict, dict]:
-    """One benchmark run: its ``facts:`` line and its last-line result, as dicts."""
-    cached = [] if warm else sorted(
+def check_cold(checkout: Path) -> None:
+    """Refuse a checkout whose ``src`` or ``bench`` holds bytecode a cold run would read."""
+    cached = sorted(
         str(p) for d in ("src", "bench") for p in (checkout / d).rglob("__pycache__"))
     if cached:
         raise SystemExit(f"{checkout}: a cold run would read bytecode; remove {' '.join(cached)}")
+
+
+def run_once(checkout: Path, workload: str, seed: int, warm: bool = False) -> tuple[dict, dict]:
+    """One benchmark run: its ``facts:`` line and its last-line result, as dicts."""
+    if not warm:
+        check_cold(checkout)
     cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, env=run_env(warm), capture_output=True, text=True)
@@ -127,6 +135,14 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    key = f"{args.workload} seed {args.seed}" + (" warm" if args.warm else "")
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    kept = doc.get("runs", {}).get(key, {})
+    if len(kept.get("parent_failed", [])) + args.pairs < 2:
+        raise SystemExit(f"{key}: --pairs {args.pairs} leaves fewer than two pairs to summarize")
+    if not args.warm:
+        for checkout in checkouts.values():
+            check_cold(checkout)
     runs = {side: [] for side in SIDES}
     facts = {}
     if args.warm:
@@ -141,21 +157,18 @@ def main(argv=None) -> int:
             wall = result["metrics"]["wall_s"]["value"]
             print(f"pair {pair + 1}/{args.pairs} {side}: wall_s {wall:.4f}", flush=True)
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("facts", {
-        key: facts["parent"].get(key) for key in ("nproc", "cpu_model", "python", "numpy")
+        name: facts["parent"].get(name) for name in ("nproc", "cpu_model", "python", "numpy")
     } | {"parent_commit": facts["parent"].get("commit"),
          "run_seconds": facts["parent"].get("seconds")})
-    key = f"{args.workload} seed {args.seed}" + (" warm" if args.warm else "")
     doc.setdefault("commands", {})[key] = (
         ("python3 -m compileall -q src bench, then " if args.warm else "PYTHONDONTWRITEBYTECODE=1 ")
         + f"python3 bench/run.py --workload {args.workload} --seed {args.seed} --trace 0; "
         "pair i runs the parent first when i is even"
     )
-    kept = doc.setdefault("runs", {}).get(key, {})
     batches = kept.pop("batches", [len(kept["parent_failed"])] if kept else [])
     values = {name: kept.get(name, []) + new for name, new in run_values(runs).items()}
-    doc["runs"][key] = values | {"batches": batches + [args.pairs]}
+    doc.setdefault("runs", {})[key] = values | {"batches": batches + [args.pairs]}
     doc.setdefault("summary", {})[key] = summarize(values)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["summary"][key]))
