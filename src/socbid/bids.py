@@ -106,8 +106,8 @@ class BidSchedule:
 # SoC-bid segments per hour of storage duration: a rate, so a 72 h unit bids 1,440
 DEFAULT_SEGMENTS_PER_HOUR = 20
 
-# Cap on the entries of a reduction pass's buffers of curves and of their integrals,
-# of each buffer of bid means a sweep counts crossings on, and of each counting temporary.
+# Cap on the entries of a reduction pass's buffers of curves, of their integrals and
+# of bid means, and of each temporary of a crossing count.
 _BLOCK_FLOATS = 2**16
 
 
@@ -126,7 +126,7 @@ def _segment_bounds(params: StorageParams, kind: str, segments_per_hour: int) ->
     segments = 1
     if kind == "soc":
         segments = max(1, int(round(segments_per_hour * params.duration_hours)))
-    return np.linspace(params.soc_min, params.soc_max, segments + 1)
+    return SoCGrid(params.soc_min, params.soc_max, segments + 1).points()
 
 
 def _interp_plan(edges: np.ndarray, points: np.ndarray) -> tuple:
@@ -162,21 +162,22 @@ def _segment_means(plan: tuple, cum: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bid_blocks(curves, horizon: int, grid: SoCGrid, bounds: dict, held: dict):
-    """Write the segment means of each bid shape into its caller's buffer as periods fall.
+def _bid_blocks(curves, horizon: int, grid: SoCGrid, bounds: dict):
+    """Write the segment means of each bid shape into its own buffer as periods fall.
 
     ``curves`` yields (t, curve after period t) on ``grid`` for t = ``horizon``
     down to 0, as a backward pass does. Period t's dispatch trades against the
     value of energy left after it, so the bid of 0-indexed period t comes from
     the curve after period t+1; the pre-horizon curve (t = 0) sets no bid.
-    The pass allocates two buffers once: a block of curves, weighted by cell
-    width in place when full, and its running integrals, SoC axis first, each
-    column a 1-D cumsum's bits. A block's segment means over ``bounds[key]``
-    go straight into the caller's ``(J, width)`` buffer ``held[key]``, filled from
-    its right end, and are floored there: cumulative differences leave +-1-ulp
-    bumps on flat runs. Yields (key, first period, filled view) when a block would
-    not fit, and once per key at the end; consume each view before the next. A
-    width of ``_BLOCK_FLOATS // J`` or of ``horizon`` periods always fits a block.
+    The pass allocates its buffers once: a block of curves, weighted by cell
+    width in place when full, its running integrals, SoC axis first, each
+    column a 1-D cumsum's bits, and per key a ``(J, width)`` buffer of means,
+    ``width`` the fewer of ``_BLOCK_FLOATS // J`` (at least 1) and ``horizon``
+    periods, so a block always fits it. A block's segment means over
+    ``bounds[key]`` go straight into that buffer, filled from its right end, and
+    are floored there: cumulative differences leave +-1-ulp bumps on flat runs.
+    Yields (key, first period, filled view) when a block would not fit, and once
+    per key at the end; consume each view before the next.
     """
     edges = _cell_edges(grid)
     widths = np.diff(edges)
@@ -184,6 +185,8 @@ def _bid_blocks(curves, horizon: int, grid: SoCGrid, bounds: dict, held: dict):
     rows = max(1, _BLOCK_FLOATS // (max(grid.num_points, *(b.size for b in bounds.values())) + 1))
     block = np.empty((rows, grid.num_points))
     cum = np.zeros((edges.size, rows))  # zero row kept, the integral at edges[0]
+    held = {key: np.empty((b.size - 1, min(horizon, max(1, _BLOCK_FLOATS // (b.size - 1)))))
+            for key, b in bounds.items()}
     free = {key: buffer.shape[1] for key, buffer in held.items()}
     for t, q in curves:
         if t > 0:
@@ -204,6 +207,42 @@ def _bid_blocks(curves, horizon: int, grid: SoCGrid, bounds: dict, held: dict):
         yield key, 0, buffer[:, free[key] :]
 
 
+def _crossings(
+    values: np.ndarray, prices: np.ndarray, params: StorageParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Crossing counts of each settlement price against its period's bid.
+
+    ``values`` holds one exactly non-increasing bid per period, SoC axis first
+    (J, periods), as stored schedules and :func:`_bid_blocks` make them. Returns
+    ``kd = count(price <= discharge thresholds)`` and ``kc = count(price
+    < charge thresholds)`` shaped like ``prices``: prefix lengths, found by a
+    branchless binary search down each column, a block of periods at a time;
+    no temporary exceeds ``_BLOCK_FLOATS``.
+    """
+    per_bid = prices.shape[1]
+    rows = max(1, _BLOCK_FLOATS // max(values.shape[0], 2 * per_bid))
+    kd, kc = np.empty((2, *prices.shape), dtype=np.intp)
+    for first in range(0, values.shape[1], rows):
+        block = slice(first, first + rows)
+        block_prices = prices[block]
+        flat, periods = values[:, block].ravel(), block_prices.shape[0]
+        # Flat index of the segment each price's search stands on, discharge then charge
+        base = np.arange(periods)[:, None] + np.zeros((2, 1, per_bid), dtype=np.intp)
+        beats = np.empty(base.shape, dtype=bool)
+        n = values.shape[0]
+        while n > 1:  # the first segment a price does not beat is at most n above base
+            half = n // 2
+            discharge, charge = bid_thresholds(flat.take(base + half * periods), params)
+            np.less_equal(block_prices, discharge[0], out=beats[0])
+            np.less(block_prices, charge[1], out=beats[1])
+            base += beats * (half * periods)
+            n -= half
+        discharge, charge = bid_thresholds(flat.take(base), params)
+        kd[block] = base[0] // periods + (block_prices <= discharge[0])
+        kc[block] = base[1] // periods + (block_prices < charge[1])
+    return kd, kc
+
+
 def bid_schedule(
     source: ValueSurface | PriceSeries,
     params: StorageParams,
@@ -219,8 +258,8 @@ def bid_schedule(
     block of curves at a time; only a tape reads ``grid_points``. Period t's bid
     comes from the curve after period t+1. A power bid is one segment over the SoC
     range; an SoC bid has ``segments_per_hour_of_duration`` equal-width segments per
-    hour of duration, a rate and not a cap (1,440 at 72 h by default). The rows are
-    written floored into the table, which the schedule holds as is.
+    hour of duration, a rate and not a cap (1,440 at 72 h by default). Each block
+    of floored rows is copied into the table, which the schedule holds as is.
     """
     if isinstance(source, ValueSurface):
         grid = source.grid
@@ -233,8 +272,8 @@ def bid_schedule(
         curves = _backward_curves(source, params, grid)
     bounds = _segment_bounds(params, kind, segments_per_hour_of_duration)
     table = np.empty((horizon, bounds.size - 1))
-    for _ in _bid_blocks(curves, horizon, grid, {kind: bounds}, {kind: table.T}):
-        pass
+    for _, first, means in _bid_blocks(curves, horizon, grid, {kind: bounds}):
+        table[first : first + means.shape[1]] = means.T
     return BidSchedule(period_hours, bounds, table)
 
 

@@ -229,8 +229,8 @@ def _on_lattice(
 def save_prices(series: PriceSeries, path: str | Path) -> None:
     """Write a series in the canonical CSV schema (round-trips with load_prices)."""
     rows = (
-        [series.timestamp(i).isoformat(), series.zone, repr(float(value))]
-        for i, value in enumerate(series.values)
+        [series.timestamp(i).isoformat(), series.zone, value]
+        for i, value in enumerate(series.values.tolist())
     )
     _write_csv(path, PRICE_HEADER, rows)
 
@@ -270,10 +270,10 @@ def synthetic_tape(
 
 def write_surface(surface: ValueSurface, path: str | Path) -> None:
     """Dump a value surface as long-format CSV: (period, soc_mwh, value_usd_per_mwh)."""
-    pts = surface.grid.points()
+    pts = surface.grid.points().tolist()
     rows = (
-        [t, repr(float(soc)), repr(float(val))]
-        for t, curve in enumerate(surface.values) for soc, val in zip(pts, curve)
+        [t, soc, val]
+        for t, curve in enumerate(surface.values) for soc, val in zip(pts, curve.tolist())
     )
     _write_csv(path, ["period", "soc_mwh", "marginal_value_usd_per_mwh"], rows)
 
@@ -281,10 +281,10 @@ def write_surface(surface: ValueSurface, path: str | Path) -> None:
 def write_bid_schedule(schedule: BidSchedule, path: str | Path) -> None:
     """Dump a bid schedule's stored-energy values as CSV, one row per period and segment."""
     header = ["period", "segment_index", "soc_lo_mwh", "soc_hi_mwh", "value_usd_per_mwh"]
-    bounds = [repr(b) for b in schedule.boundaries.tolist()]
+    bounds = schedule.boundaries.tolist()
     rows = (
-        [t, j, bounds[j], bounds[j + 1], repr(value)]
-        for t, row in enumerate(schedule.values.tolist()) for j, value in enumerate(row)
+        [t, j, bounds[j], bounds[j + 1], value]
+        for t, row in enumerate(schedule.values) for j, value in enumerate(row.tolist())
     )
     _write_csv(path, header, rows)
 
@@ -300,7 +300,7 @@ def write_power_bids(schedule: BidSchedule, params: StorageParams, path: str | P
     """Dump a one-segment schedule as CSV, one discharge/charge price pair per period."""
     discharge, charge = _power_thresholds(schedule, params)
     rows = (
-        [t, "power", *map(repr, pair)]
+        [t, "power", *pair]
         for t, pair in enumerate(zip(discharge.tolist(), charge.tolist()))
     )
     _write_csv(path, ["period", "type", "discharge_bid", "charge_bid"], rows)
@@ -315,7 +315,7 @@ def write_trace(
     header = ["timestamp", "price_usd_per_mwh", "discharge_mw", "charge_mw", "soc_mwh", "profit_usd"]
     columns = (prices.values, result.discharge, result.charge, result.soc, result.profit)
     rows = (
-        [prices.timestamp(i).isoformat(), *map(repr, row)]
+        [prices.timestamp(i).isoformat(), *row]
         for i, row in enumerate(zip(*(c.tolist() for c in columns)))
     )
     _write_csv(path, header, rows)
@@ -337,7 +337,7 @@ def write_duration_curves(
     n = len(prices)
     markers = {math.floor(0.99 * n): "q99", math.floor(0.01 * n): "q01"}  # q01 wins a shared row
     rows = (
-        [i, markers.get(i, ""), *map(repr, row)]
+        [i, markers.get(i, ""), *row]
         for i, row in enumerate(zip(*(np.sort(c)[::-1].tolist() for c in columns)))
     )
     _write_csv(path, ["rank", "quantile_marker", "price", "discharge_bid", "charge_bid"], rows)
@@ -356,7 +356,7 @@ SUMMARY_HEADER = (
 
 def write_summary_csv(rows: list[dict], path: str | Path) -> None:
     """Summary table, one row per (zone, duration, case), in the order given."""
-    _write_csv(path, SUMMARY_HEADER, ([_plain(r.get(k, "")) for k in SUMMARY_HEADER] for r in rows))
+    _write_csv(path, SUMMARY_HEADER, ([r.get(k, "") for k in SUMMARY_HEADER] for r in rows))
 
 
 def write_summary_json(rows: list[dict], meta: dict, path: str | Path) -> None:
@@ -367,9 +367,3 @@ def write_summary_json(rows: list[dict], meta: dict, path: str | Path) -> None:
     with path.open("w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _plain(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

@@ -8,6 +8,7 @@ is always power times the step length in hours.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -147,10 +148,10 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class SoCGrid:
-    """Equally spaced SoC levels used to tabulate marginal-value curves.
+    """Equally spaced SoC levels: a value curve's grid, or a bid's segment boundaries.
 
-    Each point stands for the SoC levels nearest to it: tabulated curves are
-    read as piecewise constant over cells split at the midpoints.
+    Each point of a curve's grid stands for the SoC levels nearest to it: tabulated
+    curves are read as piecewise constant over cells split at the midpoints.
     """
 
     soc_min: float
@@ -160,6 +161,8 @@ class SoCGrid:
     def __post_init__(self) -> None:
         if self.num_points < 2:
             raise DataValidationError(f"num_points must be at least 2, got {self.num_points}")
+        if self.num_points > sys.maxsize // 16:  # twice as many float64s are addressable
+            raise OverflowError(f"{self.num_points} SoC levels exceed any array")
         if not self.soc_min < self.soc_max:
             raise DataValidationError(
                 f"grid needs soc_min < soc_max, got [{self.soc_min}, {self.soc_max}]"

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bids
 from .bids import (DEFAULT_SEGMENTS_PER_HOUR, BidSchedule, SoCBidCurve, _bid_blocks,
-                   _segment_bounds, bid_thresholds)
+                   _crossings, _segment_bounds)
 from .bids import bid_schedule as bid_schedule_from_prices  # noqa: F401 - bench/spans.py wraps it
 from .model import (
     DEFAULT_GRID_POINTS,
@@ -93,42 +92,6 @@ def _clamp_soc(e: float, params: StorageParams) -> float:
     if lo - tol <= e <= hi + tol:
         return min(max(e, lo), hi)
     raise DataValidationError(f"SoC {e} left [{lo}, {hi}] by more than {tol:g} MWh")
-
-
-def _crossings(
-    values: np.ndarray, prices: np.ndarray, params: StorageParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Crossing counts of each settlement price against its period's bid.
-
-    ``values`` holds one exactly non-increasing bid per period, SoC axis first
-    (J, periods), as stored schedules and :func:`_bid_blocks` make them. Returns
-    ``kd = count(price <= discharge thresholds)`` and ``kc = count(price
-    < charge thresholds)`` shaped like ``prices``: prefix lengths, found by a
-    branchless binary search down each column, a block of periods at a time;
-    no temporary exceeds ``bids._BLOCK_FLOATS``.
-    """
-    per_bid = prices.shape[1]
-    rows = max(1, bids._BLOCK_FLOATS // max(values.shape[0], 2 * per_bid))
-    kd, kc = np.empty((2, *prices.shape), dtype=np.intp)
-    for first in range(0, values.shape[1], rows):
-        block = slice(first, first + rows)
-        block_prices = prices[block]
-        flat, periods = values[:, block].ravel(), block_prices.shape[0]
-        # Flat index of the segment each price's search stands on, discharge then charge
-        base = np.arange(periods)[:, None] + np.zeros((2, 1, per_bid), dtype=np.intp)
-        beats = np.empty(base.shape, dtype=bool)
-        n = values.shape[0]
-        while n > 1:  # the first segment a price does not beat is at most n above base
-            half = n // 2
-            discharge, charge = bid_thresholds(flat.take(base + half * periods), params)
-            np.less_equal(block_prices, discharge[0], out=beats[0])
-            np.less(block_prices, charge[1], out=beats[1])
-            base += beats * (half * periods)
-            n -= half
-        discharge, charge = bid_thresholds(flat.take(base), params)
-        kd[block] = base[0] // periods + (block_prices <= discharge[0])
-        kc[block] = base[1] // periods + (block_prices < charge[1])
-    return kd, kc
 
 
 def _settle(
@@ -317,12 +280,9 @@ def run_cases(
             per_bid = _intervals_per_bid(forecast.resolution_hours, len(forecast), series[market])
             prices = series[market].values.reshape(len(forecast), per_bid)
             counts[model, market] = (prices, *np.empty((2, *prices.shape), np.intp))
-        budget = bids._BLOCK_FLOATS
-        held = {m: np.empty((b.size - 1, min(len(forecast), max(1, budget // (b.size - 1)))))
-                for m, b in bounds.items()}
         grid = SoCGrid.for_storage(params, forecast.resolution_hours, grid_points)
         curves = _backward_curves(forecast, params, grid)
-        for model, first, means in _bid_blocks(curves, len(forecast), grid, bounds, held):
+        for model, first, means in _bid_blocks(curves, len(forecast), grid, bounds):
             for (held_model, _), (prices, kd, kc) in counts.items():
                 if held_model == model:
                     rows = slice(first, first + means.shape[1])

@@ -102,17 +102,6 @@ def test_runs_get_a_cold_or_warm_environment(tmp_path, monkeypatch, warm):
     assert env.get("PYTHONDONTWRITEBYTECODE") == (None if warm else "1")
 
 
-@pytest.mark.parametrize("cache", ["src/socbid/__pycache__", "bench/__pycache__"])
-def test_a_cold_run_refuses_a_checkout_holding_bytecode(tmp_path, monkeypatch, cache):
-    seen = []
-    _fake_bench(monkeypatch, seen)
-    (tmp_path / "src").mkdir()
-    (tmp_path / cache).mkdir(parents=True)
-    with pytest.raises(SystemExit, match="would read bytecode"):
-        bench_pairs.run_once(tmp_path, "certify", 1)
-    assert seen == []
-
-
 def _checkouts(tmp_path):
     for side in ("parent", "change"):
         for d in ("src", "bench"):
@@ -121,11 +110,15 @@ def _checkouts(tmp_path):
             "--workload", "certify", "--out", str(tmp_path / "pairs.json")]
 
 
-def test_a_change_holding_bytecode_is_refused_before_the_first_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cache", ["src/socbid/__pycache__", "bench/__pycache__"])
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_checkout_holding_bytecode_is_refused_before_the_first_run(
+    tmp_path, monkeypatch, side, cache
+):
     seen = []
     _fake_bench(monkeypatch, seen)
     args = _checkouts(tmp_path)
-    (tmp_path / "change" / "src" / "__pycache__").mkdir()
+    (tmp_path / side / cache).mkdir(parents=True)
     with pytest.raises(SystemExit, match="would read bytecode"):
         bench_pairs.main(args + ["--pairs", "2"])
     assert seen == []

@@ -359,18 +359,22 @@ def test_clean_tape_bid_rows_are_exactly_non_increasing(duration, monkeypatch):
 
     monkeypatch.setattr(bids, "_segment_means", recorded)
     bounds = {kind: _segment_bounds(params, kind, 20) for kind in ("power", "soc")}
-    held = {kind: np.empty((b.size - 1, len(da))) for kind, b in bounds.items()}
     curves = _backward_curves(da, params, grid)
-    views = list(_bid_blocks(curves, len(da), grid, bounds, held))
-    # a buffer spanning the horizon is written whole and yielded once, at the end
-    assert [(key, first, means.shape[1]) for key, first, means in views] == [
-        ("power", 0, len(da)), ("soc", 0, len(da))
-    ]
-    tables += [means.T for _, _, means in views]
+    views = [(key, first, means.copy())
+             for key, first, means in _bid_blocks(curves, len(da), grid, bounds)]
+    held = {}  # each bid shape's yielded blocks, joined in period order
+    for kind in bounds:
+        spans = [(first, means) for key, first, means in views if key == kind]
+        # the blocks tile [0, horizon), periods falling block by block
+        ends = [len(da)] + [first for first, _ in spans]
+        assert [first + means.shape[1] for first, means in spans] == ends[:-1]
+        assert ends[-1] == 0
+        held[kind] = np.concatenate([means for _, means in spans[::-1]], axis=1)
+    tables += [means.T for means in held.values()]
     for table in tables:
         assert np.all(np.diff(table, axis=1) <= 0)
     # the blocks are the raw means floored, and without the floor some would rise
-    for _, _, means in views:
+    for means in held.values():
         blocks = raw[means.shape[0]]
         assert sum(block.shape[1] for block in blocks) == len(da)
         unfloored = np.concatenate(blocks[::-1], axis=1)  # periods fall block by block

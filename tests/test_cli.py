@@ -392,6 +392,22 @@ def test_a_refused_allocation_is_a_data_error(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        ["--durations", "1e308"],  # 20 segments per hour of an infinite duration
+        ["--durations", "1", "--efficiency", "1e-320"],  # an infinite grid
+        ["--durations", "1", "--grid-points", "100000000000000000000"],  # past any array
+    ],
+)
+def test_a_setting_too_large_for_any_array_is_a_data_error(tmp_path, capsys, setting):
+    argv = ["sweep", "--zones", "AA", "--synthetic-days", "1", *setting]
+    assert run(argv + ["--output-dir", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: number out of range: ")
+    assert "Traceback" not in err
+
+
 def test_dispatch_demo(tmp_path, capsys):
     scenario = tmp_path / "scenario.csv"
     scenario.write_text(SCENARIO)

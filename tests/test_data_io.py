@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
@@ -13,6 +14,7 @@ from socbid.data_io import (
     load_prices,
     save_prices,
     synthetic_tape,
+    write_bid_schedule,
     write_duration_curves,
     write_power_bids,
     write_trace,
@@ -426,6 +428,21 @@ def test_load_prices_peak_allocation_is_bounded(tmp_path):
         tracemalloc.stop()
     assert len(series) == 52_560
     assert peak <= 3 * 2**20
+
+
+def test_write_bid_schedule_peak_allocation_is_bounded():
+    # 200 periods of a 72 h unit's 1,440 segments, a 2.2 MiB table. Turning the
+    # whole table into Python lists before writing peaked at 9.0 MiB; one row
+    # at a time it peaks at 0.24 MiB.
+    values = -np.sort(np.random.default_rng(7).uniform(0.0, 50.0, (200, 1440)), axis=1)
+    schedule = BidSchedule(1.0, np.linspace(0.0, 72.0, 1441), values)
+    tracemalloc.start()
+    try:
+        write_bid_schedule(schedule, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes / 4
 
 
 def duration_table(tmp_path, prices):

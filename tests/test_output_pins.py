@@ -1,4 +1,5 @@
-"""Byte pins on what ``socbid bids`` writes and what ``dispatch-demo`` prints.
+"""Byte pins on what ``socbid bids``, ``synth``, ``value`` and ``simulate --trace``
+write and what ``dispatch-demo`` prints.
 
 The digests and texts were recorded from the commands below; a change that
 moves one byte of these outputs must show here.
@@ -39,6 +40,42 @@ def test_bid_files_are_pinned(tmp_path, model, digests):
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (
+            ["synth", "--zones", "AA", "--days", "2", "--seed", "1"],
+            {
+                "AA_da.csv": "6ed5a2de7286d1827f4fa6a114530dcb222d776c7b4ec1db6eb8ada06560dada",
+                "AA_rt.csv": "30c453dd980df6f1f8b027e23e18d1cb6521214305b8ad0afbd609b675af2055",
+            },
+        ),
+        (
+            ["value", "--zones", "AA", "--durations", "2", "--synthetic-days", "2", "--seed", "1"],
+            {
+                "surface_AA_2h.csv":
+                    "691ee1223c42c27c17458aff5ae16e582f2df0388cfa3cecaf0c43bbab93e6d1",
+            },
+        ),
+        (
+            ["simulate", "--zones", "AA", "--durations", "1", "--cases", "RT-SB-PF", "DA-PB-DF",
+             "--synthetic-days", "1", "--grid-points", "301", "--seed", "1", "--trace"],
+            {
+                "summary.csv": "62bea17bc3823adb61d2645085acb4aea13d5e87e4b8db547e2411410adf1b79",
+                "trace_AA_1h_DA-PB-DF.csv":
+                    "ac8a9896984112b2101ab7090b5903de903544c6152c67a6197afd248781f52b",
+                "trace_AA_1h_RT-SB-PF.csv":
+                    "7fd388dcfa7819fdcaa8500b7a6907d624c8967db60c98ef17917e73191302ba",
+            },
+        ),
+    ],
+    ids=["synth", "value", "simulate-trace"],
+)
+def test_tape_surface_and_trace_files_are_pinned(tmp_path, argv, digests):
+    assert main(argv + ["--output-dir", str(tmp_path)]) == EXIT_OK
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 SCENARIOS = {
     "scenario": (

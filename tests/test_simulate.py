@@ -19,7 +19,7 @@ from socbid import (
     step_soc_bid,
     utilization,
 )
-from socbid.bids import bid_thresholds
+from socbid.bids import _crossings, bid_thresholds
 from socbid.cli import _synthetic_tapes
 from socbid.data_io import synthetic_tape
 from socbid import bids
@@ -27,7 +27,6 @@ from socbid.model import check_initial_soc
 from socbid.simulate import (
     _cash,
     _clamp_soc,
-    _crossings,
     _settle,
     run_cases,
 )
@@ -584,7 +583,7 @@ def test_run_cases_settle_from_counts_as_run_schedule_does_from_tables(duration)
 
 def test_run_cases_do_not_depend_on_the_block_size(monkeypatch):
     # A 72 h unit values its 5-minute tape on 9,601 points, in blocks of a few
-    # periods that run_cases holds until J-wide. With blocks of five such rows
+    # periods that the bid pass holds until J-wide. With blocks of five such rows
     # the PF pass starts with a one-period block, spans several held blocks and
     # ends in a partial one; every settled array must keep its bytes.
     da, rt = _synthetic_tapes("AA", 2, 15, 45, 24, 5, 1)

@@ -58,8 +58,6 @@ def check_cold(checkout: Path) -> None:
 
 def run_once(checkout: Path, workload: str, seed: int, warm: bool = False) -> tuple[dict, dict]:
     """One benchmark run: its ``facts:`` line and its last-line result, as dicts."""
-    if not warm:
-        check_cold(checkout)
     cmd = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, env=run_env(warm), capture_output=True, text=True)
